@@ -133,14 +133,10 @@ def cmd_train(args) -> int:
 
 
 def _subject_label(dataset, subject_id) -> int:
-    idx = dataset.subject_index[subject_id][0]
-    g = dataset.samples[idx]
-    if g.label is not None:
-        return int(g.label)
-    hidden = getattr(dataset, "hidden_labels", None)
-    if hidden is None:
+    truth = dataset.samples[dataset.subject_index[subject_id][0]].truth
+    if truth is None:
         raise ConfigError(f"site {dataset.site_id}: no labels available for evaluation")
-    return int(hidden[idx])
+    return truth
 
 
 def subject_folds(dataset, n_folds: int) -> list[list[int]]:
@@ -172,10 +168,11 @@ def cmd_eval(args) -> int:
     summary = []
     for ds in datasets:
         folds = subject_folds(ds, n_folds)
+        preds, truth = fedsim.dataset_predictions(theta, ds, use_graph=cfg.use_stfg)
+        correct = preds == truth
         accs = []
         for fold_idx, indices in enumerate(folds):
-            acc = fedsim.dataset_accuracy(theta, ds, use_graph=cfg.use_stfg,
-                                          indices=indices)
+            acc = float(correct[indices].mean())
             accs.append(acc)
             lines.append(f"{ds.site_id},{fold_idx},{len(indices)},{_fmt(acc)}")
         mean = float(np.mean(accs))
@@ -184,7 +181,9 @@ def cmd_eval(args) -> int:
         lines.append(f"{ds.site_id},std,{len(ds.samples)},{_fmt(std)}")
         summary.append((ds.site_id, mean, std))
         if cfg.subject_vote:
-            vote = _subject_vote_accuracy(theta, ds, cfg.use_stfg)
+            hits = [np.bincount(preds[indices], minlength=2).argmax() == _subject_label(ds, sid)
+                    for sid, indices in sorted(ds.subject_index.items())]
+            vote = sum(hits) / len(hits)
             print(f"site {ds.site_id}: subject majority-vote accuracy {vote:.4f}")
     report = "\n".join(lines)
     print(report)
@@ -195,15 +194,6 @@ def cmd_eval(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
         (out / "eval.csv").write_text(report + "\n")
     return 0
-
-
-def _subject_vote_accuracy(theta, dataset, use_graph) -> float:
-    correct = 0
-    for subject_id, indices in sorted(dataset.subject_index.items()):
-        preds, _ = fedsim.dataset_predictions(theta, dataset, indices, use_graph=use_graph)
-        vote = int(np.bincount(preds, minlength=2).argmax())
-        correct += int(vote == _subject_label(dataset, subject_id))
-    return correct / len(dataset.subject_index)
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +284,7 @@ def build_gradcheck_toy(seed: int = 0):
                       n_rois=6, t=27, class_sep=0.6, window=20, top_k=2)
     datasets = synth_multisite(cfg, seed=seed)
     graphs = datasets[0].samples[:4] + datasets[1].samples[:4]
-    labels = np.array([int(datasets[0].hidden_labels[i]) for i in range(4)]
-                      + [int(datasets[1].hidden_labels[i]) for i in range(4)])
-    batch = network.make_batch(graphs, 0, labels=labels)
+    batch = network.make_batch(graphs, 0, labels=np.array([g.truth for g in graphs]))
     batch.domains = np.array([0, 0, 0, 0, 1, 1, 1, 1])
     theta = network.init_theta(6, seed)
     prev = network.init_theta(6, seed + 1)

@@ -252,6 +252,20 @@ def _validate(cfg: RunConfig):
             raise ConfigError("data = manifest requires a manifest path")
         if not cfg.manifest_path().exists():
             raise ConfigError(f"manifest not found: {cfg.manifest_path()}")
+    if cfg.batch_denom < 1:
+        raise ConfigError(f"batch_denom must be >= 1, got {cfg.batch_denom}")
+    if cfg.top_k < 1:
+        raise ConfigError(f"top_k must be >= 1, got {cfg.top_k}")
+    if cfg.data == "synth":
+        if cfg.top_k >= cfg.rois:
+            raise ConfigError(f"top_k = {cfg.top_k} must be below rois = {cfg.rois}")
+        for i, s in enumerate(cfg.site_specs):
+            key, length = ((f"site.{i}.t_points", s.t_points) if s.t_points
+                           else ("t_points", cfg.t_points))
+            if cfg.window > length:
+                raise ConfigError(f"window = {cfg.window} is longer than {key} = {length}")
+    if cfg.lr_base <= 0:
+        raise ConfigError(f"lr_base must be positive, got {cfg.lr_base}")
     if cfg.tau <= 0:
         raise ConfigError("tau must be positive")
     if cfg.alpha < 0:

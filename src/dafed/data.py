@@ -28,6 +28,7 @@ class TimeSeries:
     site_id: str
     label: int | None  # 0 = patient, 1 = control, None = unlabeled
     values: np.ndarray  # (T, R)
+    truth: int | None = None  # the known class, kept even where `label` is withheld
 
 
 @dataclass
@@ -45,6 +46,7 @@ class FCGraph:
     site_id: str
     subject_id: str
     window: int
+    truth: int | None = None  # evaluation-only class, see TimeSeries.truth
     _norm: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -145,9 +147,10 @@ def series_to_graphs(ts: TimeSeries, window: int, stride: int, k: int) -> list[F
             logger.warning("skipping window: subject=%s window=%d roi=%d has zero variance",
                            ts.subject_id, w_idx, zv.roi)
             continue
-        z = fisher_z(corr)
-        graphs.append(build_graph(z, k, label=ts.label, site_id=ts.site_id,
-                                  subject_id=ts.subject_id, window=w_idx))
+        graph = build_graph(fisher_z(corr), k, label=ts.label, site_id=ts.site_id,
+                            subject_id=ts.subject_id, window=w_idx)
+        graph.truth = ts.truth
+        graphs.append(graph)
     return graphs
 
 
@@ -266,43 +269,22 @@ def synth_series(cfg: SynthConfig, seed: int) -> list[TimeSeries]:
                 x[step] = cfg.ar_coeff * x[step - 1] + innov[step]
             out.append(TimeSeries(subject_id=subject_id, site_id=site.site_id,
                                   label=label if site.labeled else None,
-                                  values=x[cfg.burn_in:]))
+                                  values=x[cfg.burn_in:], truth=label))
     return out
 
 
-def _series_label_true(cfg: SynthConfig, site: SynthSite, j: int) -> int:
-    n0 = int(round(cfg.class_balance * site.subjects))
-    return 0 if j < n0 else 1
-
-
-def synth_multisite(cfg: SynthConfig, seed: int,
-                    keep_hidden_labels: bool = True) -> list[SiteDataset]:
-    """Windowed graph datasets per site.
-
-    For unlabeled sites the per-sample labels are stripped; when
-    `keep_hidden_labels` is set the ground truth is retained separately on
-    the dataset for evaluation (never used in training).
-    """
-    cfg.validate()
-    datasets = []
+def synth_multisite(cfg: SynthConfig, seed: int) -> list[SiteDataset]:
+    """Windowed graph datasets per site. Unlabeled sites carry no `label`;
+    every sample keeps the generator's class in `truth`, which only the
+    accuracy metrics read, never training."""
     series = synth_series(cfg, seed)
+    datasets = []
     for site in cfg.sites:
-        site_series = [s for s in series if s.site_id == site.site_id]
         samples = []
-        hidden = []
-        for ts in site_series:
-            true_label = ts.label
-            if true_label is None:
-                # recover the generator's assignment for evaluation only
-                j = int(ts.subject_id.rsplit("_s", 1)[1])
-                true_label = _series_label_true(cfg, site, j)
-            graphs = series_to_graphs(ts, cfg.window, cfg.stride, cfg.top_k)
-            samples.extend(graphs)
-            hidden.extend([true_label] * len(graphs))
-        ds = SiteDataset(site_id=site.site_id, samples=samples, labeled=site.labeled)
-        if keep_hidden_labels:
-            ds.hidden_labels = np.asarray(hidden, dtype=np.int64)
-        datasets.append(ds)
+        for ts in series:
+            if ts.site_id == site.site_id:
+                samples.extend(series_to_graphs(ts, cfg.window, cfg.stride, cfg.top_k))
+        datasets.append(SiteDataset(site_id=site.site_id, samples=samples, labeled=site.labeled))
     return datasets
 
 
@@ -358,7 +340,7 @@ def read_manifest(manifest_path) -> list[TimeSeries]:
                 path = base / path
             values = _read_series_csv(path)
             series.append(TimeSeries(subject_id=row["subject_id"], site_id=row["site_id"],
-                                     label=label, values=values))
+                                     label=label, values=values, truth=label))
     return series
 
 

@@ -53,40 +53,22 @@ def _channel_masks(activation: np.ndarray) -> np.ndarray:
     return masks
 
 
-def score_cam(theta: ParamStore, graph: FCGraph, layer: int, target_class: int,
-              *, mask_target: str = "features") -> SaliencyMap:
-    """Channel-mask attribution for one sample.
-
-    `layer` indexes the convolution stack from 1; `mask_target` chooses
-    whether masks scale the node-feature rows (default) or the adjacency.
-    """
+def score_cam(theta: ParamStore, graph: FCGraph, layer: int, target_class: int) -> SaliencyMap:
+    """Channel-mask attribution for one sample; `layer` indexes the
+    convolution stack from 1 and the masks scale the node-feature rows."""
     if not 1 <= layer <= N_LAYERS:
         raise ValueError(f"layer must be in 1..{N_LAYERS}, got {layer}")
     if target_class not in (0, 1):
         raise ValueError(f"target class must be 0 or 1, got {target_class}")
-    if mask_target not in ("features", "adjacency"):
-        raise ValueError(f"unknown mask target {mask_target!r}")
 
     adj = _norm_adj(graph)
     x = graph.features
     activation = eval_hidden(theta, x[None], adj[None])[layer - 1][0]  # (N, C)
     masks = _channel_masks(activation)  # (C, N)
-    n_channels = masks.shape[0]
-
-    if mask_target == "features":
-        masked_x = x[None] * masks[:, :, None]
-        masked_adj = np.broadcast_to(adj, (n_channels,) + adj.shape).copy()
-        baseline_x = np.zeros_like(x)[None]
-        baseline_adj = adj[None]
-    else:
-        masked_x = np.broadcast_to(x, (n_channels,) + x.shape).copy()
-        masked_adj = np.stack([normalize_adjacency(graph.adjacency * np.outer(m, m))
-                               for m in masks])
-        baseline_x = x[None]
-        baseline_adj = normalize_adjacency(np.zeros_like(graph.adjacency))[None]
-
+    masked_x = x[None] * masks[:, :, None]
+    masked_adj = np.broadcast_to(adj, (masks.shape[0],) + adj.shape).copy()
     scores = eval_class_probs(theta, masked_x, masked_adj)[:, target_class]
-    baseline = eval_class_probs(theta, baseline_x, baseline_adj)[0, target_class]
+    baseline = eval_class_probs(theta, np.zeros_like(x)[None], adj[None])[0, target_class]
     cic = scores - baseline
     shifted = np.exp(cic - cic.max())
     weights = shifted / shifted.sum()

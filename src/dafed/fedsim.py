@@ -186,7 +186,7 @@ class SiteState:
     adam_main: Adam
     adam_mine: Adam
     queue: dict = field(default_factory=dict)
-    prev_global: ParamStore | None = None
+    prev_global: ParamStore | None = None  # the last broadcast model
     theta: ParamStore | None = None  # the central site owns the shared model
 
 
@@ -226,10 +226,7 @@ def select_batch(state: SiteState, round_idx: int, settings: TrainSettings) -> B
     idx = rng.stream(settings.seed, "batch", state.site_id, round_idx).choice(n, size, replace=False)
     graphs = [samples[i] for i in idx]
     domain = 0 if state.role == ROLE_SOURCE else 1
-    batch = make_batch(graphs, domain, use_graph=settings.use_stfg)
-    hidden = getattr(state.dataset, "hidden_labels", None)
-    batch.metric_labels = hidden[idx] if (batch.labels is None and hidden is not None) else batch.labels
-    return batch
+    return make_batch(graphs, domain, use_graph=settings.use_stfg)
 
 
 @dataclass
@@ -238,7 +235,7 @@ class SiteObjective:
     estimator_objective: Tensor | None  # minimized by the estimator optimizer
     parts: dict  # raw loss component values for metrics
     anchor: np.ndarray  # detached invariant features of this batch
-    accuracy: float  # batch accuracy, nan when no labels are known
+    accuracy: float  # batch accuracy against `Batch.truth`, nan when unknown
     sim_pos: float = float("nan")  # mean anchor/positive cosine, diagnostics only
 
 
@@ -291,12 +288,11 @@ def site_objective(theta: ParamStore, batch: Batch, *, role: str, ramp: float,
     total = total_loss(tensors, lambda_mi=settings.lambda_mi,
                        lambda_cl=settings.lambda_cl, ramp=ramp, role=role)
 
-    labels_for_metric = batch.metric_labels if batch.metric_labels is not None else batch.labels
-    if labels_for_metric is None:
+    if batch.truth is None:
         accuracy = float("nan")
     else:
         pred = np.argmax(fw.class_probs.data, axis=1)
-        accuracy = float((pred == labels_for_metric).mean())
+        accuracy = float((pred == batch.truth).mean())
     return SiteObjective(total=total, estimator_objective=estimator_objective,
                          parts=parts, anchor=fw.f_di.data.copy(), accuracy=accuracy,
                          sim_pos=sim_pos)
@@ -323,17 +319,11 @@ def _split_grads(theta: ParamStore, obj: SiteObjective) -> dict[str, np.ndarray]
     return merged
 
 
-def _metrics_row(round_idx, state, obj, ramp, lr, bytes_up, bytes_down):
-    parts = obj.parts
-    return {"round": round_idx, "site": state.site_id, "role": state.role,
-            "L_C": parts["cls"], "L_MI": parts["mi"], "L_CL": parts["cl"],
-            "L_DI": parts["dom"], "lambda_p": ramp, "lr": lr, "acc": obj.accuracy,
-            "bytes_up": bytes_up, "bytes_down": bytes_down, "sim_pos": obj.sim_pos}
-
-
-def _source_step(state: SiteState, theta: ParamStore, round_idx: int,
-                 total_rounds: int, settings: TrainSettings):
-    """Central-site forward: objective value and gradient map, no update."""
+def _site_step(state: SiteState, theta: ParamStore, round_idx: int,
+               total_rounds: int, settings: TrainSettings):
+    """One site's round on its batch: objective value, gradient map and
+    metrics row (traffic columns zero). Only the training-mode normalization
+    statistics in `theta` move; weight updates are left to the caller."""
     batch = select_batch(state, round_idx, settings)
     ramp = adversarial_ramp(round_idx / total_rounds, settings.gamma)
     key = (settings.seed, "drop", state.site_id, round_idx)
@@ -343,36 +333,13 @@ def _source_step(state: SiteState, theta: ParamStore, round_idx: int,
     _check_finite(obj.parts, total, round_idx, state.site_id)
     grads = _split_grads(theta, obj)
     update_queue(state.queue, batch.uids, obj.anchor, settings.queue_len)
-    state.prev_global = theta.copy()
-    row = _metrics_row(round_idx, state, obj, ramp,
-                       lr_at(settings.lr, round_idx, total_rounds), 0, 0)
+    parts = obj.parts
+    row = {"round": round_idx, "site": state.site_id, "role": state.role,
+           "L_C": parts["cls"], "L_MI": parts["mi"], "L_CL": parts["cl"],
+           "L_DI": parts["dom"], "lambda_p": ramp,
+           "lr": lr_at(settings.lr, round_idx, total_rounds), "acc": obj.accuracy,
+           "bytes_up": 0, "bytes_down": 0, "sim_pos": obj.sim_pos}
     return total, grads, row
-
-
-def _local_update(state: SiteState, theta: ParamStore, source_grads: dict,
-                  round_idx: int, total_rounds: int, settings: TrainSettings):
-    """One local training step on the combined (local + broadcast) gradient."""
-    pristine = theta.copy()
-    batch = select_batch(state, round_idx, settings)
-    ramp = adversarial_ramp(round_idx / total_rounds, settings.gamma)
-    key = (settings.seed, "drop", state.site_id, round_idx)
-    obj = site_objective(theta, batch, role=state.role, ramp=ramp, settings=settings,
-                         queue=state.queue, prev_global=state.prev_global, key=key)
-    total = obj.total.item()
-    _check_finite(obj.parts, total, round_idx, state.site_id)
-    local = _split_grads(theta, obj)
-    combined = {}
-    for name, g in local.items():
-        src = source_grads.get(name) if settings.broadcast_grads else None
-        combined[name] = g if src is None else g + src
-    lr = lr_at(settings.lr, round_idx, total_rounds)
-    adam_step(theta, state.adam_main, combined, lr)
-    if settings.use_rd:
-        adam_step(theta, state.adam_mine, combined, lr)
-    update_queue(state.queue, batch.uids, obj.anchor, settings.queue_len)
-    state.prev_global = pristine
-    row = _metrics_row(round_idx, state, obj, ramp, lr, 0, 0)
-    return theta, row
 
 
 def multi_site_round(theta_global: ParamStore, source: SiteState,
@@ -382,8 +349,8 @@ def multi_site_round(theta_global: ParamStore, source: SiteState,
     metrics row per site."""
     if not targets:
         raise ValueError("multi_site_round: needs at least one local site")
-    src_loss, src_grads, src_row = _source_step(source, theta_global, round_idx,
-                                                total_rounds, settings)
+    src_loss, src_grads, src_row = _site_step(source, theta_global, round_idx,
+                                              total_rounds, settings)
     broadcast = wire.encode_message(wire.Message(
         round_idx=round_idx, kind=wire.KIND_BROADCAST,
         params=wire.store_to_arrays(theta_global), grads=src_grads,
@@ -394,8 +361,13 @@ def multi_site_round(theta_global: ParamStore, source: SiteState,
     for state in targets:
         msg = wire.decode_message(broadcast)
         theta_k = wire.arrays_to_store(msg.params)
-        theta_k, row = _local_update(state, theta_k, msg.grads, round_idx,
-                                     total_rounds, settings)
+        _, grads, row = _site_step(state, theta_k, round_idx, total_rounds, settings)
+        if settings.broadcast_grads:
+            grads = {name: g if name not in msg.grads else g + msg.grads[name]
+                     for name, g in grads.items()}
+        adam_step(theta_k, state.adam_main, grads, row["lr"])
+        if settings.use_rd:
+            adam_step(theta_k, state.adam_mine, grads, row["lr"])
         noised = add_noise(theta_k, noise, state.site_id, round_idx)
         upload = wire.encode_message(wire.Message(
             round_idx=round_idx, kind=wire.KIND_UPLOAD,
@@ -407,6 +379,10 @@ def multi_site_round(theta_global: ParamStore, source: SiteState,
         rows.append(row)
     src_row["bytes_up"] = len(broadcast)
     src_row["bytes_down"] = upload_bytes_total
+    # every site received this broadcast; it is next round's contrastive positive
+    broadcast_model = theta_global.copy()
+    for state in [source] + targets:
+        state.prev_global = broadcast_model
     return aggregate(uploads), rows
 
 
@@ -461,53 +437,35 @@ def train_source_only(settings: TrainSettings, dataset: SiteDataset) -> ParamSto
     local = TrainSettings(seed=settings.seed, rounds=settings.rounds,
                           lr=settings.lr, batch_denom=settings.batch_denom,
                           use_stfg=settings.use_stfg, use_rd=False,
-                          use_dat=False, use_cl=False)
-    main_names, _ = param_groups(theta)
-    opt = Adam(names=main_names)
+                          use_dat=False, use_cl=False, queue_len=0)
     state = SiteState(site_id=dataset.site_id, role=ROLE_SOURCE, dataset=dataset,
-                      adam_main=opt, adam_mine=Adam(names=()))
+                      adam_main=Adam(names=param_groups(theta)[0]), adam_mine=Adam(names=()))
     for round_idx in range(local.rounds):
-        batch = select_batch(state, round_idx, local)
-        key = (local.seed, "drop", state.site_id, round_idx)
-        obj = site_objective(theta, batch, role=ROLE_SOURCE, ramp=0.0, settings=local,
-                             queue=None, prev_global=None, key=key)
-        _check_finite(obj.parts, obj.total.item(), round_idx, state.site_id)
-        grads = backward(obj.total, theta)
-        adam_step(theta, opt, grads, lr_at(local.lr, round_idx, local.rounds))
+        _, grads, row = _site_step(state, theta, round_idx, local.rounds, local)
+        adam_step(theta, state.adam_main, grads, row["lr"])
     return theta
 
 
-def dataset_predictions(theta: ParamStore, dataset: SiteDataset, indices=None, *,
-                        use_graph: bool = True, chunk: int = 512):
-    """(predicted classes, true labels) over the given sample indices in
-    evaluation mode; labels fall back to the generator's held-back truth."""
-    if indices is None:
-        indices = range(len(dataset.samples))
-    idx_list = list(indices)
-    labels = []
-    hidden = getattr(dataset, "hidden_labels", None)
-    for i in idx_list:
-        g = dataset.samples[i]
-        if g.label is not None:
-            labels.append(g.label)
-        elif hidden is not None:
-            labels.append(int(hidden[i]))
-        else:
-            raise ValueError(f"site {dataset.site_id}: no labels available for accuracy")
-    preds = np.empty(len(idx_list), dtype=np.int64)
-    for start in range(0, len(idx_list), chunk):
-        part = idx_list[start:start + chunk]
-        batch = make_batch([dataset.samples[i] for i in part], 1, use_graph=use_graph)
+EVAL_CHUNK = 32  # windows per evaluation forward, which bounds its memory
+
+
+def dataset_predictions(theta: ParamStore, dataset: SiteDataset, *, use_graph: bool = True):
+    """(predicted classes, true classes) of every sample in evaluation mode;
+    the true classes are the samples' `truth`. A window's prediction does not
+    depend on the other windows of its chunk."""
+    labels = [g.truth for g in dataset.samples]
+    if None in labels:
+        raise ValueError(f"site {dataset.site_id}: no labels available for accuracy")
+    preds = np.empty(len(labels), dtype=np.int64)
+    for start in range(0, len(labels), EVAL_CHUNK):
+        batch = make_batch(dataset.samples[start:start + EVAL_CHUNK], 1, use_graph=use_graph)
         with tt.no_grad():
             probs = model_forward(theta, batch, train=False).class_probs.data
-        preds[start:start + len(part)] = np.argmax(probs, axis=1)
+        preds[start:start + batch.size] = np.argmax(probs, axis=1)
     return preds, np.asarray(labels)
 
 
-def dataset_accuracy(theta: ParamStore, dataset: SiteDataset, *,
-                     use_graph: bool = True, chunk: int = 512,
-                     indices=None) -> float:
+def dataset_accuracy(theta: ParamStore, dataset: SiteDataset, *, use_graph: bool = True) -> float:
     """Window accuracy of the model on a dataset in evaluation mode."""
-    preds, labels = dataset_predictions(theta, dataset, indices,
-                                        use_graph=use_graph, chunk=chunk)
+    preds, labels = dataset_predictions(theta, dataset, use_graph=use_graph)
     return float((preds == labels).mean())

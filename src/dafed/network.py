@@ -78,10 +78,10 @@ def param_groups(theta: ParamStore) -> tuple[tuple[str, ...], tuple[str, ...]]:
 class Batch:
     x: np.ndarray  # (B, N, R) node features
     adj_norm: np.ndarray  # (B, N, N) normalized propagation matrices
-    labels: np.ndarray | None  # (B,) or None when truly unlabeled
+    labels: np.ndarray | None  # (B,) training labels, None at an unlabeled site
     domains: np.ndarray  # (B,) 0 = source, 1 = target
     uids: list[str]
-    metric_labels: np.ndarray | None = None  # ground truth for metrics only
+    truth: np.ndarray | None = None  # (B,) known classes, for metrics only
 
     @property
     def size(self) -> int:
@@ -106,9 +106,12 @@ def make_batch(graphs: list[FCGraph], domain: int, *, use_graph: bool = True,
         adj = np.broadcast_to(np.eye(n), (len(graphs), n, n)).copy()
     if labels is None and all(g.label is not None for g in graphs):
         labels = np.array([g.label for g in graphs], dtype=np.int64)
+    truth = None
+    if all(g.truth is not None for g in graphs):
+        truth = np.array([g.truth for g in graphs], dtype=np.int64)
     domains = np.full(len(graphs), domain, dtype=np.int64)
     return Batch(x=x, adj_norm=adj, labels=labels, domains=domains,
-                 uids=[g.uid for g in graphs])
+                 uids=[g.uid for g in graphs], truth=truth)
 
 
 def _stfg_masks(batch: Batch, train: bool, key: tuple) -> list:

@@ -233,20 +233,6 @@ def take_rows(a, indices) -> Tensor:
     return _node(a.data[idx], [(a, vjp)], "take_rows")
 
 
-def slice_rows(a, start: int, stop: int) -> Tensor:
-    a = _wrap(a)
-    if not (0 <= start <= stop <= a.shape[0]):
-        raise ShapeError(f"slice_rows: [{start}:{stop}] out of range for {a.shape[0]} rows")
-    shape = a.shape
-
-    def vjp(g):
-        full = np.zeros(shape)
-        full[start:stop] = g
-        return full
-
-    return _node(a.data[start:stop], [(a, vjp)], "slice_rows")
-
-
 # ---------------------------------------------------------------------------
 # reductions
 
@@ -453,44 +439,7 @@ def batch_norm(x, gamma, beta, running_mean, running_var, *, train: bool,
 
 
 # ---------------------------------------------------------------------------
-# dispatch and backward
-
-
-PRIMITIVES = {
-    "matmul": matmul,
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "scalar_mul": scale,
-    "concat": concat,
-    "mean": mean,
-    "max": amax,
-    "sum": tsum,
-    "relu": relu,
-    "leaky_relu": leaky_relu,
-    "softmax": softmax,
-    "log": log,
-    "exp": exp,
-    "abs": absolute,
-    "clip": clip,
-    "dropout": dropout,
-    "batch_norm": batch_norm,
-    "transpose": transpose,
-    "reshape": reshape,
-    "take_rows": take_rows,
-    "slice_rows": slice_rows,
-    "cosine_similarity": cosine_similarity,
-    "grad_reverse": grad_reverse,
-}
-
-
-def apply_primitive(op: str, inputs, **attrs) -> Tensor:
-    """Dispatch to a primitive by identifier."""
-    try:
-        fn = PRIMITIVES[op]
-    except KeyError:
-        raise ValueError(f"unknown primitive {op!r}") from None
-    return fn(*inputs, **attrs)
+# backward
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:

@@ -63,6 +63,24 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     assert "window" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old, new, key", [
+    ("", "batch_denom = 0", "batch_denom"),
+    ("top_k = 3", "top_k = 10", "top_k"),  # rois = 10
+    ("top_k = 3", "top_k = 0", "top_k"),
+    ("window = 20", "window = 30", "window"),  # t_points = 24
+    ("", "site.1.t_points = 18", "site.1.t_points"),  # window = 20
+    ("lr_base = 0.005", "lr_base = 0", "lr_base"),
+])
+def test_bad_value_exits_2_naming_the_key(tmp_path, capsys, old, new, key):
+    cfg = write_cfg(tmp_path / "run.cfg")
+    text = cfg.read_text()
+    cfg.write_text(text.replace(old, new) if old else text + new + "\n")
+    code = cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert key in err and "Traceback" not in err
+
+
 def test_missing_config_exits_2(tmp_path):
     assert cli.main(["train", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path / "o")]) == 2

@@ -228,10 +228,10 @@ def test_strong_separation_is_linearly_probeable():
 def test_synth_hidden_labels_align_with_labeled_sites():
     dsets = data.synth_multisite(_cfg(), seed=2)
     labeled = dsets[0]
-    assert np.array_equal(labeled.hidden_labels, [g.label for g in labeled.samples])
+    assert np.array_equal([g.truth for g in labeled.samples], [g.label for g in labeled.samples])
     unlabeled = dsets[1]
     assert all(g.label is None for g in unlabeled.samples)
-    assert set(np.unique(unlabeled.hidden_labels)) == {0, 1}
+    assert set(np.unique([g.truth for g in unlabeled.samples])) == {0, 1}
 
 
 def test_synth_config_validation():

@@ -71,14 +71,6 @@ def test_score_cam_on_noised_parameters_still_works(small_world):
     assert np.all(np.isfinite(m.scores))
 
 
-def test_score_cam_adjacency_masking_variant(small_world):
-    theta, ds = small_world
-    m = score_cam(theta, ds.samples[0], layer=2, target_class=1,
-                  mask_target="adjacency")
-    assert m.scores.shape == (10,)
-    assert np.all(np.isfinite(m.scores))
-
-
 def test_average_drop_formula():
     assert average_drop([0.8, 0.6], [0.8, 0.6]) == 0.0
     assert average_drop([0.8, 0.6], [0.4, 0.3]) == pytest.approx(50.0)

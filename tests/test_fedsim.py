@@ -1,6 +1,7 @@
 """Federated rounds: noise, aggregation, the contrastive queue, protocol
 equivalence, determinism, and the privacy boundary."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -371,3 +372,28 @@ def test_build_states_validates_roles():
         build_states(datasets, {"central": "target_unlabeled", "edge": "target_unlabeled"}, theta)
     with pytest.raises(ValueError, match="needs labels"):
         build_states(datasets, {"central": "target_unlabeled", "edge": "source"}, theta)
+
+
+def _params_digest(theta):
+    return hashlib.sha256(b"".join(theta[n].data.tobytes() for n in theta.names())).hexdigest()
+
+
+def _rows_digest(rows):
+    lines = [",".join(f"{k}={v}" if isinstance(v, str) else f"{k}={float(v)!r}"
+                      for k, v in sorted(row.items())) for row in rows]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+# recorded before the per-site training step was shared by the source, the
+# targets and the source-only baseline; any drift in a single bit fails here
+PINNED_PARAMS = "875e0566e0644c43a093ab8d24d42bf8132b741964d4d98e3e62d1fba645e878"
+PINNED_ROWS = "81bc9e3235d110a10c1105f5d728b5ab0e7a5a6dffa4f1f410c15d09b2fbe6e3"
+PINNED_SOURCE_ONLY = "8ccd6cc5306adc96baeeea3e4b19aee972dba4c7476e13bfd69982e64ca3e1cc"
+
+
+def test_training_trajectory_is_pinned():
+    datasets = _tiny_datasets()
+    res = run_training(_settings(alpha=0.01), datasets, _roles())
+    baseline = train_source_only(_settings(), datasets[0])
+    assert (_params_digest(res.theta), _rows_digest(res.metrics),
+            _params_digest(baseline)) == (PINNED_PARAMS, PINNED_ROWS, PINNED_SOURCE_ONLY)

@@ -157,7 +157,6 @@ def _away_from_zero(shape, margin=1e-3):
     ("transpose", lambda a: tt.transpose(a, (2, 0, 1)), [RNG.standard_normal((4, 5, 6))]),
     ("reshape", lambda a: tt.reshape(a, (6, 20)), [RNG.standard_normal((4, 5, 6))]),
     ("take_rows", lambda a: tt.take_rows(a, [0, 2, 2, 5, 1]), [RNG.standard_normal((7, 9))]),
-    ("slice_rows", lambda a: tt.slice_rows(a, 2, 6), [RNG.standard_normal((9, 8))]),
     ("cosine", lambda a, b: tt.cosine_similarity(a, b),
      [RNG.standard_normal((12, 9)), RNG.standard_normal((12, 9))]),
 ])
@@ -263,13 +262,6 @@ def test_three_layer_mlp_matches_finite_differences():
     analytic = tt.gradients(forward(), tensors)
     numeric = numeric_grads(lambda: forward().item(), params)
     assert max_rel_error(analytic, numeric) < 1e-6
-
-
-def test_apply_primitive_dispatch():
-    out = tt.apply_primitive("softmax", [tt.Tensor([[0.0, 0.0]])], axis=1)
-    assert np.allclose(out.data, [[0.5, 0.5]])
-    with pytest.raises(ValueError):
-        tt.apply_primitive("convolve", [tt.Tensor([1.0])])
 
 
 def test_operator_sugar():
