@@ -17,7 +17,6 @@ import numpy as np
 from . import data as data_mod
 from . import explain as explain_mod
 from . import fedsim, network, rng, wire
-from . import tensor as tt
 from .config import ConfigError, RunConfig, parse_config
 from .data import IngestError, SynthConfig, SynthSite, synth_multisite, synth_series
 from .fedsim import TrainingDiverged, site_objective
@@ -210,67 +209,28 @@ def cmd_explain(args) -> int:
         raise ConfigError("class must be 0 or 1")
     theta, _, _, _ = wire.load_checkpoint(args.checkpoint)
     datasets = _load_datasets(cfg)
+    result = explain_mod.explain_cohort(theta, datasets, layer, target_class,
+                                        windows=cfg.explain_windows, seed=cfg.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-
-    subject_windows = []  # (dataset, subject_id, [sample indices])
-    for ds in datasets:
-        for subject_id in sorted(ds.subject_index):
-            indices = ds.subject_index[subject_id][:cfg.explain_windows]
-            subject_windows.append((ds, subject_id, indices))
-
-    n_rois = datasets[0].samples[0].n_rois
-    per_layer_subject_scores = {l: [] for l in range(1, 5)}
-    focus_window_maps = []
-    focus_graphs = []
-    for ds, subject_id, indices in subject_windows:
-        for l in range(1, 5):
-            maps = [explain_mod.score_cam(theta, ds.samples[i], l, target_class)
-                    for i in indices]
-            per_layer_subject_scores[l].append(np.mean([m.scores for m in maps], axis=0))
-            if l == layer:
-                focus_window_maps.extend(m.scores for m in maps)
-                focus_graphs.extend(ds.samples[i] for i in indices)
-
     with open(out / "saliency.csv", "w", newline="") as fh:
         fh.write("roi_index,layer,class,mean_score\n")
-        for l in range(1, 5):
-            pooled = np.mean(per_layer_subject_scores[l], axis=0)
-            for roi in range(n_rois):
-                fh.write(f"{roi},{l},{target_class},{_fmt(pooled[roi])}\n")
-
-    # group-discriminative edges among the top ROIs at the focus layer
-    scores = np.stack(per_layer_subject_scores[layer])
-    fc = np.stack([np.mean([ds.samples[i].features for i in indices], axis=0)
-                   for ds, _, indices in subject_windows])
-    groups = np.array([_subject_label(ds, subject_id)
-                       for ds, subject_id, _ in subject_windows])
-    edges = explain_mod.significant_edges(scores, fc, groups)
+        for l, pooled in enumerate(result.saliency, start=1):
+            for roi, score in enumerate(pooled):
+                fh.write(f"{roi},{l},{target_class},{_fmt(score)}\n")
     with open(out / "edges.csv", "w", newline="") as fh:
         fh.write("roi_a,roi_b,correlation,p_value\n")
-        for e in edges:
+        for e in result.edges:
             fh.write(f"{e.roi_a},{e.roi_b},{_fmt(e.correlation)},{_fmt(e.p_value)}\n")
-
-    # faithfulness of the maps against an equal-sparsity random control
-    masks = np.stack(focus_window_maps)
-    clean, masked = explain_mod.saliency_masked_scores(theta, focus_graphs, masks)
-    control = explain_mod.permuted_masks(masks, cfg.seed, "explain")
-    _, masked_ctl = explain_mod.saliency_masked_scores(theta, focus_graphs, control)
-    drop = explain_mod.average_drop(clean, masked)
-    drop_ctl = explain_mod.average_drop(clean, masked_ctl)
-    inc = explain_mod.average_increase(clean, masked)
-    inc_ctl = explain_mod.average_increase(clean, masked_ctl)
     with open(out / "faithfulness.csv", "w", newline="") as fh:
         fh.write("layer,class,mask,average_drop,average_increase\n")
-        fh.write(f"{layer},{target_class},saliency,{_fmt(drop)},{_fmt(inc)}\n")
-        fh.write(f"{layer},{target_class},random,{_fmt(drop_ctl)},{_fmt(inc_ctl)}\n")
+        for mask, (drop, inc) in result.faithfulness.items():
+            fh.write(f"{layer},{target_class},{mask},{_fmt(drop)},{_fmt(inc)}\n")
+    (drop, inc), (drop_ctl, inc_ctl) = result.faithfulness["saliency"], result.faithfulness["random"]
     print(f"layer {layer} class {target_class}: "
           f"average drop {drop:.2f}% (random control {drop_ctl:.2f}%), "
           f"average increase {inc:.2f}% (random control {inc_ctl:.2f}%)")
-    top = explain_mod.top_rois(
-        [explain_mod.SaliencyMap(s, layer, target_class, "", 0)
-         for s in per_layer_subject_scores[layer]], 10)
-    print("top ROIs:", " ".join(str(int(r)) for r in top))
+    print("top ROIs:", " ".join(str(int(r)) for r in result.top_rois))
     return 0
 
 

@@ -318,9 +318,10 @@ def _read_series_csv(path: Path) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
-def read_manifest(manifest_path) -> list[TimeSeries]:
+def read_manifest(manifest_path) -> list[tuple[Path, TimeSeries]]:
     """Load every series referenced by a manifest CSV with columns
-    subject_id, site_id, label, path (label may be empty)."""
+    subject_id, site_id, label, path (label may be empty), each with the
+    path it was read from."""
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
     series = []
@@ -339,16 +340,26 @@ def read_manifest(manifest_path) -> list[TimeSeries]:
             if not path.is_absolute():
                 path = base / path
             values = _read_series_csv(path)
-            series.append(TimeSeries(subject_id=row["subject_id"], site_id=row["site_id"],
-                                     label=label, values=values, truth=label))
+            series.append((path, TimeSeries(subject_id=row["subject_id"], site_id=row["site_id"],
+                                            label=label, values=values, truth=label)))
     return series
 
 
 def ingest_csv(manifest_path, window: int, stride: int, k: int) -> list[SiteDataset]:
-    """Datasets grouped by site; pipeline identical to the synthetic path."""
-    series = read_manifest(manifest_path)
+    """Datasets grouped by site; pipeline identical to the synthetic path.
+
+    A window longer than a series or a `k` at or above its ROI count is a
+    configuration error naming the config key and the series file.
+    """
+    from .config import ConfigError  # config imports this module
+
     by_site: dict[str, list[TimeSeries]] = {}
-    for ts in series:
+    for path, ts in read_manifest(manifest_path):
+        points, rois = ts.values.shape
+        if window > points:
+            raise ConfigError(f"window = {window} is longer than the {points} points of {path}")
+        if k >= rois:
+            raise ConfigError(f"top_k = {k} must be below the {rois} ROIs of {path}")
         by_site.setdefault(ts.site_id, []).append(ts)
     datasets = []
     for site_id in sorted(by_site):

@@ -1,7 +1,7 @@
 """Gradient-free attribution over the graph-convolution stack, plus the
 confidence-based faithfulness metrics and the significant-edge filter.
 
-Per channel of a chosen layer's activation map, the node column is min-max
+Per channel of a layer's activation map, the node column is min-max
 normalized into a mask, the input's node-feature rows are scaled by that
 mask, and the class-probability change against an all-zero mask scores the
 channel. The saliency map is the softmax-weighted sum of the masks, so it
@@ -14,10 +14,11 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from . import rng
-from .data import FCGraph
+from .config import ConfigError
+from .data import FCGraph, SiteDataset
 from .network import eval_class_probs, eval_hidden
 from .optim import ParamStore
 from .stfg import GCN_WIDTHS, normalize_adjacency
@@ -25,6 +26,7 @@ from .stfg import GCN_WIDTHS, normalize_adjacency
 logger = logging.getLogger(__name__)
 
 N_LAYERS = len(GCN_WIDTHS)
+SCORE_CHUNK = 64  # inputs per evaluation forward, which bounds its memory
 
 
 @dataclass
@@ -42,39 +44,59 @@ def _norm_adj(graph: FCGraph) -> np.ndarray:
     return graph._norm
 
 
-def _channel_masks(activation: np.ndarray) -> np.ndarray:
-    """Min-max normalize each activation column into [0, 1]; constant
-    columns become all-zero masks. Returns (channels, nodes)."""
-    act = activation.T
-    lo = act.min(axis=1, keepdims=True)
-    hi = act.max(axis=1, keepdims=True)
-    span = hi - lo
-    masks = np.where(span > 0, (act - lo) / np.where(span > 0, span, 1.0), 0.0)
-    return masks
+def _minmax_rows(a: np.ndarray) -> np.ndarray:
+    """Min-max normalize each row into [0, 1]; constant rows become all-zero."""
+    lo = a.min(axis=1, keepdims=True)
+    span = a.max(axis=1, keepdims=True) - lo
+    return np.where(span > 0, (a - lo) / np.where(span > 0, span, 1.0), 0.0)
 
 
-def score_cam(theta: ParamStore, graph: FCGraph, layer: int, target_class: int) -> SaliencyMap:
-    """Channel-mask attribution for one sample; `layer` indexes the
-    convolution stack from 1 and the masks scale the node-feature rows."""
-    if not 1 <= layer <= N_LAYERS:
-        raise ValueError(f"layer must be in 1..{N_LAYERS}, got {layer}")
+def _class_probs(theta: ParamStore, n: int, inputs) -> np.ndarray:
+    """Evaluation-mode class probabilities of n inputs, run SCORE_CHUNK at a
+    time; `inputs(rows)` builds the (features, propagation) arrays of a
+    slice of rows only when its chunk runs."""
+    probs = np.empty((n, 2))
+    for start in range(0, n, SCORE_CHUNK):
+        rows = slice(start, start + SCORE_CHUNK)
+        probs[rows] = eval_class_probs(theta, *inputs(rows))
+    return probs
+
+
+def score_cam(theta: ParamStore, graph: FCGraph, target_class: int) -> list[SaliencyMap]:
+    """Channel-mask attribution of one sample at every layer of the
+    convolution stack, in layer order; the masks scale the node-feature rows.
+
+    The masked inputs of all layers' channels are scored together, from one
+    pass for the activations and one for the all-zero baseline.
+    """
     if target_class not in (0, 1):
         raise ValueError(f"target class must be 0 or 1, got {target_class}")
 
     adj = _norm_adj(graph)
     x = graph.features
-    activation = eval_hidden(theta, x[None], adj[None])[layer - 1][0]  # (N, C)
-    masks = _channel_masks(activation)  # (C, N)
-    masked_x = x[None] * masks[:, :, None]
-    masked_adj = np.broadcast_to(adj, (masks.shape[0],) + adj.shape).copy()
-    scores = eval_class_probs(theta, masked_x, masked_adj)[:, target_class]
+    masks = [_minmax_rows(h[0].T) for h in eval_hidden(theta, x[None], adj[None])]
+    stacked = np.concatenate(masks)  # (channels of every layer, N)
     baseline = eval_class_probs(theta, np.zeros_like(x)[None], adj[None])[0, target_class]
-    cic = scores - baseline
-    shifted = np.exp(cic - cic.max())
-    weights = shifted / shifted.sum()
-    saliency = weights @ masks
-    return SaliencyMap(scores=saliency, layer=layer, target_class=target_class,
-                       subject_id=graph.subject_id, window=graph.window)
+    # a constant channel's mask is all zero, so its input is the baseline's
+    live = np.flatnonzero(stacked.any(axis=1))
+    scores = np.full(stacked.shape[0], baseline)
+
+    def masked_inputs(rows):
+        masked_x = x * stacked[live[rows], :, None]
+        return masked_x, np.broadcast_to(adj, (masked_x.shape[0],) + adj.shape)
+
+    scores[live] = _class_probs(theta, live.size, masked_inputs)[:, target_class]
+    maps = []
+    start = 0
+    for layer, layer_masks in enumerate(masks, start=1):
+        cic = scores[start:start + layer_masks.shape[0]] - baseline
+        start += layer_masks.shape[0]
+        shifted = np.exp(cic - cic.max())
+        weights = shifted / shifted.sum()
+        maps.append(SaliencyMap(scores=weights @ layer_masks, layer=layer,
+                                target_class=target_class,
+                                subject_id=graph.subject_id, window=graph.window))
+    return maps
 
 
 def average_drop(clean: np.ndarray, masked: np.ndarray) -> float:
@@ -172,7 +194,7 @@ def significant_edges(scores: np.ndarray, fc: np.ndarray, groups: np.ndarray,
                 p = 0.0
             else:
                 t = r * np.sqrt((n - 2) / (1.0 - r * r))
-                p = float(2.0 * stats.t.sf(abs(t), df=n - 2))
+                p = float(2.0 * special.stdtr(n - 2, -abs(t)))
             if p <= p_max:
                 edges.append(Edge(roi_a=a, roi_b=b, correlation=r, p_value=p))
     edges.sort(key=lambda e: (-abs(e.correlation), e.roi_a, e.roi_b))
@@ -190,19 +212,14 @@ def saliency_masked_scores(theta: ParamStore, graphs: list[FCGraph],
     `masks[i]` is a per-ROI weight vector for graph i; it is min-max
     normalized and applied to the node-feature rows.
     """
-    clean = np.empty(len(graphs))
-    masked = np.empty(len(graphs))
-    for i, g in enumerate(graphs):
-        adj = _norm_adj(g)[None]
-        probs = eval_class_probs(theta, g.features[None], adj)[0]
-        cls = int(np.argmax(probs))
-        clean[i] = probs[cls]
-        m = masks[i].astype(np.float64)
-        span = m.max() - m.min()
-        m = (m - m.min()) / span if span > 0 else np.zeros_like(m)
-        probs_masked = eval_class_probs(theta, (g.features * m[:, None])[None], adj)[0]
-        masked[i] = probs_masked[cls]
-    return clean, masked
+    x = np.stack([g.features for g in graphs])
+    adj = np.stack([_norm_adj(g) for g in graphs])
+    weights = _minmax_rows(np.asarray(masks, dtype=np.float64))
+    clean = _class_probs(theta, len(graphs), lambda rows: (x[rows], adj[rows]))
+    masked = _class_probs(theta, len(graphs),
+                          lambda rows: (x[rows] * weights[rows, :, None], adj[rows]))
+    picked = (np.arange(len(graphs)), np.argmax(clean, axis=1))
+    return clean[picked], masked[picked]
 
 
 def permuted_masks(masks: np.ndarray, seed, *key) -> np.ndarray:
@@ -213,3 +230,65 @@ def permuted_masks(masks: np.ndarray, seed, *key) -> np.ndarray:
         perm = rng.stream(seed, "mask_perm", *key, i).permutation(masks.shape[1])
         out[i] = masks[i][perm]
     return out
+
+
+# ---------------------------------------------------------------------------
+# the explain workflow
+
+
+@dataclass
+class Explanation:
+    """The tables of one explain run over a cohort."""
+    saliency: np.ndarray  # (N_LAYERS, R): per-layer ROI scores, mean over subjects
+    edges: list[Edge]
+    faithfulness: dict[str, tuple[float, float]]  # mask -> (average drop, average increase)
+    top_rois: np.ndarray  # focus-layer ROIs by descending mean score
+
+
+def explain_cohort(theta: ParamStore, datasets: list[SiteDataset], layer: int,
+                   target_class: int, *, windows: int, seed: int) -> Explanation:
+    """Attribute the first `windows` windows of every subject at every layer.
+
+    Subject maps are the mean of their window maps. The focus `layer` selects
+    the maps behind the group-discriminative edges and the faithfulness of
+    the window maps against equal-sparsity random controls.
+    """
+    if not 1 <= layer <= N_LAYERS:
+        raise ValueError(f"layer must be in 1..{N_LAYERS}, got {layer}")
+    subjects, groups = [], []  # per subject: (dataset, sample indices), class
+    for ds in datasets:
+        for subject_id in sorted(ds.subject_index):
+            indices = ds.subject_index[subject_id][:windows]
+            truth = ds.samples[indices[0]].truth
+            if truth is None:
+                raise ConfigError(f"site {ds.site_id}: no labels available for explanation")
+            subjects.append((ds, indices))
+            groups.append(truth)
+
+    subject_scores = []  # per subject, (N_LAYERS, R)
+    focus_masks, focus_graphs = [], []
+    for ds, indices in subjects:
+        graphs = [ds.samples[i] for i in indices]
+        window_scores = np.array([[m.scores for m in score_cam(theta, g, target_class)]
+                                  for g in graphs])
+        subject_scores.append(window_scores.mean(axis=0))
+        focus_masks.extend(window_scores[:, layer - 1])
+        focus_graphs.extend(graphs)
+    subject_scores = np.stack(subject_scores)
+
+    focus = subject_scores[:, layer - 1]
+    fc = np.stack([np.mean([ds.samples[i].features for i in indices], axis=0)
+                   for ds, indices in subjects])
+    edges = significant_edges(focus, fc, np.array(groups))
+
+    masks = np.stack(focus_masks)
+    clean, masked = saliency_masked_scores(theta, focus_graphs, masks)
+    control = permuted_masks(masks, seed, "explain")
+    _, masked_ctl = saliency_masked_scores(theta, focus_graphs, control)
+    faithfulness = {
+        "saliency": (average_drop(clean, masked), average_increase(clean, masked)),
+        "random": (average_drop(clean, masked_ctl), average_increase(clean, masked_ctl)),
+    }
+    top = top_rois([SaliencyMap(s, layer, target_class, "", 0) for s in focus], 10)
+    return Explanation(saliency=subject_scores.mean(axis=0), edges=edges,
+                       faithfulness=faithfulness, top_rois=top)

@@ -262,6 +262,17 @@ def amax(a, axis: int) -> Tensor:
     a = _wrap(a)
     if a.shape[axis] == 0:
         raise ShapeError(f"amax: empty axis {axis} in shape {a.shape}")
+    if not _RECORDING:
+        out = np.asarray(a.data.max(axis=axis))
+        # max and argmax can pick different signed zeros or NaNs; the first
+        # maximal element is the result, as on the recorded path
+        ties = np.isnan(out)
+        if np.signbit(a.data).any():  # else no -0.0 can tie with 0.0
+            ties |= out == 0
+        if ties.any():
+            tied = np.moveaxis(a.data, axis, -1)[ties]
+            out[ties] = tied[np.arange(tied.shape[0]), np.argmax(tied, axis=-1)]
+        return _node(out, (), "max")
     arg = np.argmax(a.data, axis=axis)
     out = np.take_along_axis(a.data, np.expand_dims(arg, axis), axis=axis).squeeze(axis)
 
@@ -279,8 +290,12 @@ def amax(a, axis: int) -> Tensor:
 
 def relu(a) -> Tensor:
     a = _wrap(a)
+    out = np.fmax(a.data, 0.0)  # NaN -> 0.0
+    out += 0.0  # -0.0 -> +0.0: the same bytes as np.where(a > 0, a, 0.0)
+    if not _RECORDING:
+        return _node(out, (), "relu")
     mask = a.data > 0
-    return _node(np.where(mask, a.data, 0.0), [(a, lambda g: g * mask)], "relu")
+    return _node(out, [(a, lambda g: g * mask)], "relu")
 
 
 def leaky_relu(a, slope: float = 0.01) -> Tensor:
@@ -431,7 +446,13 @@ def batch_norm(x, gamma, beta, running_mean, running_var, *, train: bool,
 
     # running variance can dip below zero after parameter noise; clamp at use
     inv_std = 1.0 / np.sqrt(np.maximum(running_var.data, 0.0) + eps)
-    xhat = (x.data - running_mean.data) * inv_std
+    xhat = x.data - running_mean.data
+    xhat *= inv_std
+    if not _RECORDING:
+        # the recorded path's operations in the same order, in place
+        np.multiply(gamma.data, xhat, out=xhat)  # operand order fixes NaN signs
+        xhat += beta.data
+        return _node(xhat, (), "batch_norm")
     out = gamma.data * xhat + beta.data
     return _node(out, [(x, lambda g: g * gamma.data * inv_std),
                        (gamma, lambda g: (g * xhat).sum(axis=axes)),

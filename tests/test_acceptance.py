@@ -354,7 +354,7 @@ def test_criterion_9_faithfulness(world):
     for layer in (1, 2, 3, 4):
         graphs = [src.samples[i] for s in subjects[:20]
                   for i in src.subject_index[s][:2]]
-        masks = np.stack([explain.score_cam(theta, g, layer, 1).scores for g in graphs])
+        masks = np.stack([explain.score_cam(theta, g, 1)[layer - 1].scores for g in graphs])
         clean, masked = explain.saliency_masked_scores(theta, graphs, masks)
         control = explain.permuted_masks(masks, 0, "acceptance", layer)
         _, masked_ctl = explain.saliency_masked_scores(theta, graphs, control)
@@ -366,7 +366,7 @@ def test_criterion_9_faithfulness(world):
     subject_maps = []
     for s in subjects:
         idx = src.subject_index[s][:4]
-        scores = np.mean([explain.score_cam(theta, src.samples[i], 4, 1).scores
+        scores = np.mean([explain.score_cam(theta, src.samples[i], 1)[4 - 1].scores
                           for i in idx], axis=0)
         subject_maps.append(explain.SaliencyMap(scores, 4, 1, s, 0))
     top = set(int(r) for r in explain.top_rois(subject_maps, 10))

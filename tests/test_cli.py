@@ -142,6 +142,24 @@ def test_synth_manifest_round_trips_through_training(tmp_path):
     assert {r["site"] for r in rows} == {"central", "edge"}
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("window = 20", "window = 30", r"window = 30 is longer than the 24 points of .*\.csv"),
+    ("top_k = 3", "top_k = 10", r"top_k = 10 must be below the 10 ROIs of .*\.csv"),
+])
+def test_manifest_config_errors_exit_2_naming_key_and_file(tmp_path, capsys, old, new, message):
+    cfg_path = write_cfg(tmp_path / "run.cfg")
+    assert cli.main(["synth", "--config", str(cfg_path), "--out", str(tmp_path / "d")]) == 0
+    manifest_cfg = tmp_path / "mrun.cfg"
+    text = cfg_path.read_text().replace(
+        "data = synth", f"data = manifest\nmanifest = {tmp_path / 'd' / 'manifest.csv'}")
+    manifest_cfg.write_text(text.replace(old, new))
+    with pytest.raises(ConfigError, match=message):
+        cli._load_datasets(parse_config(manifest_cfg))
+    assert cli.main(["train", "--config", str(manifest_cfg),
+                     "--out", str(tmp_path / "t")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {new}")
+
+
 def test_synth_window_count_matches_published_value(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("""

@@ -7,6 +7,7 @@ from scipy import stats
 from dafed import explain, network
 from dafed import tensor as tt
 from dafed.data import SynthConfig, SynthSite, synth_multisite
+from dafed.stfg import normalize_adjacency
 from dafed.explain import (Edge, SaliencyMap, average_drop, average_increase,
                            permuted_masks, roi_ranking, saliency_masked_scores,
                            score_cam, significant_edges, top_rois)
@@ -28,18 +29,16 @@ def test_score_cam_constant_activations_give_zero_map(small_world):
     frozen["stfg.l2.w"].data[...] = 0.0
     frozen["stfg.l2.bn.beta"].data[...] = 0.7
     frozen["stfg.l2.bn.gamma"].data[...] = 0.0
-    m = score_cam(frozen, ds.samples[0], layer=2, target_class=1)
+    m = score_cam(frozen, ds.samples[0], 1)[2 - 1]
     assert np.array_equal(m.scores, np.zeros(10))
 
 
 def test_score_cam_layer_bounds(small_world):
     theta, ds = small_world
-    with pytest.raises(ValueError, match="layer"):
-        score_cam(theta, ds.samples[0], layer=0, target_class=0)
-    with pytest.raises(ValueError, match="layer"):
-        score_cam(theta, ds.samples[0], layer=5, target_class=0)
+    # one map per layer of the stack, 1..N_LAYERS in order
+    assert [m.layer for m in score_cam(theta, ds.samples[0], 0)] == [1, 2, 3, 4]
     with pytest.raises(ValueError, match="class"):
-        score_cam(theta, ds.samples[0], layer=1, target_class=3)
+        score_cam(theta, ds.samples[0], 3)
 
 
 def test_score_cam_weights_are_convex_combination(small_world):
@@ -47,7 +46,7 @@ def test_score_cam_weights_are_convex_combination(small_world):
     # map stays within [0, 1]
     theta, ds = small_world
     for layer in (1, 2, 3, 4):
-        m = score_cam(theta, ds.samples[1], layer=layer, target_class=1)
+        m = score_cam(theta, ds.samples[1], 1)[layer - 1]
         assert m.scores.shape == (10,)
         assert np.all(m.scores >= 0.0) and np.all(m.scores <= 1.0)
         assert np.all(np.isfinite(m.scores))
@@ -55,11 +54,11 @@ def test_score_cam_weights_are_convex_combination(small_world):
 
 def test_score_cam_identical_with_and_without_tape(small_world):
     theta, ds = small_world
-    a = score_cam(theta, ds.samples[2], layer=3, target_class=0).scores
+    a = score_cam(theta, ds.samples[2], 0)[3 - 1].scores
     # an active surrounding graph context must not change anything
     x = tt.Tensor(np.ones((2, 2)))
     _ = tt.matmul(x, x)
-    b = score_cam(theta, ds.samples[2], layer=3, target_class=0).scores
+    b = score_cam(theta, ds.samples[2], 0)[3 - 1].scores
     assert np.array_equal(a, b)
 
 
@@ -67,8 +66,95 @@ def test_score_cam_on_noised_parameters_still_works(small_world):
     from dafed.fedsim import NoiseSpec, add_noise
     theta, ds = small_world
     noised = add_noise(theta, NoiseSpec(alpha=0.05, key=("x",)), "s", 0)
-    m = score_cam(noised, ds.samples[0], layer=4, target_class=1)
+    m = score_cam(noised, ds.samples[0], 1)[4 - 1]
     assert np.all(np.isfinite(m.scores))
+
+
+def _minmax_columns(act):
+    act = act.T
+    lo = act.min(axis=1, keepdims=True)
+    span = act.max(axis=1, keepdims=True) - lo
+    return np.where(span > 0, (act - lo) / np.where(span > 0, span, 1.0), 0.0)
+
+
+def _score_cam_oracle(theta, graph, layer, target_class):
+    """Score-CAM one layer at a time: every channel of the layer, dead ones
+    included, in one batch against the layer's own baseline forward."""
+    adj = normalize_adjacency(graph.adjacency)
+    x = graph.features
+    masks = _minmax_columns(network.eval_hidden(theta, x[None], adj[None])[layer - 1][0])
+    masked_x = x[None] * masks[:, :, None]
+    masked_adj = np.broadcast_to(adj, (masks.shape[0],) + adj.shape).copy()
+    scores = network.eval_class_probs(theta, masked_x, masked_adj)[:, target_class]
+    baseline = network.eval_class_probs(theta, np.zeros_like(x)[None], adj[None])[0, target_class]
+    cic = scores - baseline
+    shifted = np.exp(cic - cic.max())
+    return (shifted / shifted.sum()) @ masks
+
+
+def _with_dead_channels(theta):
+    # zero weights and gamma with a negative beta make a channel's
+    # post-activation column constant (all zero), so its mask is all zero
+    dead = theta.copy()
+    for layer, n_dead in ((1, 40), (2, 20), (3, 8)):
+        dead[f"stfg.l{layer}.w"].data[:, :n_dead] = 0.0
+        dead[f"stfg.l{layer}.bn.gamma"].data[:n_dead] = 0.0
+        dead[f"stfg.l{layer}.bn.beta"].data[:n_dead] = -1.0
+    return dead
+
+
+@pytest.mark.parametrize("dead", [False, True])
+def test_score_cam_matches_per_layer_oracle(small_world, dead):
+    theta, ds = small_world
+    if dead:
+        theta = _with_dead_channels(theta)
+    for g in ds.samples[:3]:
+        adj = normalize_adjacency(g.adjacency)
+        hidden = network.eval_hidden(theta, g.features[None], adj[None])
+        n_dead = sum(int((~_minmax_columns(h[0]).any(axis=1)).sum()) for h in hidden)
+        if dead:
+            assert n_dead >= 40 + 20 + 8
+        for target_class in (0, 1):
+            maps = score_cam(theta, g, target_class)
+            assert len(maps) == explain.N_LAYERS
+            for layer, m in enumerate(maps, start=1):
+                want = _score_cam_oracle(theta, g, layer, target_class)
+                assert np.max(np.abs(m.scores - want)) <= 1e-12
+                assert (m.layer, m.target_class, m.subject_id, m.window) == \
+                    (layer, target_class, g.subject_id, g.window)
+
+
+def test_score_cam_chunks_beyond_one_forward(small_world, monkeypatch):
+    theta, ds = small_world
+    whole = score_cam(theta, ds.samples[0], 1)
+    monkeypatch.setattr(explain, "SCORE_CHUNK", 7)
+    chunked = score_cam(theta, ds.samples[0], 1)
+    for a, b in zip(whole, chunked):
+        assert np.max(np.abs(a.scores - b.scores)) <= 1e-12
+
+
+def test_saliency_masked_scores_match_per_graph_loop(small_world, monkeypatch):
+    _, ds = small_world
+    theta = network.init_theta(10, seed=7)  # masking flips some predictions
+    graphs = ds.samples[:9]
+    masks = np.abs(np.random.default_rng(9).standard_normal((9, 10)))
+    masks[4] = 0.25  # a constant mask scales every row by zero
+    want_clean, want_masked, flips = [], [], 0
+    for g, m in zip(graphs, masks):
+        adj = normalize_adjacency(g.adjacency)[None]
+        probs = network.eval_class_probs(theta, g.features[None], adj)[0]
+        cls = int(np.argmax(probs))
+        span = m.max() - m.min()
+        m = (m - m.min()) / span if span > 0 else np.zeros_like(m)
+        probs_masked = network.eval_class_probs(theta, (g.features * m[:, None])[None], adj)[0]
+        flips += int(np.argmax(probs_masked) != cls)
+        want_clean.append(probs[cls])
+        want_masked.append(probs_masked[cls])
+    assert flips > 0  # so the class must be the clean prediction's
+    monkeypatch.setattr(explain, "SCORE_CHUNK", 4)  # three chunks
+    clean, masked = saliency_masked_scores(theta, graphs, masks)
+    assert np.max(np.abs(clean - want_clean)) <= 1e-12
+    assert np.max(np.abs(masked - want_masked)) <= 1e-12
 
 
 def test_average_drop_formula():
@@ -132,6 +218,22 @@ def test_significant_edges_match_t_distribution_oracle():
         r_oracle, p_oracle = stats.pearsonr(fc[:, a, b], groups)
         assert e.correlation == pytest.approx(r_oracle, abs=1e-12)
         assert e.p_value == pytest.approx(p_oracle, abs=1e-9)
+
+
+def test_significant_edges_p_matches_t_survival_function():
+    g = np.random.default_rng(11)
+    for n in (6, 10, 14, 40):
+        groups = np.array([0, 1] * (n // 2))
+        fc = g.standard_normal((n, 6, 6))
+        fc = (fc + fc.transpose(0, 2, 1)) / 2
+        fc[:, 0, 1] = fc[:, 1, 0] = groups * 1.5 + g.standard_normal(n)
+        edges = significant_edges(np.ones((n, 6)), fc, groups, n_rois_kept=6,
+                                  p_max=1.0, n_edges=15)
+        assert len(edges) == 15
+        for e in edges:
+            t = e.correlation * np.sqrt((n - 2) / (1.0 - e.correlation ** 2))
+            assert e.p_value == pytest.approx(2.0 * stats.t.sf(abs(t), df=n - 2),
+                                              rel=1e-12, abs=1e-300)
 
 
 def test_significant_edges_boundary_p_is_retained():

@@ -271,3 +271,104 @@ def test_operator_sugar():
     assert np.array_equal((a - b).data, [-2.0, -2.0])
     assert np.array_equal((a * b).data, [3.0, 8.0])
     assert np.array_equal((-a).data, [-1.0, -2.0])
+
+
+# ---------------------------------------------------------------------------
+# evaluation fast paths: the same bytes as the recorded path and the formulas
+# they replace, on the floating-point edge cases
+
+TINY = np.nextafter(0.0, 1.0)  # smallest subnormal
+EDGE_VALUES = np.array([-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, TINY, -TINY,
+                        2.2e-308, -2.2e-308, 1.0, -1.0, 3.5, -7.25])
+
+
+def _edge_array(shape, seed):
+    return np.random.default_rng(seed).choice(EDGE_VALUES, size=shape)
+
+
+def _eval_and_recorded(build, *arrays):
+    with tt.no_grad():
+        fast = build(*[tt.Tensor(a) for a in arrays])
+    recorded = build(*[tt.Tensor(a) for a in arrays])
+    assert fast.parents == () and recorded.parents
+    return fast.data, recorded.data
+
+
+def _old_relu(x):
+    return np.where(x > 0, x, 0.0)
+
+
+def _old_amax(x, axis):
+    arg = np.argmax(x, axis=axis)
+    return np.take_along_axis(x, np.expand_dims(arg, axis), axis=axis).squeeze(axis)
+
+
+def _old_bn_eval(x, gamma, beta, mean, var, eps=1e-5):
+    inv_std = 1.0 / np.sqrt(np.maximum(var, 0.0) + eps)
+    return gamma * ((x - mean) * inv_std) + beta
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf and NaN inputs
+@pytest.mark.parametrize("seed", range(4))
+def test_relu_fast_path_is_bitwise(seed):
+    x = _edge_array((6, 5, 7), seed)
+    # np.fmax returns -0.0 for (-0.0, 0.0) on some lanes and +0.0 on others
+    for case in (x, np.full(9 + seed, -0.0)):
+        fast, recorded = _eval_and_recorded(tt.relu, case)
+        assert fast.tobytes() == recorded.tobytes() == _old_relu(case).tobytes()
+    t = tt.Tensor(x)
+    g = np.random.default_rng(seed).standard_normal(x.shape)
+    (grad,) = tt.gradients(tt.tsum(tt.mul(tt.relu(t), tt.Tensor(g))), [t])
+    assert grad.tobytes() == (g * (x > 0)).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf and NaN inputs
+@pytest.mark.parametrize("seed", range(4))
+def test_amax_fast_path_is_bitwise(seed):
+    # signed zeros tie: both paths must return the first maximal element
+    x = _edge_array((5, 9, 4), seed)
+    x[0, :, 0] = [-0.0, 0.0, -1.0, -0.0, 0.0, -np.inf, -TINY, 0.0, -0.0]
+    x[1, :, 1] = [0.0, -0.0, -1.0, 0.0, -0.0, -np.inf, -TINY, -0.0, 0.0]
+    for axis in range(3):
+        fast, recorded = _eval_and_recorded(lambda t: tt.amax(t, axis), x)
+        assert fast.tobytes() == recorded.tobytes() == _old_amax(x, axis).tobytes()
+    vec = np.array([-0.0, 0.0, -3.0])
+    fast, recorded = _eval_and_recorded(lambda t: tt.amax(t, 0), vec)
+    assert fast.shape == recorded.shape == ()
+    assert fast.tobytes() == recorded.tobytes() == _old_amax(vec, 0).tobytes()
+    finite = np.where(np.isfinite(x), x, 0.5)
+    t = tt.Tensor(finite)
+    g = np.random.default_rng(seed).standard_normal((5, 4))
+    (grad,) = tt.gradients(tt.tsum(tt.mul(tt.amax(t, 1), tt.Tensor(g))), [t])
+    expected = np.zeros_like(finite)
+    np.put_along_axis(expected, np.argmax(finite, axis=1)[:, None], g[:, None], axis=1)
+    assert grad.tobytes() == expected.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf and NaN inputs
+@pytest.mark.parametrize("seed", range(4))
+def test_batch_norm_eval_fast_path_is_bitwise(seed):
+    c = 7
+    x = _edge_array((4, 5, c), seed)
+    params = [_edge_array((c,), seed + 10 + i) for i in range(3)]
+    var = np.abs(_edge_array((c,), seed + 20))
+    var[0] = -0.5  # noise can push a running variance below zero
+
+    def build(x, gamma, beta, mean):
+        return tt.batch_norm(x, gamma, beta, mean, tt.Tensor(var), train=False)
+
+    fast, recorded = _eval_and_recorded(build, x, *params)
+    assert fast.tobytes() == recorded.tobytes() == _old_bn_eval(x, *params, var).tobytes()
+    assert x.tobytes() == _edge_array((4, 5, c), seed).tobytes()  # input untouched
+
+    rng = np.random.default_rng(seed)
+    x, gamma, beta, mean = (rng.standard_normal(s) for s in ((4, 5, c), c, c, c))
+    tx, tg, tb = tt.Tensor(x), tt.Tensor(gamma), tt.Tensor(beta)
+    g = rng.standard_normal(x.shape)
+    out = tt.batch_norm(tx, tg, tb, tt.Tensor(mean), tt.Tensor(var), train=False)
+    grads = tt.gradients(tt.tsum(tt.mul(out, tt.Tensor(g))), [tx, tg, tb])
+    inv_std = 1.0 / np.sqrt(np.maximum(var, 0.0) + 1e-5)
+    xhat = (x - mean) * inv_std
+    expected = [g * gamma * inv_std, (g * xhat).sum(axis=(0, 1)), g.sum(axis=(0, 1))]
+    for got, want in zip(grads, expected):
+        assert got.tobytes() == want.tobytes()
