@@ -20,7 +20,8 @@ from . import fedsim, network, rng, wire
 from .config import ConfigError, RunConfig, parse_config
 from .data import IngestError, SynthConfig, SynthSite, synth_multisite, synth_series
 from .fedsim import TrainingDiverged, site_objective
-from .optim import grad_check
+from .fusion import ROLE_SOURCE
+from .optim import ParamStore, grad_check
 
 METRICS_HEADER = ["round", "site", "role", "L_C", "L_MI", "L_CL", "L_DI",
                   "lambda_p", "lr", "acc", "bytes_up", "bytes_down"]
@@ -52,6 +53,24 @@ def _load_datasets(cfg: RunConfig) -> list[data_mod.SiteDataset]:
         raise ConfigError(f"data contains sites without a configured role: {sorted(extra)}")
     order = {spec.site_id: i for i, spec in enumerate(cfg.site_specs)}
     return sorted(datasets, key=lambda ds: order[ds.site_id])
+
+
+def _load_fitting_checkpoint(path, datasets) -> ParamStore:
+    """The checkpoint's parameters, refused unless their names and shapes are
+    those of the model for the loaded data."""
+    theta, _, _, _ = wire.load_checkpoint(path)
+    want = network.init_theta(datasets[0].samples[0].n_rois, 0)
+    for name in want.names():
+        if name not in theta:
+            raise ConfigError(f"{path}: no tensor {name}, which the configured data needs")
+        got, need = theta[name].data.shape, want[name].data.shape
+        if got != need:
+            raise ConfigError(f"{path}: tensor {name} has shape {got}, "
+                              f"the configured data needs {need}")
+    extra = sorted(set(theta.names()) - set(want.names()))
+    if extra:
+        raise ConfigError(f"{path}: tensor {extra[0]} is not part of the model")
+    return theta
 
 
 def _site_digests(source, targets) -> dict[str, bytes]:
@@ -161,8 +180,8 @@ def cmd_eval(args) -> int:
     n_folds = args.folds if args.folds is not None else cfg.folds
     if n_folds < 2:
         raise ConfigError("folds must be >= 2")
-    theta, _, _, _ = wire.load_checkpoint(args.checkpoint)
     datasets = _load_datasets(cfg)
+    theta = _load_fitting_checkpoint(args.checkpoint, datasets)
     lines = ["site,fold,n_windows,acc"]
     summary = []
     for ds in datasets:
@@ -207,10 +226,11 @@ def cmd_explain(args) -> int:
         raise ConfigError("layer must be in 1..4")
     if target_class not in (0, 1):
         raise ConfigError("class must be 0 or 1")
-    theta, _, _, _ = wire.load_checkpoint(args.checkpoint)
     datasets = _load_datasets(cfg)
+    theta = _load_fitting_checkpoint(args.checkpoint, datasets)
     result = explain_mod.explain_cohort(theta, datasets, layer, target_class,
-                                        windows=cfg.explain_windows, seed=cfg.seed)
+                                        windows=cfg.explain_windows, seed=cfg.seed,
+                                        use_graph=cfg.use_stfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "saliency.csv", "w", newline="") as fh:
@@ -258,7 +278,7 @@ def build_gradcheck_toy(seed: int = 0):
     settings = fedsim.TrainSettings(seed=seed, reversal=False)
 
     def objective(store):
-        obj = site_objective(store, batch, role="source", ramp=0.62, settings=settings,
+        obj = site_objective(store, batch, role=ROLE_SOURCE, ramp=0.62, settings=settings,
                              queue=queue, prev_global=prev,
                              key=(seed, "drop", "toy", 0), train=True)
         return obj.total

@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .data import SynthConfig, SynthSite
 from .fedsim import TrainSettings
+from .fusion import ROLE_SOURCE, ROLE_TARGET_LABELED, ROLES
 from .optim import LrProfile
 
 
@@ -73,7 +74,6 @@ KEYS = {
 }
 
 SITE_KEYS = ("id", "role", "shift", "subjects", "t_points")
-ROLES = ("source", "target_unlabeled", "target_labeled")
 
 
 def _convert(key: str, raw: str):
@@ -145,7 +145,7 @@ class RunConfig:
     def synth_config(self) -> SynthConfig:
         sites = [SynthSite(site_id=s.site_id,
                            subjects=s.subjects or self.subjects,
-                           labeled=(s.role in ("source", "target_labeled")),
+                           labeled=(s.role in (ROLE_SOURCE, ROLE_TARGET_LABELED)),
                            shift=s.shift, t=s.t_points)
                  for s in self.site_specs]
         return SynthConfig(sites=sites, n_rois=self.rois, t=self.t_points,
@@ -240,12 +240,12 @@ def _validate(cfg: RunConfig):
     if not cfg.site_specs:
         raise ConfigError("at least one site.N.role entry is required")
     roles = [s.role for s in cfg.site_specs]
-    if roles.count("source") != 1:
-        raise ConfigError(f"exactly one source site required, found {roles.count('source')}")
+    if roles.count(ROLE_SOURCE) != 1:
+        raise ConfigError(f"exactly one source site required, found {roles.count(ROLE_SOURCE)}")
     ids = [s.site_id for s in cfg.site_specs]
     if len(set(ids)) != len(ids):
         raise ConfigError("site ids must be unique")
-    if cfg.mode == "dafed_u" and "target_labeled" in roles:
+    if cfg.mode == "dafed_u" and ROLE_TARGET_LABELED in roles:
         raise ConfigError("target_labeled roles need mode = dafed_l")
     if cfg.data == "manifest":
         if not cfg.manifest:

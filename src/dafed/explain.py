@@ -21,12 +21,11 @@ from .config import ConfigError
 from .data import FCGraph, SiteDataset
 from .network import eval_class_probs, eval_hidden
 from .optim import ParamStore
-from .stfg import GCN_WIDTHS, normalize_adjacency
+from .stfg import GCN_WIDTHS
 
 logger = logging.getLogger(__name__)
 
 N_LAYERS = len(GCN_WIDTHS)
-SCORE_CHUNK = 64  # inputs per evaluation forward, which bounds its memory
 
 
 @dataclass
@@ -38,12 +37,6 @@ class SaliencyMap:
     window: int
 
 
-def _norm_adj(graph: FCGraph) -> np.ndarray:
-    if graph._norm is None:
-        graph._norm = normalize_adjacency(graph.adjacency)
-    return graph._norm
-
-
 def _minmax_rows(a: np.ndarray) -> np.ndarray:
     """Min-max normalize each row into [0, 1]; constant rows become all-zero."""
     lo = a.min(axis=1, keepdims=True)
@@ -51,41 +44,27 @@ def _minmax_rows(a: np.ndarray) -> np.ndarray:
     return np.where(span > 0, (a - lo) / np.where(span > 0, span, 1.0), 0.0)
 
 
-def _class_probs(theta: ParamStore, n: int, inputs) -> np.ndarray:
-    """Evaluation-mode class probabilities of n inputs, run SCORE_CHUNK at a
-    time; `inputs(rows)` builds the (features, propagation) arrays of a
-    slice of rows only when its chunk runs."""
-    probs = np.empty((n, 2))
-    for start in range(0, n, SCORE_CHUNK):
-        rows = slice(start, start + SCORE_CHUNK)
-        probs[rows] = eval_class_probs(theta, *inputs(rows))
-    return probs
-
-
-def score_cam(theta: ParamStore, graph: FCGraph, target_class: int) -> list[SaliencyMap]:
+def score_cam(theta: ParamStore, graph: FCGraph, target_class: int, *,
+              use_graph: bool = True) -> list[SaliencyMap]:
     """Channel-mask attribution of one sample at every layer of the
     convolution stack, in layer order; the masks scale the node-feature rows.
 
     The masked inputs of all layers' channels are scored together, from one
-    pass for the activations and one for the all-zero baseline.
+    pass for the activations and one for the all-zero baseline. `use_graph`
+    is the propagation the model was trained with (`use_stfg`).
     """
     if target_class not in (0, 1):
         raise ValueError(f"target class must be 0 or 1, got {target_class}")
 
-    adj = _norm_adj(graph)
-    x = graph.features
-    masks = [_minmax_rows(h[0].T) for h in eval_hidden(theta, x[None], adj[None])]
+    masks = [_minmax_rows(h.T) for h in eval_hidden(theta, graph, use_graph=use_graph)]
     stacked = np.concatenate(masks)  # (channels of every layer, N)
-    baseline = eval_class_probs(theta, np.zeros_like(x)[None], adj[None])[0, target_class]
+    baseline = eval_class_probs(theta, [graph], np.zeros((1, graph.n_rois)),
+                                use_graph=use_graph)[0, target_class]
     # a constant channel's mask is all zero, so its input is the baseline's
     live = np.flatnonzero(stacked.any(axis=1))
     scores = np.full(stacked.shape[0], baseline)
-
-    def masked_inputs(rows):
-        masked_x = x * stacked[live[rows], :, None]
-        return masked_x, np.broadcast_to(adj, (masked_x.shape[0],) + adj.shape)
-
-    scores[live] = _class_probs(theta, live.size, masked_inputs)[:, target_class]
+    scores[live] = eval_class_probs(theta, [graph] * live.size, stacked[live],
+                                    use_graph=use_graph)[:, target_class]
     maps = []
     start = 0
     for layer, layer_masks in enumerate(masks, start=1):
@@ -205,19 +184,16 @@ def significant_edges(scores: np.ndarray, fc: np.ndarray, groups: np.ndarray,
 # faithfulness against the model
 
 
-def saliency_masked_scores(theta: ParamStore, graphs: list[FCGraph],
-                           masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def saliency_masked_scores(theta: ParamStore, graphs: list[FCGraph], masks: np.ndarray,
+                           *, use_graph: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """(clean, masked) predicted-class probabilities per graph.
 
     `masks[i]` is a per-ROI weight vector for graph i; it is min-max
     normalized and applied to the node-feature rows.
     """
-    x = np.stack([g.features for g in graphs])
-    adj = np.stack([_norm_adj(g) for g in graphs])
     weights = _minmax_rows(np.asarray(masks, dtype=np.float64))
-    clean = _class_probs(theta, len(graphs), lambda rows: (x[rows], adj[rows]))
-    masked = _class_probs(theta, len(graphs),
-                          lambda rows: (x[rows] * weights[rows, :, None], adj[rows]))
+    clean = eval_class_probs(theta, graphs, use_graph=use_graph)
+    masked = eval_class_probs(theta, graphs, weights, use_graph=use_graph)
     picked = (np.arange(len(graphs)), np.argmax(clean, axis=1))
     return clean[picked], masked[picked]
 
@@ -246,12 +222,14 @@ class Explanation:
 
 
 def explain_cohort(theta: ParamStore, datasets: list[SiteDataset], layer: int,
-                   target_class: int, *, windows: int, seed: int) -> Explanation:
+                   target_class: int, *, windows: int, seed: int,
+                   use_graph: bool = True) -> Explanation:
     """Attribute the first `windows` windows of every subject at every layer.
 
     Subject maps are the mean of their window maps. The focus `layer` selects
     the maps behind the group-discriminative edges and the faithfulness of
-    the window maps against equal-sparsity random controls.
+    the window maps against equal-sparsity random controls. `use_graph` is
+    the propagation the model was trained with (`use_stfg`).
     """
     if not 1 <= layer <= N_LAYERS:
         raise ValueError(f"layer must be in 1..{N_LAYERS}, got {layer}")
@@ -269,7 +247,8 @@ def explain_cohort(theta: ParamStore, datasets: list[SiteDataset], layer: int,
     focus_masks, focus_graphs = [], []
     for ds, indices in subjects:
         graphs = [ds.samples[i] for i in indices]
-        window_scores = np.array([[m.scores for m in score_cam(theta, g, target_class)]
+        window_scores = np.array([[m.scores for m in score_cam(theta, g, target_class,
+                                                               use_graph=use_graph)]
                                   for g in graphs])
         subject_scores.append(window_scores.mean(axis=0))
         focus_masks.extend(window_scores[:, layer - 1])
@@ -282,9 +261,9 @@ def explain_cohort(theta: ParamStore, datasets: list[SiteDataset], layer: int,
     edges = significant_edges(focus, fc, np.array(groups))
 
     masks = np.stack(focus_masks)
-    clean, masked = saliency_masked_scores(theta, focus_graphs, masks)
+    clean, masked = saliency_masked_scores(theta, focus_graphs, masks, use_graph=use_graph)
     control = permuted_masks(masks, seed, "explain")
-    _, masked_ctl = saliency_masked_scores(theta, focus_graphs, control)
+    _, masked_ctl = saliency_masked_scores(theta, focus_graphs, control, use_graph=use_graph)
     faithfulness = {
         "saliency": (average_drop(clean, masked), average_increase(clean, masked)),
         "random": (average_drop(clean, masked_ctl), average_increase(clean, masked_ctl)),

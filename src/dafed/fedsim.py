@@ -21,18 +21,15 @@ from . import rng
 from . import tensor as tt
 from .data import SiteDataset
 from .disentangle import marginal_permutation, mi_loss, mine_estimate
-from .fusion import (adversarial_ramp, classify_loss, domain_loss, domain_probs,
-                     total_loss)
-from .network import (Batch, make_batch, model_forward, param_groups, init_theta)
+from .fusion import (ROLE_SOURCE, ROLE_TARGET_LABELED, ROLES, adversarial_ramp,
+                     classify_loss, domain_loss, domain_probs, total_loss)
+from .network import (Batch, eval_class_probs, make_batch, model_forward, param_groups,
+                      init_theta)
 from .optim import Adam, LrProfile, ParamStore, adam_step, is_running_stat, lr_at
 from .tensor import Tensor, backward
 from . import wire
 
 logger = logging.getLogger(__name__)
-
-ROLE_SOURCE = "source"
-ROLE_TARGET_LABELED = "target_labeled"
-ROLE_TARGET_UNLABELED = "target_unlabeled"
 
 
 class TrainingDiverged(RuntimeError):
@@ -201,7 +198,7 @@ def build_states(datasets: list[SiteDataset], roles: dict[str, str],
         role = roles[ds.site_id]
         if len(ds.samples) < 2:
             raise ValueError(f"site {ds.site_id}: needs at least 2 samples")
-        if role != ROLE_SOURCE and role not in (ROLE_TARGET_LABELED, ROLE_TARGET_UNLABELED):
+        if role not in ROLES:
             raise ValueError(f"site {ds.site_id}: unknown role {role!r}")
         if role in (ROLE_SOURCE, ROLE_TARGET_LABELED) and not ds.labeled:
             raise ValueError(f"site {ds.site_id}: role {role} needs labels")
@@ -446,23 +443,14 @@ def train_source_only(settings: TrainSettings, dataset: SiteDataset) -> ParamSto
     return theta
 
 
-EVAL_CHUNK = 32  # windows per evaluation forward, which bounds its memory
-
-
 def dataset_predictions(theta: ParamStore, dataset: SiteDataset, *, use_graph: bool = True):
     """(predicted classes, true classes) of every sample in evaluation mode;
-    the true classes are the samples' `truth`. A window's prediction does not
-    depend on the other windows of its chunk."""
+    the true classes are the samples' `truth`."""
     labels = [g.truth for g in dataset.samples]
     if None in labels:
         raise ValueError(f"site {dataset.site_id}: no labels available for accuracy")
-    preds = np.empty(len(labels), dtype=np.int64)
-    for start in range(0, len(labels), EVAL_CHUNK):
-        batch = make_batch(dataset.samples[start:start + EVAL_CHUNK], 1, use_graph=use_graph)
-        with tt.no_grad():
-            probs = model_forward(theta, batch, train=False).class_probs.data
-        preds[start:start + batch.size] = np.argmax(probs, axis=1)
-    return preds, np.asarray(labels)
+    probs = eval_class_probs(theta, dataset.samples, use_graph=use_graph)
+    return np.argmax(probs, axis=1), np.asarray(labels)
 
 
 def dataset_accuracy(theta: ParamStore, dataset: SiteDataset, *, use_graph: bool = True) -> float:

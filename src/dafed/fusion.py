@@ -17,7 +17,10 @@ N_HEADS = 8
 HEAD_DIM = HID_DIM // N_HEADS
 PROB_FLOOR = 1e-12  # clamp applied to every probability before a log
 
-ROLES = ("source", "target_labeled", "target_unlabeled")
+ROLE_SOURCE = "source"
+ROLE_TARGET_UNLABELED = "target_unlabeled"
+ROLE_TARGET_LABELED = "target_labeled"
+ROLES = (ROLE_SOURCE, ROLE_TARGET_UNLABELED, ROLE_TARGET_LABELED)
 
 
 def _project(theta, tokens: Tensor, name: str) -> Tensor:
@@ -132,6 +135,6 @@ def total_loss(parts: dict, *, lambda_mi: float, lambda_cl: float,
     total = tt.add(tt.scale(parts.get("mi", zero), lambda_mi),
                    tt.add(tt.scale(parts.get("cl", zero), lambda_cl),
                           tt.scale(parts.get("dom", zero), ramp)))
-    if role != "target_unlabeled" and "cls" in parts:
+    if role != ROLE_TARGET_UNLABELED and "cls" in parts:
         total = tt.add(parts["cls"], total)
     return total

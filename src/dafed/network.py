@@ -139,22 +139,17 @@ class ForwardResult:
     f_ds: Tensor
     fused: Tensor
     class_probs: Tensor
-    hidden: list | None = None
 
 
 def model_forward(theta: ParamStore, batch: Batch, *, train: bool,
-                  drop_key: tuple = ("eval",), want_hidden: bool = False) -> ForwardResult:
+                  drop_key: tuple = ("eval",)) -> ForwardResult:
     """Graphs -> embedding -> components -> fused feature -> class probs.
 
     `drop_key` scopes the dropout streams; it must identify (seed, site,
     round) during training so masks are reproducible sample by sample.
     """
-    x = Tensor(batch.x)
-    adj = Tensor(batch.adj_norm)
-    out = stfg_forward(theta, x, adj, train=train,
-                       drop_masks=_stfg_masks(batch, train, drop_key),
-                       want_hidden=want_hidden)
-    z, hidden = out if want_hidden else (out, None)
+    z = stfg_forward(theta, Tensor(batch.x), Tensor(batch.adj_norm), train=train,
+                     drop_masks=_stfg_masks(batch, train, drop_key))
     f_di, f_ds = disentangle_forward(
         theta, z, train=train,
         di_mask=_mask(batch, train, drop_key, "dis.di", 256, DROP_DIS),
@@ -162,26 +157,32 @@ def model_forward(theta: ParamStore, batch: Batch, *, train: bool,
     fused = fuse(theta, f_di, f_ds)
     probs = classifier_probs(theta, fused, train=train,
                              drop_mask=_mask(batch, train, drop_key, "clf", 320, DROP_HEAD))
-    return ForwardResult(z=z, f_di=f_di, f_ds=f_ds, fused=fused,
-                         class_probs=probs, hidden=hidden)
+    return ForwardResult(z=z, f_di=f_di, f_ds=f_ds, fused=fused, class_probs=probs)
 
 
-def eval_class_probs(theta: ParamStore, x: np.ndarray, adj_norm: np.ndarray) -> np.ndarray:
-    """Evaluation-mode class probabilities for raw feature arrays, used by
-    the attribution pipeline. No tape, no statistics updates."""
-    batch = Batch(x=x, adj_norm=adj_norm, labels=None,
-                  domains=np.zeros(x.shape[0], dtype=np.int64),
-                  uids=[str(i) for i in range(x.shape[0])])
+EVAL_CHUNK = 64  # graphs per evaluation forward, which bounds its memory
+
+
+def eval_class_probs(theta: ParamStore, graphs: list[FCGraph],
+                     weights: np.ndarray | None = None, *, use_graph: bool = True) -> np.ndarray:
+    """Evaluation-mode class probabilities of graphs, (len(graphs), 2), run
+    EVAL_CHUNK graphs at a time. With `weights`, graph i's node-feature rows
+    are scaled by `weights[i]`. No tape, no statistics updates."""
+    probs = np.empty((len(graphs), 2))
+    for start in range(0, len(graphs), EVAL_CHUNK):
+        rows = slice(start, start + EVAL_CHUNK)
+        batch = make_batch(graphs[rows], 1, use_graph=use_graph)
+        if weights is not None:
+            batch.x = batch.x * weights[rows, :, None]
+        with tt.no_grad():
+            probs[rows] = model_forward(theta, batch, train=False).class_probs.data
+    return probs
+
+
+def eval_hidden(theta: ParamStore, graph: FCGraph, *, use_graph: bool = True) -> list[np.ndarray]:
+    """Per-layer (N, C) node activations of one graph in evaluation mode."""
+    batch = make_batch([graph], 1, use_graph=use_graph)
     with tt.no_grad():
-        res = model_forward(theta, batch, train=False)
-    return res.class_probs.data
-
-
-def eval_hidden(theta: ParamStore, x: np.ndarray, adj_norm: np.ndarray) -> list[np.ndarray]:
-    """Per-layer node activations in evaluation mode."""
-    batch = Batch(x=x, adj_norm=adj_norm, labels=None,
-                  domains=np.zeros(x.shape[0], dtype=np.int64),
-                  uids=[str(i) for i in range(x.shape[0])])
-    with tt.no_grad():
-        res = model_forward(theta, batch, train=False, want_hidden=True)
-    return [h.data for h in res.hidden]
+        _, hidden = stfg_forward(theta, Tensor(batch.x), Tensor(batch.adj_norm),
+                                 train=False, want_hidden=True)
+    return [h.data[0] for h in hidden]

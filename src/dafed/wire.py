@@ -10,6 +10,7 @@ same content always serializes to the same bytes.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -47,24 +48,49 @@ def _encode_entries(entries: dict[str, np.ndarray]) -> bytes:
     return b"".join(chunks)
 
 
+def _need(buf: bytes, end: int):
+    if end > len(buf):
+        raise WireError(f"truncated: {end} bytes needed, {len(buf)} present")
+
+
+def _unpack(fmt: str, buf: bytes, off: int) -> tuple[tuple, int]:
+    """Values of `fmt` at `off` and the offset after them."""
+    end = off + struct.calcsize(fmt)
+    _need(buf, end)
+    return struct.unpack_from(fmt, buf, off), end
+
+
+def _take(buf: bytes, off: int, n: int) -> tuple[bytes, int]:
+    _need(buf, off + n)
+    return buf[off:off + n], off + n
+
+
+def _utf8(raw: bytes) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise WireError(f"name is not UTF-8: {raw!r}") from None
+
+
 def _decode_entries(buf: bytes, off: int) -> tuple[dict[str, np.ndarray], int]:
-    (count,) = struct.unpack_from("<I", buf, off)
-    off += 4
+    (count,), off = _unpack("<I", buf, off)
     entries = {}
     for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", buf, off)
-        off += 2
-        name = buf[off:off + nlen].decode("utf-8")
-        off += nlen
-        (rank,) = struct.unpack_from("<B", buf, off)
-        off += 1
-        dims = struct.unpack_from(f"<{rank}I", buf, off) if rank else ()
-        off += 4 * rank
-        n_vals = int(np.prod(dims)) if rank else 1
+        (nlen,), off = _unpack("<H", buf, off)
+        raw, off = _take(buf, off, nlen)
+        (rank,), off = _unpack("<B", buf, off)
+        dims, off = _unpack(f"<{rank}I", buf, off)
+        n_vals = math.prod(dims)
+        _need(buf, off + 8 * n_vals)
         arr = np.frombuffer(buf, dtype="<f8", count=n_vals, offset=off).reshape(dims)
         off += 8 * n_vals
-        entries[name] = arr.astype(np.float64)  # own, writable copy
+        entries[_utf8(raw)] = arr.astype(np.float64)  # own, writable copy
     return entries, off
+
+
+def _check_end(buf: bytes, off: int):
+    if off != len(buf):
+        raise WireError(f"{len(buf) - off} bytes left over after the last entry")
 
 
 @dataclass
@@ -93,25 +119,24 @@ def encode_message(msg: Message) -> bytes:
 
 
 def decode_message(buf: bytes) -> Message:
-    if len(buf) < 7:
-        raise WireError("message truncated")
-    version, round_idx, kind, n_sections = struct.unpack_from("<BIBB", buf, 0)
+    (version, round_idx, kind, n_sections), off = _unpack("<BIBB", buf, 0)
     if version != WIRE_VERSION:
         raise WireError(f"unsupported wire version {version}")
-    off = 7
     msg = Message(round_idx=round_idx, kind=kind)
     for _ in range(n_sections):
-        (tag,) = struct.unpack_from("<B", buf, off)
-        off += 1
+        (tag,), off = _unpack("<B", buf, off)
         entries, off = _decode_entries(buf, off)
         if tag == SECTION_PARAMS:
             msg.params = entries
         elif tag == SECTION_GRADS:
             msg.grads = entries
         elif tag == SECTION_SCALARS:
+            if any(v.size != 1 for v in entries.values()):
+                raise WireError("scalar section holds a non-scalar entry")
             msg.scalars = {k: float(v.reshape(())) for k, v in entries.items()}
         else:
             raise WireError(f"unknown section tag {tag}")
+    _check_end(buf, off)
     return msg
 
 
@@ -159,21 +184,22 @@ def save_checkpoint(path, theta: ParamStore, round_idx: int, config_digest: byte
 
 
 def load_checkpoint(path) -> tuple[ParamStore, int, bytes, dict[str, bytes]]:
+    """(parameters, round, config digest, per-site optimizer digests); any
+    malformed content raises WireError naming the path."""
     with open(path, "rb") as fh:
         buf = fh.read()
     if buf[:8] != CKPT_MAGIC:
         raise WireError(f"{path}: not a checkpoint file")
-    config_digest = buf[8:40]
-    (round_idx,) = struct.unpack_from("<I", buf, 40)
-    (n_sites,) = struct.unpack_from("<I", buf, 44)
-    off = 48
-    site_digests = {}
-    for _ in range(n_sites):
-        (nlen,) = struct.unpack_from("<H", buf, off)
-        off += 2
-        site_id = buf[off:off + nlen].decode("utf-8")
-        off += nlen
-        site_digests[site_id] = buf[off:off + 32]
-        off += 32
-    arrays, _ = _decode_entries(buf, off)
+    try:
+        config_digest, off = _take(buf, 8, 32)
+        (round_idx, n_sites), off = _unpack("<II", buf, off)
+        site_digests = {}
+        for _ in range(n_sites):
+            (nlen,), off = _unpack("<H", buf, off)
+            raw, off = _take(buf, off, nlen)
+            site_digests[_utf8(raw)], off = _take(buf, off, 32)
+        arrays, off = _decode_entries(buf, off)
+        _check_end(buf, off)
+    except WireError as err:
+        raise WireError(f"{path}: {err}") from None
     return arrays_to_store(arrays), round_idx, config_digest, site_digests

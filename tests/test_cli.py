@@ -6,7 +6,7 @@ import csv
 import numpy as np
 import pytest
 
-from dafed import cli, wire
+from dafed import cli, explain, network, wire
 from dafed import tensor as tt
 from dafed.cli import subject_folds
 from dafed.config import ConfigError, parse_config
@@ -273,6 +273,27 @@ def test_eval_rejects_too_many_folds(tmp_path, trained, capsys):
     assert "subjects" in capsys.readouterr().err
 
 
+def test_truncated_checkpoint_exits_1_naming_it(tmp_path, trained, capsys):
+    cfg, ckpt = trained
+    cut = tmp_path / "cut.ckpt"
+    cut.write_bytes(ckpt.read_bytes()[:46])
+    for argv in (["eval", str(cut), "--config", str(cfg), "--folds", "2"],
+                 ["explain", str(cut), "--config", str(cfg), "--out", str(tmp_path / "x")]):
+        assert cli.main(argv) == 1
+        assert str(cut) in capsys.readouterr().err
+
+
+def test_checkpoint_that_does_not_fit_the_config_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "run.cfg")  # rois = 10
+    ckpt = tmp_path / "wide.ckpt"
+    wire.save_checkpoint(ckpt, network.init_theta(16, 0), 1, bytes(32), {})
+    for argv in (["eval", str(ckpt), "--config", str(cfg), "--folds", "2"],
+                 ["explain", str(ckpt), "--config", str(cfg), "--out", str(tmp_path / "x")]):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "stfg.l1.w has shape (16, 128)" in err
+
+
 def test_subject_folds_partition_exactly_once():
     cfg = SynthConfig(sites=[SynthSite("s", 8, True, 0.0)], n_rois=8, t=24,
                       class_sep=0.6, window=20, top_k=3)
@@ -315,6 +336,41 @@ def test_explain_rerun_is_byte_identical(tmp_path, trained):
                          "--out", str(tmp_path / out)]) == 0
     for name in ("saliency.csv", "edges.csv", "faithfulness.csv"):
         assert (tmp_path / "e1" / name).read_bytes() == (tmp_path / "e2" / name).read_bytes()
+
+
+def _explain_tables(out):
+    saliency = np.zeros((explain.N_LAYERS, 10))
+    for r in csv.DictReader((out / "saliency.csv").open()):
+        saliency[int(r["layer"]) - 1, int(r["roi_index"])] = float(r["mean_score"])
+    edges = [(int(r["roi_a"]), int(r["roi_b"]), float(r["correlation"]), float(r["p_value"]))
+             for r in csv.DictReader((out / "edges.csv").open())]
+    faith = {r["mask"]: (float(r["average_drop"]), float(r["average_increase"]))
+             for r in csv.DictReader((out / "faithfulness.csv").open())}
+    return saliency, edges, faith
+
+
+def test_explain_honours_use_stfg(tmp_path):
+    cfg = write_cfg(tmp_path / "run.cfg", extra="use_stfg = false\n")
+    assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 0
+    ckpt = tmp_path / "t" / "checkpoint_final.ckpt"
+    assert cli.main(["explain", str(ckpt), "--config", str(cfg),
+                     "--out", str(tmp_path / "ex")]) == 0
+    run = parse_config(cfg)
+    theta = wire.load_checkpoint(ckpt)[0]
+    datasets = cli._load_datasets(run)
+
+    def cohort(use_graph):
+        res = explain.explain_cohort(theta, datasets, run.explain_layer, run.explain_class,
+                                     windows=run.explain_windows, seed=run.seed,
+                                     use_graph=use_graph)
+        edges = [(e.roi_a, e.roi_b, e.correlation, e.p_value) for e in res.edges]
+        return res.saliency, edges, res.faithfulness
+
+    saliency, edges, faith = _explain_tables(tmp_path / "ex")
+    want_saliency, want_edges, want_faith = cohort(use_graph=False)
+    assert np.array_equal(saliency, want_saliency)
+    assert edges == want_edges and faith == want_faith
+    assert not np.array_equal(saliency, cohort(use_graph=True)[0])
 
 
 def test_explain_rejects_bad_layer(tmp_path, trained):

@@ -7,7 +7,7 @@ from scipy import stats
 from dafed import explain, network
 from dafed import tensor as tt
 from dafed.data import SynthConfig, SynthSite, synth_multisite
-from dafed.stfg import normalize_adjacency
+from dafed.stfg import normalize_adjacency, stfg_forward
 from dafed.explain import (Edge, SaliencyMap, average_drop, average_increase,
                            permuted_masks, roi_ranking, saliency_masked_scores,
                            score_cam, significant_edges, top_rois)
@@ -77,16 +77,39 @@ def _minmax_columns(act):
     return np.where(span > 0, (act - lo) / np.where(span > 0, span, 1.0), 0.0)
 
 
-def _score_cam_oracle(theta, graph, layer, target_class):
+def _propagation(graph, use_graph):
+    if use_graph:
+        return normalize_adjacency(graph.adjacency)
+    return np.eye(graph.n_rois)
+
+
+def _forward_probs(theta, x, adj):
+    """Evaluation-mode class probabilities of raw arrays in one forward."""
+    batch = network.Batch(x=x, adj_norm=adj, labels=None,
+                          domains=np.zeros(x.shape[0], dtype=np.int64),
+                          uids=[str(i) for i in range(x.shape[0])])
+    with tt.no_grad():
+        return network.model_forward(theta, batch, train=False).class_probs.data
+
+
+def _forward_hidden(theta, x, adj):
+    """Per-layer activations of raw arrays in one forward."""
+    with tt.no_grad():
+        _, hidden = stfg_forward(theta, tt.Tensor(x), tt.Tensor(adj), train=False,
+                                 want_hidden=True)
+    return [h.data for h in hidden]
+
+
+def _score_cam_oracle(theta, graph, layer, target_class, use_graph=True):
     """Score-CAM one layer at a time: every channel of the layer, dead ones
     included, in one batch against the layer's own baseline forward."""
-    adj = normalize_adjacency(graph.adjacency)
+    adj = _propagation(graph, use_graph)
     x = graph.features
-    masks = _minmax_columns(network.eval_hidden(theta, x[None], adj[None])[layer - 1][0])
+    masks = _minmax_columns(_forward_hidden(theta, x[None], adj[None])[layer - 1][0])
     masked_x = x[None] * masks[:, :, None]
     masked_adj = np.broadcast_to(adj, (masks.shape[0],) + adj.shape).copy()
-    scores = network.eval_class_probs(theta, masked_x, masked_adj)[:, target_class]
-    baseline = network.eval_class_probs(theta, np.zeros_like(x)[None], adj[None])[0, target_class]
+    scores = _forward_probs(theta, masked_x, masked_adj)[:, target_class]
+    baseline = _forward_probs(theta, np.zeros_like(x)[None], adj[None])[0, target_class]
     cic = scores - baseline
     shifted = np.exp(cic - cic.max())
     return (shifted / shifted.sum()) @ masks
@@ -103,22 +126,26 @@ def _with_dead_channels(theta):
     return dead
 
 
-@pytest.mark.parametrize("dead", [False, True])
-def test_score_cam_matches_per_layer_oracle(small_world, dead):
+@pytest.mark.parametrize("dead, use_graph", [
+    pytest.param(False, True, id="False"),
+    pytest.param(True, True, id="True"),
+    pytest.param(False, False, id="identity-propagation"),
+])
+def test_score_cam_matches_per_layer_oracle(small_world, dead, use_graph):
     theta, ds = small_world
     if dead:
         theta = _with_dead_channels(theta)
     for g in ds.samples[:3]:
-        adj = normalize_adjacency(g.adjacency)
-        hidden = network.eval_hidden(theta, g.features[None], adj[None])
+        adj = _propagation(g, use_graph)
+        hidden = _forward_hidden(theta, g.features[None], adj[None])
         n_dead = sum(int((~_minmax_columns(h[0]).any(axis=1)).sum()) for h in hidden)
         if dead:
             assert n_dead >= 40 + 20 + 8
         for target_class in (0, 1):
-            maps = score_cam(theta, g, target_class)
+            maps = score_cam(theta, g, target_class, use_graph=use_graph)
             assert len(maps) == explain.N_LAYERS
             for layer, m in enumerate(maps, start=1):
-                want = _score_cam_oracle(theta, g, layer, target_class)
+                want = _score_cam_oracle(theta, g, layer, target_class, use_graph)
                 assert np.max(np.abs(m.scores - want)) <= 1e-12
                 assert (m.layer, m.target_class, m.subject_id, m.window) == \
                     (layer, target_class, g.subject_id, g.window)
@@ -127,7 +154,7 @@ def test_score_cam_matches_per_layer_oracle(small_world, dead):
 def test_score_cam_chunks_beyond_one_forward(small_world, monkeypatch):
     theta, ds = small_world
     whole = score_cam(theta, ds.samples[0], 1)
-    monkeypatch.setattr(explain, "SCORE_CHUNK", 7)
+    monkeypatch.setattr(network, "EVAL_CHUNK", 7)
     chunked = score_cam(theta, ds.samples[0], 1)
     for a, b in zip(whole, chunked):
         assert np.max(np.abs(a.scores - b.scores)) <= 1e-12
@@ -142,16 +169,16 @@ def test_saliency_masked_scores_match_per_graph_loop(small_world, monkeypatch):
     want_clean, want_masked, flips = [], [], 0
     for g, m in zip(graphs, masks):
         adj = normalize_adjacency(g.adjacency)[None]
-        probs = network.eval_class_probs(theta, g.features[None], adj)[0]
+        probs = _forward_probs(theta, g.features[None], adj)[0]
         cls = int(np.argmax(probs))
         span = m.max() - m.min()
         m = (m - m.min()) / span if span > 0 else np.zeros_like(m)
-        probs_masked = network.eval_class_probs(theta, (g.features * m[:, None])[None], adj)[0]
+        probs_masked = _forward_probs(theta, (g.features * m[:, None])[None], adj)[0]
         flips += int(np.argmax(probs_masked) != cls)
         want_clean.append(probs[cls])
         want_masked.append(probs_masked[cls])
     assert flips > 0  # so the class must be the clean prediction's
-    monkeypatch.setattr(explain, "SCORE_CHUNK", 4)  # three chunks
+    monkeypatch.setattr(network, "EVAL_CHUNK", 4)  # three chunks
     clean, masked = saliency_masked_scores(theta, graphs, masks)
     assert np.max(np.abs(clean - want_clean)) <= 1e-12
     assert np.max(np.abs(masked - want_masked)) <= 1e-12

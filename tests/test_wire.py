@@ -7,7 +7,7 @@ import pytest
 
 from dafed import wire
 from dafed.network import init_theta
-from dafed.optim import Adam
+from dafed.optim import Adam, ParamStore
 
 
 def _sample_message():
@@ -50,9 +50,42 @@ def test_upload_kind_and_empty_sections():
     assert out.grads == {} and out.scalars == {}
 
 
-def test_truncated_message_rejected():
-    with pytest.raises(wire.WireError):
-        wire.decode_message(b"\x01\x00")
+def _small_checkpoint(path):
+    theta = ParamStore()
+    theta.add("b.w", np.arange(6.0).reshape(2, 3))
+    theta.add("a", np.array(0.5))
+    wire.save_checkpoint(path, theta, 3, hashlib.sha256(b"c").digest(),
+                         {"site_x": hashlib.sha256(b"s").digest()})
+    return path.read_bytes()
+
+
+def test_truncated_message_rejected(tmp_path):
+    # WireError, a ValueError, must be the only exception a bad buffer raises:
+    # every proper prefix is truncated, and trailing bytes are refused
+    buf = wire.encode_message(_sample_message())
+    for n in range(len(buf)):
+        with pytest.raises(wire.WireError):
+            wire.decode_message(buf[:n])
+    with pytest.raises(wire.WireError, match="left over"):
+        wire.decode_message(buf + b"\x00")
+
+    ckpt = _small_checkpoint(tmp_path / "full.ckpt")
+    path = tmp_path / "cut.ckpt"
+    for n in list(range(len(ckpt))) + [-1]:
+        path.write_bytes(ckpt[:n] if n >= 0 else ckpt + b"\x00")
+        with pytest.raises(wire.WireError) as err:
+            wire.load_checkpoint(path)
+        assert str(path) in str(err.value)
+
+
+def test_corrupt_message_rejected():
+    buf = bytearray(wire.encode_message(_sample_message()))
+    buf[bytes(buf).index(b"a.v")] = 0xff
+    with pytest.raises(wire.WireError, match="UTF-8"):
+        wire.decode_message(bytes(buf))
+    vector_scalar = wire.Message(round_idx=0, kind=wire.KIND_UPLOAD, scalars={"s": np.ones(2)})
+    with pytest.raises(wire.WireError, match="non-scalar"):
+        wire.decode_message(wire.encode_message(vector_scalar))
 
 
 def test_checkpoint_round_trip(tmp_path):
