@@ -77,9 +77,13 @@ class SiteDataset:
 
 
 class ZeroVarianceError(ValueError):
-    def __init__(self, roi: int):
-        self.roi = roi
-        super().__init__(f"zero-variance column for ROI {roi}")
+    """Flat columns in a stack of windows. `flat` is the (..., R) mask of
+    them; `roi` is the first flat column of the first window that has one."""
+
+    def __init__(self, flat: np.ndarray):
+        self.flat = flat
+        self.roi = int(np.argwhere(flat)[0][-1])
+        super().__init__(f"zero-variance column for ROI {self.roi}")
 
 
 def sliding_windows(t: int, w: int, stride: int = 1) -> list[tuple[int, int]]:
@@ -93,20 +97,22 @@ def sliding_windows(t: int, w: int, stride: int = 1) -> list[tuple[int, int]]:
     return [(s, s + w) for s in range(0, t - w + 1, stride)]
 
 
-def pearson_matrix(window: np.ndarray) -> np.ndarray:
-    """Correlation matrix of a (w x R) window: symmetric, unit diagonal,
-    entries in [-1, 1]. Raises ZeroVarianceError on a flat column."""
-    x = np.asarray(window, dtype=np.float64)
-    centered = x - x.mean(axis=0)
-    ss = (centered * centered).sum(axis=0)
-    flat = np.nonzero(ss / x.shape[0] <= VAR_FLOOR)[0]
-    if flat.size:
-        raise ZeroVarianceError(int(flat[0]))
+def pearson_matrix(windows: np.ndarray) -> np.ndarray:
+    """Correlation matrices of a (..., w, R) stack of windows: symmetric,
+    unit diagonal, entries in [-1, 1]. Raises ZeroVarianceError on a flat
+    column."""
+    x = np.asarray(windows, dtype=np.float64)
+    centered = x - x.mean(axis=-2, keepdims=True)
+    ss = (centered * centered).sum(axis=-2)
+    flat = ss / x.shape[-2] <= VAR_FLOOR
+    if flat.any():
+        raise ZeroVarianceError(flat)
     denom = np.sqrt(ss)
-    corr = (centered.T @ centered) / np.outer(denom, denom)
-    corr = (corr + corr.T) / 2.0
+    corr = (np.swapaxes(centered, -1, -2) @ centered) / (denom[..., :, None] * denom[..., None, :])
+    corr = (corr + np.swapaxes(corr, -1, -2)) / 2.0
     np.clip(corr, -1.0, 1.0, out=corr)
-    np.fill_diagonal(corr, 1.0)
+    diag = np.arange(corr.shape[-1])
+    corr[..., diag, diag] = 1.0
     return corr
 
 
@@ -115,43 +121,47 @@ def fisher_z(r):
     return np.arctanh(np.clip(r, -R_CLIP, R_CLIP))
 
 
-def build_graph(fc: np.ndarray, k: int, *, label=None, site_id="", subject_id="",
-                window: int = 0) -> FCGraph:
-    """Top-k |z| graph: per row keep the k strongest off-diagonal entries
-    (first-index tie-break), weights |z|, symmetrized by elementwise max."""
+def top_k_adjacency(fc: np.ndarray, k: int) -> np.ndarray:
+    """Top-k |z| graphs of a (..., R, R) stack: per row keep the k strongest
+    off-diagonal entries (first-index tie-break), weights |z|, symmetrized by
+    elementwise max."""
     fc = np.asarray(fc, dtype=np.float64)
-    r = fc.shape[0]
-    if fc.shape != (r, r) or not np.array_equal(fc, fc.T):
+    r = fc.shape[-1]
+    if fc.shape[-2:] != (r, r) or not np.array_equal(fc, np.swapaxes(fc, -1, -2)):
         raise ValueError(f"feature matrix must be square symmetric, got shape {fc.shape}")
     if not 1 <= k < r:
         raise ValueError(f"neighbor count k={k} out of range [1, {r - 1}]")
     strength = np.abs(fc)
-    np.fill_diagonal(strength, -np.inf)
-    adj = np.zeros((r, r))
-    for i in range(r):
-        top = np.argsort(-strength[i], kind="stable")[:k]
-        adj[i, top] = strength[i, top]
-    adj = np.maximum(adj, adj.T)
-    return FCGraph(adjacency=adj, features=fc, label=label, site_id=site_id,
-                   subject_id=subject_id, window=window)
+    diag = np.arange(r)
+    strength[..., diag, diag] = -np.inf
+    top = np.argsort(-strength, axis=-1, kind="stable")[..., :k]
+    adj = np.zeros_like(strength)
+    np.put_along_axis(adj, top, np.take_along_axis(strength, top, axis=-1), axis=-1)
+    return np.maximum(adj, np.swapaxes(adj, -1, -2))
 
 
 def series_to_graphs(ts: TimeSeries, window: int, stride: int, k: int) -> list[FCGraph]:
-    """Window a series into graphs, skipping (and logging) windows where an
-    ROI is flat."""
-    graphs = []
-    for w_idx, (start, stop) in enumerate(sliding_windows(ts.values.shape[0], window, stride)):
-        try:
-            corr = pearson_matrix(ts.values[start:stop])
-        except ZeroVarianceError as zv:
+    """Window a series into graphs, all windows as one stack, skipping (and
+    logging) windows where an ROI is flat; kept windows keep their index."""
+    n = len(sliding_windows(ts.values.shape[0], window, stride))
+    windows = np.lib.stride_tricks.sliding_window_view(ts.values, window, axis=0)[::stride]
+    windows = np.ascontiguousarray(np.swapaxes(windows, -1, -2))  # (n, w, R)
+    kept = np.arange(n)
+    try:
+        corr = pearson_matrix(windows)
+    except ZeroVarianceError as zv:
+        flat = zv.flat.any(axis=-1)
+        for w_idx in np.flatnonzero(flat):
             logger.warning("skipping window: subject=%s window=%d roi=%d has zero variance",
-                           ts.subject_id, w_idx, zv.roi)
-            continue
-        graph = build_graph(fisher_z(corr), k, label=ts.label, site_id=ts.site_id,
-                            subject_id=ts.subject_id, window=w_idx)
-        graph.truth = ts.truth
-        graphs.append(graph)
-    return graphs
+                           ts.subject_id, w_idx, np.argmax(zv.flat[w_idx]))
+        kept = np.flatnonzero(~flat)
+        corr = pearson_matrix(windows[kept])
+    features = fisher_z(corr)
+    adjacency = top_k_adjacency(features, k)
+    return [FCGraph(adjacency=adjacency[i], features=features[i], label=ts.label,
+                    site_id=ts.site_id, subject_id=ts.subject_id, window=int(w_idx),
+                    truth=ts.truth)
+            for i, w_idx in enumerate(kept)]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from . import rng
 from .config import ConfigError
@@ -142,6 +141,8 @@ def significant_edges(scores: np.ndarray, fc: np.ndarray, groups: np.ndarray,
     threshold (strictly) are dropped and the strongest `n_edges` by absolute
     correlation are kept. Constant edges are excluded and logged.
     """
+    from scipy import special  # imported here so that train and eval never load scipy
+
     scores = np.asarray(scores, dtype=np.float64)
     fc = np.asarray(fc, dtype=np.float64)
     groups = np.asarray(groups)
@@ -184,18 +185,19 @@ def significant_edges(scores: np.ndarray, fc: np.ndarray, groups: np.ndarray,
 # faithfulness against the model
 
 
-def saliency_masked_scores(theta: ParamStore, graphs: list[FCGraph], masks: np.ndarray,
-                           *, use_graph: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """(clean, masked) predicted-class probabilities per graph.
+def saliency_masked_scores(theta: ParamStore, graphs: list[FCGraph], *masks: np.ndarray,
+                           use_graph: bool = True) -> tuple[np.ndarray, ...]:
+    """(clean, masked, ...) predicted-class probabilities per graph: the
+    clean ones, then one array per mask set, all from one clean pass.
 
-    `masks[i]` is a per-ROI weight vector for graph i; it is min-max
-    normalized and applied to the node-feature rows.
+    In each mask set, row i is a per-ROI weight vector for graph i; it is
+    min-max normalized and applied to the node-feature rows.
     """
-    weights = _minmax_rows(np.asarray(masks, dtype=np.float64))
     clean = eval_class_probs(theta, graphs, use_graph=use_graph)
-    masked = eval_class_probs(theta, graphs, weights, use_graph=use_graph)
     picked = (np.arange(len(graphs)), np.argmax(clean, axis=1))
-    return clean[picked], masked[picked]
+    masked = [eval_class_probs(theta, graphs, _minmax_rows(np.asarray(m, dtype=np.float64)),
+                               use_graph=use_graph)[picked] for m in masks]
+    return (clean[picked], *masked)
 
 
 def permuted_masks(masks: np.ndarray, seed, *key) -> np.ndarray:
@@ -233,6 +235,8 @@ def explain_cohort(theta: ParamStore, datasets: list[SiteDataset], layer: int,
     """
     if not 1 <= layer <= N_LAYERS:
         raise ValueError(f"layer must be in 1..{N_LAYERS}, got {layer}")
+    from scipy import special  # noqa: F401  load it before the first forward, as set-up
+
     subjects, groups = [], []  # per subject: (dataset, sample indices), class
     for ds in datasets:
         for subject_id in sorted(ds.subject_index):
@@ -261,9 +265,9 @@ def explain_cohort(theta: ParamStore, datasets: list[SiteDataset], layer: int,
     edges = significant_edges(focus, fc, np.array(groups))
 
     masks = np.stack(focus_masks)
-    clean, masked = saliency_masked_scores(theta, focus_graphs, masks, use_graph=use_graph)
     control = permuted_masks(masks, seed, "explain")
-    _, masked_ctl = saliency_masked_scores(theta, focus_graphs, control, use_graph=use_graph)
+    clean, masked, masked_ctl = saliency_masked_scores(theta, focus_graphs, masks, control,
+                                                       use_graph=use_graph)
     faithfulness = {
         "saliency": (average_drop(clean, masked), average_increase(clean, masked)),
         "random": (average_drop(clean, masked_ctl), average_increase(clean, masked_ctl)),

@@ -33,10 +33,10 @@ logger = logging.getLogger(__name__)
 
 
 class TrainingDiverged(RuntimeError):
-    def __init__(self, round_idx: int, site_id: str, part: str):
+    def __init__(self, round_idx: int, site_id: str, what: str):
         self.round_idx = round_idx
         self.site_id = site_id
-        super().__init__(f"non-finite {part} loss at round {round_idx}, site {site_id}")
+        super().__init__(f"non-finite {what} at round {round_idx}, site {site_id}")
 
 
 @dataclass
@@ -297,10 +297,16 @@ def site_objective(theta: ParamStore, batch: Batch, *, role: str, ramp: float,
 
 def _check_finite(parts: dict, total: float, round_idx: int, site_id: str):
     if not np.isfinite(total):
-        raise TrainingDiverged(round_idx, site_id, "total")
+        raise TrainingDiverged(round_idx, site_id, "total loss")
     for name, value in parts.items():
         if not np.isfinite(value):
-            raise TrainingDiverged(round_idx, site_id, name)
+            raise TrainingDiverged(round_idx, site_id, f"{name} loss")
+
+
+def _check_upload(upload: ParamStore, round_idx: int, site_id: str):
+    for name, t in upload.items():
+        if not np.isfinite(t.data).all():
+            raise TrainingDiverged(round_idx, site_id, f"upload tensor {name!r}")
 
 
 def _split_grads(theta: ParamStore, obj: SiteObjective) -> dict[str, np.ndarray]:
@@ -343,7 +349,8 @@ def multi_site_round(theta_global: ParamStore, source: SiteState,
                      targets: list[SiteState], round_idx: int, total_rounds: int,
                      settings: TrainSettings, noise: NoiseSpec):
     """One federated iteration; returns the next global parameters and one
-    metrics row per site."""
+    metrics row per site. A received upload holding a non-finite value raises
+    TrainingDiverged before any averaging."""
     if not targets:
         raise ValueError("multi_site_round: needs at least one local site")
     src_loss, src_grads, src_row = _site_step(source, theta_global, round_idx,
@@ -369,7 +376,9 @@ def multi_site_round(theta_global: ParamStore, source: SiteState,
         upload = wire.encode_message(wire.Message(
             round_idx=round_idx, kind=wire.KIND_UPLOAD,
             params=wire.store_to_arrays(noised)))
-        uploads.append(wire.arrays_to_store(wire.decode_message(upload).params))
+        received = wire.arrays_to_store(wire.decode_message(upload).params)
+        _check_upload(received, round_idx, state.site_id)
+        uploads.append(received)
         row["bytes_up"] = len(upload)
         row["bytes_down"] = len(broadcast)
         upload_bytes_total += len(upload)

@@ -2,11 +2,15 @@
 contracts, and output files."""
 
 import csv
+import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dafed import cli, explain, network, wire
+from dafed import cli, explain, fedsim, network, wire
 from dafed import tensor as tt
 from dafed.cli import subject_folds
 from dafed.config import ConfigError, parse_config
@@ -230,6 +234,21 @@ def test_train_writes_periodic_checkpoints(tmp_path):
     assert {"checkpoint_r0010.ckpt", "checkpoint_r0020.ckpt", "checkpoint_final.ckpt"} <= names
 
 
+def test_non_finite_upload_exits_1_naming_site_and_round(tmp_path, capsys, monkeypatch):
+    real = fedsim.add_noise
+
+    def inf_noise(theta, spec, site_id, round_idx):
+        out = real(theta, spec, site_id, round_idx)
+        out["clf.fc2.w"].data[0, 0] = float("inf")
+        return out
+
+    monkeypatch.setattr(fedsim, "add_noise", inf_noise)
+    cfg = write_cfg(tmp_path / "run.cfg")
+    assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: non-finite upload tensor 'clf.fc2.w' at round 0, site edge\n"
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -381,6 +400,23 @@ def test_explain_rejects_bad_layer(tmp_path, trained):
 
 # ---------------------------------------------------------------------------
 # gradcheck
+
+
+def test_cli_import_loads_every_benchmarked_module_and_no_scipy():
+    # perfbench/child.py rebinds functions across these modules through
+    # sys.modules once `dafed.cli` is imported; scipy is explain's alone
+    root = Path(__file__).resolve().parents[1]
+    code = "\n".join([
+        "import json, sys",
+        f"sys.path[:0] = [{str(root / 'src')!r}, {str(root / 'perfbench')!r}]",
+        "from child import MODULES",
+        "import dafed.cli",
+        "print(json.dumps({'modules': len(MODULES),",
+        "                  'missing': [m for m in MODULES if 'dafed.' + m not in sys.modules],",
+        "                  'scipy': sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')}))",
+    ])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout) == {"modules": 13, "missing": [], "scipy": []}
 
 
 def test_gradcheck_passes_and_reports_worst(tmp_path, capsys):

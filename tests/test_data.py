@@ -1,6 +1,8 @@
 """Connectivity pipeline: window arithmetic, Pearson/Fisher oracles, graph
 construction, synthetic generator, CSV ingestion."""
 
+import hashlib
+import logging
 import math
 
 import numpy as np
@@ -81,6 +83,18 @@ def test_flat_column_raises_with_roi():
     assert exc.value.roi == 2
 
 
+def test_pearson_on_a_stack_equals_each_window():
+    stack = np.random.default_rng(8).standard_normal((5, 20, 6))
+    corr = data.pearson_matrix(stack)
+    for i in range(5):
+        assert corr[i].tobytes() == data.pearson_matrix(stack[i]).tobytes()
+    stack[3, :, 4] = -1.5
+    with pytest.raises(data.ZeroVarianceError) as exc:
+        data.pearson_matrix(stack)
+    assert exc.value.roi == 4
+    assert np.array_equal(np.argwhere(exc.value.flat), [[3, 4]])
+
+
 def test_fisher_z_values():
     assert data.fisher_z(0.0) == 0.0
     assert data.fisher_z(0.5) == pytest.approx(math.atanh(0.5), abs=1e-15)
@@ -106,7 +120,7 @@ def _sym(r, seed):
 
 def test_build_graph_matches_brute_force_topk():
     fc = _sym(6, 3)
-    g = data.build_graph(fc, 2)
+    adj = data.top_k_adjacency(fc, 2)
     expect = np.zeros((6, 6))
     for i in range(6):
         strengths = [(abs(fc[i, j]), -j) for j in range(6) if j != i]
@@ -114,7 +128,7 @@ def test_build_graph_matches_brute_force_topk():
         for s, nj in keep:
             expect[i, -nj] = s
     expect = np.maximum(expect, expect.T)
-    assert np.array_equal(g.adjacency, expect)
+    assert np.array_equal(adj, expect)
 
 
 def test_build_graph_symmetry_and_degree_bounds():
@@ -123,7 +137,7 @@ def test_build_graph_symmetry_and_degree_bounds():
     for seed in range(5):
         fc = _sym(9, seed)
         for k in (1, 3, 5):
-            adj = data.build_graph(fc, k).adjacency
+            adj = data.top_k_adjacency(fc, k)
             assert np.array_equal(adj, adj.T)
             assert np.all(np.diag(adj) == 0.0)
             nnz = (adj != 0).sum(axis=1)
@@ -134,7 +148,7 @@ def test_build_graph_symmetry_and_degree_bounds():
 def test_build_graph_tie_break_is_first_index():
     fc = np.full((4, 4), 0.3)
     np.fill_diagonal(fc, data.fisher_z(1.0))
-    adj = data.build_graph(fc, 1).adjacency
+    adj = data.top_k_adjacency(fc, 1)
     # row 0 keeps column 1 (first off-diagonal), row 1 keeps column 0, etc.
     assert adj[0, 1] == 0.3 and adj[0, 2] == 0.3  # symmetrization adds row 2's pick
     assert adj[1, 0] == 0.3
@@ -144,9 +158,92 @@ def test_build_graph_tie_break_is_first_index():
 def test_build_graph_k_out_of_range():
     fc = _sym(4, 0)
     with pytest.raises(ValueError):
-        data.build_graph(fc, 0)
+        data.top_k_adjacency(fc, 0)
     with pytest.raises(ValueError):
-        data.build_graph(fc, 4)
+        data.top_k_adjacency(fc, 4)
+
+
+def _graphs_oracle(ts, window, stride, k):
+    """(window index, adjacency, features) per kept window, computed one
+    window and one ROI row at a time, as the pipeline was first written."""
+    out = []
+    for w_idx, (start, stop) in enumerate(data.sliding_windows(ts.values.shape[0], window, stride)):
+        x = np.asarray(ts.values[start:stop], dtype=np.float64)
+        centered = x - x.mean(axis=0)
+        ss = (centered * centered).sum(axis=0)
+        if np.any(ss / x.shape[0] <= data.VAR_FLOOR):
+            continue
+        denom = np.sqrt(ss)
+        corr = (centered.T @ centered) / np.outer(denom, denom)
+        corr = (corr + corr.T) / 2.0
+        np.clip(corr, -1.0, 1.0, out=corr)
+        np.fill_diagonal(corr, 1.0)
+        fc = np.arctanh(np.clip(corr, -data.R_CLIP, data.R_CLIP))
+        r = fc.shape[0]
+        strength = np.abs(fc)
+        np.fill_diagonal(strength, -np.inf)
+        adj = np.zeros((r, r))
+        for i in range(r):
+            top = np.argsort(-strength[i], kind="stable")[:k]
+            adj[i, top] = strength[i, top]
+        out.append((w_idx, np.maximum(adj, adj.T), fc))
+    return out
+
+
+def _random_series(t=40, r=8, seed=0):
+    return np.random.default_rng(seed).standard_normal((t, r))
+
+
+def _tied_series():
+    # duplicated and negated columns give exactly equal |z| in every row
+    x = _random_series(36, 9, 1)
+    x[:, 1] = x[:, 0]
+    x[:, 4] = -x[:, 3]
+    x[:, 7] = x[:, 3]
+    return x
+
+
+def _flat_series():
+    x = _random_series(30, 6, 2)
+    x[5:20, 2] = 1.25  # windows 5..10 of width 10 see ROI 2 flat
+    return x
+
+
+@pytest.mark.parametrize("values, window, stride, k", [
+    pytest.param(_random_series(), 20, 1, 3, id="random"),
+    pytest.param(_tied_series(), 12, 1, 4, id="tied"),
+    pytest.param(_flat_series(), 10, 1, 2, id="flat-roi"),
+    pytest.param(_random_series(41, 7, 3), 10, 2, 3, id="stride-2"),
+    pytest.param(_random_series(30, 6, 4), 12, 1, 1, id="k-1"),
+    pytest.param(_random_series(30, 6, 5), 12, 3, 5, id="k-r-minus-1"),
+])
+def test_series_to_graphs_matches_per_window_oracle_bytes(values, window, stride, k, caplog):
+    ts = data.TimeSeries("subj", "site", 1, values, truth=1)
+    with caplog.at_level(logging.WARNING, logger="dafed.data"):
+        graphs = data.series_to_graphs(ts, window, stride, k)
+    expect = _graphs_oracle(ts, window, stride, k)
+    assert [g.window for g in graphs] == [w for w, _, _ in expect]
+    for g, (_, adj, fc) in zip(graphs, expect):
+        assert g.adjacency.tobytes() == adj.tobytes()
+        assert g.features.tobytes() == fc.tobytes()
+        assert (g.label, g.truth, g.site_id, g.subject_id) == (1, 1, "site", "subj")
+    skipped = sorted(set(range(len(data.sliding_windows(len(values), window, stride))))
+                     - {g.window for g in graphs})
+    assert [r.getMessage() for r in caplog.records] == [
+        f"skipping window: subject=subj window={w} roi=2 has zero variance" for w in skipped]
+
+
+def test_flat_roi_windows_are_skipped_and_later_indices_kept():
+    ts = data.TimeSeries("subj", "site", 0, _flat_series())
+    windows = [g.window for g in data.series_to_graphs(ts, 10, 1, 2)]
+    assert windows == [0, 1, 2, 3, 4] + list(range(11, 21))
+
+
+def test_series_with_only_flat_windows_gives_no_graphs():
+    values = _random_series(12, 4, 6)
+    values[:, 1] = 0.0
+    ts = data.TimeSeries("subj", "site", 0, values)
+    assert data.series_to_graphs(ts, 10, 1, 2) == []
 
 
 def test_graph_features_diagonal_is_clipped_transform():
@@ -182,6 +279,20 @@ def test_synth_is_deterministic():
             assert np.array_equal(ga.features, gb.features)
             assert np.array_equal(ga.adjacency, gb.adjacency)
             assert ga.label == gb.label
+
+
+# SHA-256 of the stacked adjacency and feature bytes of every window of a small
+# cohort, recorded when each window and each ROI row was still built on its own
+PINNED_ADJACENCY = "9e0c6be5be681a06180d0841efd87530335beabebe6e2596e36cbe36a77c2209"
+PINNED_FEATURES = "25416223b6a7288ba5ad10979a9da08a0bff0f790d6c8c3c0de9279b0399e979"
+
+
+def test_synth_graph_bytes_are_pinned():
+    graphs = [g for ds in data.synth_multisite(_cfg(), seed=5) for g in ds.samples]
+    assert len(graphs) == 132
+    digests = tuple(hashlib.sha256(np.stack(arrays).tobytes()).hexdigest() for arrays in
+                    ([g.adjacency for g in graphs], [g.features for g in graphs]))
+    assert digests == (PINNED_ADJACENCY, PINNED_FEATURES)
 
 
 def test_synth_different_seeds_differ():

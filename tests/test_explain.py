@@ -310,3 +310,34 @@ def test_saliency_masked_scores_and_random_control(small_world):
     assert not np.array_equal(control, masks)
     again = permuted_masks(masks, 0, "ctl")
     assert np.array_equal(control, again)
+    # both mask sets scored against one clean pass give each one's own scores
+    clean_both, masked_both, masked_ctl = saliency_masked_scores(theta, graphs, masks, control)
+    assert np.array_equal(clean_both, clean) and np.array_equal(masked_both, masked)
+    assert np.array_equal(masked_ctl, saliency_masked_scores(theta, graphs, control)[1])
+
+
+def test_faithfulness_runs_one_clean_pass(monkeypatch):
+    cfg = SynthConfig(sites=[SynthSite("s", 6, True, 0.0)],
+                      n_rois=10, t=22, class_sep=0.7, window=20, top_k=3)
+    datasets = synth_multisite(cfg, seed=3)
+    theta = network.init_theta(10, seed=3)
+    forward, cam = explain.eval_class_probs, explain.score_cam
+    inside_cam, faithfulness_rows = [], []
+
+    def counted_forward(theta, graphs, *args, **kwargs):
+        if not inside_cam:
+            faithfulness_rows.append(len(graphs))
+        return forward(theta, graphs, *args, **kwargs)
+
+    def flagged_cam(*args, **kwargs):
+        inside_cam.append(True)
+        try:
+            return cam(*args, **kwargs)
+        finally:
+            inside_cam.pop()
+
+    monkeypatch.setattr(explain, "eval_class_probs", counted_forward)
+    monkeypatch.setattr(explain, "score_cam", flagged_cam)
+    explain.explain_cohort(theta, datasets, 2, 1, windows=2, seed=0)
+    # clean, saliency-masked and random-control forwards over 6 x 2 windows
+    assert faithfulness_rows == [12, 12, 12]

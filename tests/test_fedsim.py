@@ -327,6 +327,22 @@ def test_diverged_training_raises_with_location():
                              float("inf"), 2, "central")
 
 
+def test_non_finite_upload_raises_with_site_and_round(monkeypatch):
+    real = fedsim.add_noise
+
+    def nan_noise(theta, spec, site_id, round_idx):
+        out = real(theta, spec, site_id, round_idx)
+        if round_idx == 2:
+            out["clf.fc2.b"].data[0] = float("nan")
+        return out
+
+    monkeypatch.setattr(fedsim, "add_noise", nan_noise)
+    with pytest.raises(fedsim.TrainingDiverged) as exc:
+        run_training(_settings(), _tiny_datasets(), _roles())
+    assert (exc.value.round_idx, exc.value.site_id) == (2, "edge")
+    assert str(exc.value) == "non-finite upload tensor 'clf.fc2.b' at round 2, site edge"
+
+
 def test_constant_central_loss_mode_changes_updates():
     # with gradient broadcast off, sites ignore the central gradient map
     # and train on their local objective alone
