@@ -259,7 +259,11 @@ def _site_mixer(cfg: SynthConfig, site: SynthSite, seed: int) -> np.ndarray:
 
 
 def synth_series(cfg: SynthConfig, seed: int) -> list[TimeSeries]:
-    """Raw per-subject series for every configured site, deterministic per seed."""
+    """Raw per-subject series for every configured site, deterministic per seed.
+
+    Each subject's innovations come from its own stream; the AR(1) recursion
+    then runs once per site over the stacked (subjects, T, R) innovations.
+    """
     cfg.validate()
     chol = {0: _class_chol(cfg, 0), 1: _class_chol(cfg, 1)}
     out = []
@@ -267,19 +271,21 @@ def synth_series(cfg: SynthConfig, seed: int) -> list[TimeSeries]:
         mixer = _site_mixer(cfg, site, seed)
         t_len = site.t or cfg.t
         n0 = int(round(cfg.class_balance * site.subjects))
-        for j in range(site.subjects):
-            label = 0 if j < n0 else 1
-            subject_id = f"{site.site_id}_s{j:03d}"
+        labels = [0 if j < n0 else 1 for j in range(site.subjects)]
+        subject_ids = [f"{site.site_id}_s{j:03d}" for j in range(site.subjects)]
+        innov = np.empty((site.subjects, cfg.burn_in + t_len, cfg.n_rois))
+        for j, (label, subject_id) in enumerate(zip(labels, subject_ids)):
             z = rng.stream(seed, "subject", site.site_id, subject_id).standard_normal(
                 (cfg.burn_in + t_len, cfg.n_rois))
-            innov = z @ chol[label].T @ mixer.T
-            x = np.empty_like(innov)
-            x[0] = innov[0]
-            for step in range(1, innov.shape[0]):
-                x[step] = cfg.ar_coeff * x[step - 1] + innov[step]
+            innov[j] = z @ chol[label].T @ mixer.T
+        x = np.empty_like(innov)
+        x[:, 0] = innov[:, 0]
+        for step in range(1, innov.shape[1]):
+            x[:, step] = cfg.ar_coeff * x[:, step - 1] + innov[:, step]
+        for j, (label, subject_id) in enumerate(zip(labels, subject_ids)):
             out.append(TimeSeries(subject_id=subject_id, site_id=site.site_id,
                                   label=label if site.labeled else None,
-                                  values=x[cfg.burn_in:], truth=label))
+                                  values=x[j, cfg.burn_in:], truth=label))
     return out
 
 

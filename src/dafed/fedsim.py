@@ -69,8 +69,7 @@ def add_noise(theta: ParamStore, spec: NoiseSpec, *extra_key) -> ParamStore:
         sigma = float(t.data.std())
         if sigma == 0.0:
             continue
-        noise = rng.stream(*spec.key, *extra_key, name).normal(0.0, spec.alpha * sigma, t.shape)
-        t.data[...] = t.data + noise
+        t.data += rng.stream(*spec.key, *extra_key, name).normal(0.0, spec.alpha * sigma, t.shape)
     return out
 
 
@@ -89,15 +88,18 @@ def aggregate(uploads: list[ParamStore]) -> ParamStore:
                 raise ValueError(f"aggregate: shape mismatch for {name!r}")
     out = ParamStore()
     k = len(uploads)
+    scratch = np.empty(max((uploads[0][name].size for name in names), default=0))
     for name in names:
         base = uploads[0][name].data
         if k == 1:
             out.add(name, base.copy())
-        else:
-            delta = np.zeros_like(base)
-            for up in uploads[1:]:
-                delta += up[name].data - base
-            out.add(name, base + delta / k)
+            continue
+        diff = scratch[:base.size].reshape(base.shape)
+        delta = np.zeros_like(base)
+        for up in uploads[1:]:
+            delta += np.subtract(up[name].data, base, out=diff)
+        delta /= k
+        out.add(name, np.add(base, delta, out=delta))  # base + delta / k
     return out
 
 
@@ -314,12 +316,10 @@ def _split_grads(theta: ParamStore, obj: SiteObjective) -> dict[str, np.ndarray]
     objective drives every non-estimator parameter, the estimator's own
     maximization objective drives its parameters."""
     main_names, mine_names = param_groups(theta)
-    grads = backward(obj.total, theta)
-    merged = {name: grads[name] for name in main_names}
+    grads = backward(obj.total, theta, main_names)
     if obj.estimator_objective is not None:
-        phi = backward(obj.estimator_objective, theta)
-        merged.update({name: phi[name] for name in mine_names})
-    return merged
+        grads.update(backward(obj.estimator_objective, theta, mine_names))
+    return grads
 
 
 def _site_step(state: SiteState, theta: ParamStore, round_idx: int,
@@ -359,12 +359,14 @@ def multi_site_round(theta_global: ParamStore, source: SiteState,
         round_idx=round_idx, kind=wire.KIND_BROADCAST,
         params=wire.store_to_arrays(theta_global), grads=src_grads,
         scalars={"loss_total_source": src_loss}))
+    # every target receives the same bytes: decode them once, copy per target
+    msg = wire.decode_message(broadcast)
+    broadcast_model = wire.arrays_to_store(msg.params)
     rows = [src_row]
     uploads = []
     upload_bytes_total = 0
     for state in targets:
-        msg = wire.decode_message(broadcast)
-        theta_k = wire.arrays_to_store(msg.params)
+        theta_k = broadcast_model.copy()
         _, grads, row = _site_step(state, theta_k, round_idx, total_rounds, settings)
         if settings.broadcast_grads:
             grads = {name: g if name not in msg.grads else g + msg.grads[name]
@@ -385,8 +387,8 @@ def multi_site_round(theta_global: ParamStore, source: SiteState,
         rows.append(row)
     src_row["bytes_up"] = len(broadcast)
     src_row["bytes_down"] = upload_bytes_total
-    # every site received this broadcast; it is next round's contrastive positive
-    broadcast_model = theta_global.copy()
+    # every site received this broadcast; it is next round's contrastive
+    # positive, read only in evaluation mode, so the sites share it
     for state in [source] + targets:
         state.prev_global = broadcast_model
     return aggregate(uploads), rows

@@ -80,6 +80,12 @@ def adam_step(store: ParamStore, opt: Adam, grads: dict[str, np.ndarray], lr: fl
     """One in-place Adam update with bias correction; returns the store.
 
     A parameter without a gradient entry is treated as having a zero gradient.
+    The moments and the parameter are updated in their own buffers, in the
+    operation order of
+
+        m = beta1 * m + (1 - beta1) * g
+        v = beta2 * v + (1 - beta2) * (g * g)
+        p = p - lr * (m / c1) / (sqrt(v / c2) + eps)
     """
     opt.step += 1
     t = opt.step
@@ -91,16 +97,23 @@ def adam_step(store: ParamStore, opt: Adam, grads: dict[str, np.ndarray], lr: fl
         if g is None:
             log.debug("adam_step: no gradient for %s, treating as zero", name)
             g = np.zeros(p.shape)
-        m = opt.m.get(name)
-        if m is None:
-            m = np.zeros(p.shape)
+        if name not in opt.m:
+            opt.m[name] = np.zeros(p.shape)
             opt.v[name] = np.zeros(p.shape)
-        v = opt.v[name]
-        m = opt.beta1 * m + (1.0 - opt.beta1) * g
-        v = opt.beta2 * v + (1.0 - opt.beta2) * (g * g)
-        opt.m[name] = m
-        opt.v[name] = v
-        p.data[...] = p.data - lr * (m / c1) / (np.sqrt(v / c2) + opt.eps)
+        m, v = opt.m[name], opt.v[name]
+        # operands in the formulas' order: with two NaNs, the first one's sign wins
+        np.multiply(opt.beta1, m, out=m)
+        m += (1.0 - opt.beta1) * g
+        gg = g * g
+        np.multiply(opt.beta2, v, out=v)
+        v += np.multiply(1.0 - opt.beta2, gg, out=gg)
+        denom = v / c2
+        np.sqrt(denom, out=denom)
+        denom += opt.eps
+        step = m / c1
+        np.multiply(lr, step, out=step)
+        step /= denom
+        p.data -= step
     return store
 
 

@@ -421,19 +421,26 @@ def batch_norm(x, gamma, beta, running_mean, running_var, *, train: bool,
     axes = tuple(range(x.ndim - 1))
 
     if train:
+        # one mean: the variance is np.var's sum of squared centred values,
+        # and the centred values become xhat in place
         mu = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
+        xhat = x.data - mu
+        var = np.square(xhat).sum(axis=axes)
+        var /= x.size // c
         if update_running:
             running_mean.data[...] = momentum * running_mean.data + (1.0 - momentum) * mu
             running_var.data[...] = momentum * running_var.data + (1.0 - momentum) * var
         inv_std = 1.0 / np.sqrt(var + eps)
-        xhat = (x.data - mu) * inv_std
-        m = x.size // c
+        xhat *= inv_std
 
         def vjp_x(g):
+            # (gamma * inv_std) * (g - gm - xhat * gxm) with two temporaries
             gm = g.mean(axis=axes)
-            gxm = (g * xhat).mean(axis=axes)
-            return (gamma.data * inv_std) * (g - gm - xhat * gxm)
+            tmp = g * xhat
+            gxm = tmp.mean(axis=axes)
+            out = g - gm
+            out -= np.multiply(xhat, gxm, out=tmp)
+            return np.multiply(gamma.data * inv_std, out, out=out)  # operand order fixes NaN signs
 
         def vjp_gamma(g):
             return (g * xhat).sum(axis=axes)
@@ -483,23 +490,38 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 
 def gradients(loss: Tensor, wrt: Iterable[Tensor]) -> list[np.ndarray]:
-    """Gradients of a scalar loss w.r.t. the given tensors (zeros if unused)."""
+    """Gradients of a scalar loss w.r.t. the given tensors (zeros if unused).
+
+    Adjoints are only formed on paths from the loss to a requested tensor: a
+    VJP into a parent that reaches none of `wrt` (a constant input, or a
+    parameter nobody asked for) is never called. Every requested gradient
+    sums the same terms in the same order as a full sweep would.
+    """
     if loss.size != 1:
         raise ShapeError(f"backward: loss must be a 1-element tensor, got shape {loss.shape}")
+    wrt = list(wrt)
+    order = _topo_order(loss)
+    live = {id(t) for t in wrt}
+    for node in order:  # parents come before their children
+        if any(id(parent) in live for parent, _ in node.parents):
+            live.add(id(node))
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(_topo_order(loss)):
+    for node in reversed(order):
         g = grads.get(id(node))
         if g is None:
             continue
         for parent, vjp in node.parents:
+            if id(parent) not in live:
+                continue
             pg = vjp(g)
             acc = grads.get(id(parent))
             grads[id(parent)] = pg if acc is None else acc + pg
-    return [grads.get(id(t), np.zeros(t.shape)) for t in wrt]
+    return [np.zeros(t.shape) if (g := grads.get(id(t))) is None else g for t in wrt]
 
 
-def backward(loss: Tensor, store) -> dict[str, np.ndarray]:
-    """Gradient map name -> array for every parameter in `store`."""
-    names = store.names()
+def backward(loss: Tensor, store, names=None) -> dict[str, np.ndarray]:
+    """Gradient map name -> array for the named parameters of `store`, by
+    default all of them."""
+    names = store.names() if names is None else list(names)
     gs = gradients(loss, [store[n] for n in names])
     return dict(zip(names, gs))

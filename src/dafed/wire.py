@@ -44,7 +44,7 @@ def _encode_entries(entries: dict[str, np.ndarray]) -> bytes:
         for dim in arr.shape:
             chunks.append(struct.pack("<I", dim))
         little = arr if arr.dtype.byteorder in ("<", "=", "|") else arr.astype("<f8")
-        chunks.append(little.tobytes(order="C"))
+        chunks.append(little)  # joined through the buffer protocol, C order
     return b"".join(chunks)
 
 
@@ -145,9 +145,11 @@ def store_to_arrays(store: ParamStore) -> dict[str, np.ndarray]:
 
 
 def arrays_to_store(arrays: dict[str, np.ndarray]) -> ParamStore:
+    """A store over the given arrays, without copying them: decoded arrays
+    are already the message's own."""
     store = ParamStore()
     for name in sorted(arrays):
-        store.add(name, arrays[name].copy())
+        store.add(name, arrays[name])
     return store
 
 

@@ -1,4 +1,5 @@
-"""Shared test helpers: independent finite-difference oracles."""
+"""Shared test helpers: independent finite-difference oracles and IEEE edge
+inputs for byte-equality tests."""
 
 from __future__ import annotations
 
@@ -35,3 +36,13 @@ def max_rel_error(analytic, numeric):
         denom = np.maximum(1.0, np.abs(n))
         worst = max(worst, float(np.max(np.abs(a - n) / denom)))
     return worst
+
+
+TINY = np.nextafter(0.0, 1.0)  # smallest subnormal
+EDGE_VALUES = np.array([-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, TINY, -TINY,
+                        2.2e-308, -2.2e-308, 1.0, -1.0, 3.5, -7.25])
+
+
+def edge_array(shape, seed):
+    """Signed zeros, signed NaNs, infinities, subnormals and plain values."""
+    return np.random.default_rng(seed).choice(EDGE_VALUES, size=shape)

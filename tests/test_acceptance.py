@@ -5,6 +5,7 @@ The heavier criteria share one canonical synthetic task: one labeled central
 site and three unlabeled edge sites (40 subjects each, 32 ROIs, 50 rounds).
 """
 
+import hashlib
 import math
 import time
 
@@ -315,6 +316,13 @@ def test_dependence_pressure_decreases_over_training(world):
     first = np.mean([r["L_MI"] for r in metrics if r["round"] == 1])
     last = np.mean([r["L_MI"] for r in metrics if r["round"] >= 45])
     assert last < first
+
+
+def test_canonical_parameters_are_pinned(world):
+    # not a numbered criterion: the canonical 50-round model, bit for bit
+    theta = world["trained"](0).theta
+    digest = hashlib.sha256(b"".join(theta[n].data.tobytes() for n in theta.names()))
+    assert digest.hexdigest()[:16] == "2a98035042d6b1f7"
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from dafed import data
+from dafed import data, rng
 
 
 def pearson_pair(x, y):
@@ -293,6 +293,44 @@ def test_synth_graph_bytes_are_pinned():
     digests = tuple(hashlib.sha256(np.stack(arrays).tobytes()).hexdigest() for arrays in
                     ([g.adjacency for g in graphs], [g.features for g in graphs]))
     assert digests == (PINNED_ADJACENCY, PINNED_FEATURES)
+
+
+def _synth_series_oracle(cfg, seed):
+    """The generator with its AR(1) recursion run subject by subject."""
+    chol = {0: data._class_chol(cfg, 0), 1: data._class_chol(cfg, 1)}
+    out = []
+    for site in cfg.sites:
+        mixer = data._site_mixer(cfg, site, seed)
+        t_len = site.t or cfg.t
+        n0 = int(round(cfg.class_balance * site.subjects))
+        for j in range(site.subjects):
+            label = 0 if j < n0 else 1
+            subject_id = f"{site.site_id}_s{j:03d}"
+            z = rng.stream(seed, "subject", site.site_id, subject_id).standard_normal(
+                (cfg.burn_in + t_len, cfg.n_rois))
+            innov = z @ chol[label].T @ mixer.T
+            x = np.empty_like(innov)
+            x[0] = innov[0]
+            for step in range(1, innov.shape[0]):
+                x[step] = cfg.ar_coeff * x[step - 1] + innov[step]
+            out.append((subject_id, site.site_id, label if site.labeled else None, label,
+                        x[cfg.burn_in:]))
+    return out
+
+
+@pytest.mark.parametrize("cfg", [
+    _cfg(),
+    _cfg(sites=[data.SynthSite("a", 1, True, 0.0), data.SynthSite("b", 5, False, 0.7, t=41),
+                data.SynthSite("c", 3, True, 1.0, t=20)], ar_coeff=-0.9, class_balance=0.3),
+])
+def test_synth_series_matches_per_subject_oracle_bytes(cfg):
+    got = data.synth_series(cfg, seed=7)
+    want = _synth_series_oracle(cfg, seed=7)
+    assert len(got) == len(want)
+    for ts, (subject_id, site_id, label, truth, values) in zip(got, want):
+        assert (ts.subject_id, ts.site_id, ts.label, ts.truth) == (subject_id, site_id, label, truth)
+        assert ts.values.shape == values.shape
+        assert ts.values.tobytes() == values.tobytes()
 
 
 def test_synth_different_seeds_differ():

@@ -3,18 +3,24 @@ equivalence, determinism, and the privacy boundary."""
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dafed import fedsim, wire
+from conftest import edge_array
+from dafed import fedsim, rng, wire
+from dafed import tensor as tt
 from dafed.data import SynthConfig, SynthSite, synth_multisite
 from dafed.fedsim import (NoiseSpec, SiteState, TrainSettings, add_noise, aggregate,
                           build_states, contrastive_loss, dataset_accuracy,
-                          multi_site_round, run_training, select_batch,
+                          multi_site_round, run_training, select_batch, site_objective,
                           train_source_only, two_site_round, update_queue)
-from dafed.network import init_theta
-from dafed.optim import Adam, LrProfile, ParamStore
+from dafed.network import init_theta, param_groups
+from dafed.optim import Adam, LrProfile, ParamStore, is_running_stat
 from dafed.tensor import Tensor
 
 
@@ -59,6 +65,33 @@ def test_noise_is_seeded_per_site_round():
     c = add_noise(theta, NoiseSpec(alpha=0.05, key=("k",)), "s1", 4)
     assert np.array_equal(a["w"].data, b["w"].data)
     assert not np.array_equal(a["w"].data, c["w"].data)
+
+
+def _old_add_noise(theta, spec, *extra_key):
+    """Noise added out of place on a full copy, as `t.data + noise`."""
+    out = theta.copy()
+    for name, t in out.items():
+        sigma = float(t.data.std())
+        if is_running_stat(name) or sigma == 0.0:
+            continue
+        noise = rng.stream(*spec.key, *extra_key, name).normal(0.0, spec.alpha * sigma, t.shape)
+        t.data[...] = t.data + noise
+    return out
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf and NaN inputs
+@pytest.mark.parametrize("seed", range(4))
+def test_add_noise_is_bitwise(seed):
+    g = np.random.default_rng(seed)
+    theta = _store(a=edge_array((5, 6), seed), b=np.where(g.random(40) < 0.5, -0.0, 2.2e-308),
+                   c=edge_array((3,), seed + 1) * 0.0, d=g.standard_normal((4, 3)) * 1e-310,
+                   e=np.full(3, -0.0), **{"bn.running_var": g.standard_normal(3)})
+    before = {n: t.data.tobytes() for n, t in theta.items()}
+    spec = NoiseSpec(alpha=0.05, key=("edge", seed))
+    got, want = add_noise(theta, spec, "site", 1), _old_add_noise(theta, spec, "site", 1)
+    for name in theta.names():
+        assert got[name].data.tobytes() == want[name].data.tobytes(), name
+        assert theta[name].data.tobytes() == before[name]  # the input stays as it was
 
 
 def test_negative_alpha_rejected():
@@ -273,6 +306,71 @@ def test_aggregation_of_identical_uploads_is_noop_in_round():
         assert np.array_equal(new_one[name].data, new_two[name].data)
 
 
+def _full_sweep_gradients(loss, wrt):
+    """Reverse sweep that calls every VJP on the tape, constant inputs
+    included: the reference for the pruned sweep."""
+    grads = {id(loss): np.ones_like(loss.data)}
+    for node in reversed(tt._topo_order(loss)):
+        g = grads.get(id(node))
+        if g is None:
+            continue
+        for parent, vjp in node.parents:
+            pg = vjp(g)
+            acc = grads.get(id(parent))
+            grads[id(parent)] = pg if acc is None else acc + pg
+    return [grads.get(id(t), np.zeros(t.shape)) for t in wrt]
+
+
+def _count_leaf_vjps(root, calls):
+    """Wrap every VJP into a leaf on the tape under `root` so that each call
+    appends the leaf to `calls`; returns the leaves."""
+    def counted(leaf, vjp):
+        def call(g):
+            calls.append(leaf)
+            return vjp(g)
+        return call
+
+    leaves = []
+    for node in tt._topo_order(root):
+        leaves += [p for p, _ in node.parents if p.op == "leaf"]
+        node.parents = tuple((p, counted(p, vjp)) if p.op == "leaf" else (p, vjp)
+                             for p, vjp in node.parents)
+    return leaves
+
+
+@pytest.mark.parametrize("site", [0, 1])
+def test_backward_calls_no_vjp_into_constants_and_matches_full_sweep(site):
+    datasets = _tiny_datasets()
+    settings = _settings(rounds=2)
+    theta = init_theta(10, settings.seed)
+    source, targets = build_states(datasets, _roles(), theta)
+    theta, _ = multi_site_round(theta, source, targets, 0, 2, settings, NoiseSpec(alpha=0.0))
+    state = [source, targets[0]][site]
+    batch = select_batch(state, 1, settings)
+    for i, uid in enumerate(batch.uids):  # every sample has contrastive negatives
+        update_queue(state.queue, [uid], rng.stream("negatives", i).standard_normal((1, 128)), 3)
+    obj = site_objective(theta, batch, role=state.role, ramp=0.5, settings=settings,
+                         queue=state.queue, prev_global=state.prev_global,
+                         key=(0, "drop", state.site_id, 1))
+    main_names, mine_names = param_groups(theta)
+    want = dict(zip(main_names, _full_sweep_gradients(obj.total, [theta[n] for n in main_names])))
+    want.update(zip(mine_names, _full_sweep_gradients(obj.estimator_objective,
+                                                      [theta[n] for n in mine_names])))
+    main_calls, mine_calls = [], []
+    leaves = (_count_leaf_vjps(obj.total, main_calls)
+              + _count_leaf_vjps(obj.estimator_objective, mine_calls))
+    grads = fedsim._split_grads(theta, obj)
+
+    params = {id(theta[n]): n for n in theta.names()}
+    assert any(id(leaf) not in params for leaf in leaves)  # the tape holds constants
+    assert [leaf for leaf in main_calls + mine_calls if id(leaf) not in params] == []
+    assert {params[id(leaf)] for leaf in main_calls} <= set(main_names)
+    assert {params[id(leaf)] for leaf in mine_calls} == set(mine_names)
+    assert list(grads) == list(want)
+    for name in want:
+        assert grads[name].tobytes() == want[name].tobytes(), name
+
+
 def test_upload_bytes_never_contain_raw_sample_rows():
     datasets = _tiny_datasets()
     settings = _settings(rounds=2, alpha=0.01)
@@ -413,3 +511,17 @@ def test_training_trajectory_is_pinned():
     baseline = train_source_only(_settings(), datasets[0])
     assert (_params_digest(res.theta), _rows_digest(res.metrics),
             _params_digest(baseline)) == (PINNED_PARAMS, PINNED_ROWS, PINNED_SOURCE_ONLY)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_training_trajectory_is_pinned_for_blas_threads(threads):
+    # OpenBLAS reads its thread count once, at load, so each count needs its
+    # own process
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{__file__}::test_training_trajectory_is_pinned"],
+        cwd=Path(__file__).resolve().parent.parent, env=env,
+        capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert "1 passed" in proc.stdout

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import edge_array
 from dafed import tensor as tt
 from dafed.optim import (Adam, GradCheckResult, LrProfile, ParamStore,
                          adam_step, grad_check, is_running_stat, lr_at)
@@ -70,6 +71,43 @@ def test_adam_is_deterministic():
             adam_step(s, opt, {"w": g}, lr=0.05)
         results.append(s["w"].data.copy())
     assert np.array_equal(results[0], results[1])
+
+
+def _old_adam_step(params, m, v, grads, step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam with a fresh array per operation: (params, m, v) after `step`."""
+    c1 = 1.0 - beta1 ** step
+    c2 = 1.0 - beta2 ** step
+    out = {}
+    for name, p in params.items():
+        g = grads.get(name, np.zeros(p.shape))
+        m[name] = beta1 * m[name] + (1.0 - beta1) * g
+        v[name] = beta2 * v[name] + (1.0 - beta2) * (g * g)
+        out[name] = p - lr * (m[name] / c1) / (np.sqrt(v[name] / c2) + eps)
+    return out, m, v
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf and NaN inputs
+@pytest.mark.parametrize("seed", range(4))
+def test_adam_step_is_bitwise(seed):
+    shapes = {"a": (4, 5), "b": (7,), "c": (2, 3, 2), "d": (3,)}
+    params = {n: edge_array(shape, seed + i) for i, (n, shape) in enumerate(shapes.items())}
+    s = _store(**{n: p.copy() for n, p in params.items()})
+    opt = Adam(names=tuple(shapes))
+    m = {n: np.zeros(shape) for n, shape in shapes.items()}
+    v = {n: np.zeros(shape) for n, shape in shapes.items()}
+    for n in ("a", "b", "c"):  # edge moments, negative v included; d's start at zero
+        m[n], v[n] = edge_array(shapes[n], seed + 10), edge_array(shapes[n], seed + 20)
+        opt.m[n], opt.v[n] = m[n].copy(), v[n].copy()
+    for step in range(1, 4):
+        grads = {n: edge_array(params[n].shape, 100 * seed + 10 * step + i)
+                 for i, n in enumerate(params) if n != "b" or step != 2}  # b: no gradient
+        lr = (1e-3, 0.5, 2.2e-308)[step - 1]
+        adam_step(s, opt, grads, lr)
+        params, m, v = _old_adam_step(params, m, v, grads, step, lr)
+        for n in params:
+            assert s[n].data.tobytes() == params[n].tobytes(), (step, n)
+            assert opt.m[n].tobytes() == m[n].tobytes(), (step, n)
+            assert opt.v[n].tobytes() == v[n].tobytes(), (step, n)
 
 
 def test_running_stats_are_flagged():

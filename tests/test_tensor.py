@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dafed import tensor as tt
-from conftest import max_rel_error, numeric_grads
+from conftest import TINY, edge_array, max_rel_error, numeric_grads
 
 
 def _scalarize(build, tensors, seed=0):
@@ -277,15 +277,6 @@ def test_operator_sugar():
 # evaluation fast paths: the same bytes as the recorded path and the formulas
 # they replace, on the floating-point edge cases
 
-TINY = np.nextafter(0.0, 1.0)  # smallest subnormal
-EDGE_VALUES = np.array([-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, TINY, -TINY,
-                        2.2e-308, -2.2e-308, 1.0, -1.0, 3.5, -7.25])
-
-
-def _edge_array(shape, seed):
-    return np.random.default_rng(seed).choice(EDGE_VALUES, size=shape)
-
-
 def _eval_and_recorded(build, *arrays):
     with tt.no_grad():
         fast = build(*[tt.Tensor(a) for a in arrays])
@@ -311,7 +302,7 @@ def _old_bn_eval(x, gamma, beta, mean, var, eps=1e-5):
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf and NaN inputs
 @pytest.mark.parametrize("seed", range(4))
 def test_relu_fast_path_is_bitwise(seed):
-    x = _edge_array((6, 5, 7), seed)
+    x = edge_array((6, 5, 7), seed)
     # np.fmax returns -0.0 for (-0.0, 0.0) on some lanes and +0.0 on others
     for case in (x, np.full(9 + seed, -0.0)):
         fast, recorded = _eval_and_recorded(tt.relu, case)
@@ -326,7 +317,7 @@ def test_relu_fast_path_is_bitwise(seed):
 @pytest.mark.parametrize("seed", range(4))
 def test_amax_fast_path_is_bitwise(seed):
     # signed zeros tie: both paths must return the first maximal element
-    x = _edge_array((5, 9, 4), seed)
+    x = edge_array((5, 9, 4), seed)
     x[0, :, 0] = [-0.0, 0.0, -1.0, -0.0, 0.0, -np.inf, -TINY, 0.0, -0.0]
     x[1, :, 1] = [0.0, -0.0, -1.0, 0.0, -0.0, -np.inf, -TINY, -0.0, 0.0]
     for axis in range(3):
@@ -349,9 +340,9 @@ def test_amax_fast_path_is_bitwise(seed):
 @pytest.mark.parametrize("seed", range(4))
 def test_batch_norm_eval_fast_path_is_bitwise(seed):
     c = 7
-    x = _edge_array((4, 5, c), seed)
-    params = [_edge_array((c,), seed + 10 + i) for i in range(3)]
-    var = np.abs(_edge_array((c,), seed + 20))
+    x = edge_array((4, 5, c), seed)
+    params = [edge_array((c,), seed + 10 + i) for i in range(3)]
+    var = np.abs(edge_array((c,), seed + 20))
     var[0] = -0.5  # noise can push a running variance below zero
 
     def build(x, gamma, beta, mean):
@@ -359,7 +350,7 @@ def test_batch_norm_eval_fast_path_is_bitwise(seed):
 
     fast, recorded = _eval_and_recorded(build, x, *params)
     assert fast.tobytes() == recorded.tobytes() == _old_bn_eval(x, *params, var).tobytes()
-    assert x.tobytes() == _edge_array((4, 5, c), seed).tobytes()  # input untouched
+    assert x.tobytes() == edge_array((4, 5, c), seed).tobytes()  # input untouched
 
     rng = np.random.default_rng(seed)
     x, gamma, beta, mean = (rng.standard_normal(s) for s in ((4, 5, c), c, c, c))
@@ -372,3 +363,42 @@ def test_batch_norm_eval_fast_path_is_bitwise(seed):
     expected = [g * gamma * inv_std, (g * xhat).sum(axis=(0, 1)), g.sum(axis=(0, 1))]
     for got, want in zip(grads, expected):
         assert got.tobytes() == want.tobytes()
+
+
+def _old_bn_train(x, gamma, beta, rmean, rvar, eps=1e-5, momentum=0.9):
+    """Train-mode batch norm as np.mean plus np.var: output, updated running
+    statistics, and the VJPs into x, gamma and beta."""
+    axes = tuple(range(x.ndim - 1))
+    mu = x.mean(axis=axes)
+    var = x.var(axis=axes)
+    rmean = momentum * rmean + (1.0 - momentum) * mu
+    rvar = momentum * rvar + (1.0 - momentum) * var
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv_std
+
+    def vjps(g):
+        gm = g.mean(axis=axes)
+        gxm = (g * xhat).mean(axis=axes)
+        return [(gamma * inv_std) * (g - gm - xhat * gxm), (g * xhat).sum(axis=axes), g.sum(axis=axes)]
+
+    return gamma * xhat + beta, rmean, rvar, vjps
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf and NaN inputs
+@pytest.mark.parametrize("shape", [(4, 5, 7), (9, 7), (3, 2, 4, 7), (72, 32, 7)])
+@pytest.mark.parametrize("seed", range(3))
+def test_batch_norm_train_is_bitwise(shape, seed):
+    c = shape[-1]
+    rng = np.random.default_rng(seed)
+    cases = [[edge_array(s, seed + i) for i, s in enumerate((shape, c, c, c, c, shape))],
+             [rng.standard_normal(s) for s in (shape, c, c, c, c, shape)]]
+    cases[1][4] = np.abs(cases[1][4])
+    for x, gamma, beta, rmean, rvar, g in cases:
+        rm, rv = tt.Tensor(rmean.copy()), tt.Tensor(rvar.copy())
+        out = tt.batch_norm(tt.Tensor(x), tt.Tensor(gamma), tt.Tensor(beta), rm, rv, train=True)
+        want, want_rm, want_rv, vjps = _old_bn_train(x, gamma, beta, rmean, rvar)
+        assert out.data.tobytes() == want.tobytes()
+        assert rm.data.tobytes() == want_rm.tobytes()
+        assert rv.data.tobytes() == want_rv.tobytes()
+        for (_, vjp), expected in zip(out.parents, vjps(g)):
+            assert vjp(g).tobytes() == expected.tobytes()
