@@ -59,7 +59,7 @@ def _load_fitting_checkpoint(path, datasets) -> ParamStore:
     """The checkpoint's parameters, refused unless their names and shapes are
     those of the model for the loaded data."""
     theta, _, _, _ = wire.load_checkpoint(path)
-    want = network.init_theta(datasets[0].samples[0].n_rois, 0)
+    want = network.init_theta(datasets[0].n_rois, 0)
     for name in want.names():
         if name not in theta:
             raise ConfigError(f"{path}: no tensor {name}, which the configured data needs")
@@ -136,12 +136,10 @@ def cmd_train(args) -> int:
         fh.write(",".join(METRICS_HEADER) + "\n")
         for row in result.metrics:
             fh.write(",".join(_fmt(row[col]) for col in METRICS_HEADER) + "\n")
-    n_samples = {ds.site_id: len(ds.samples) for ds in datasets}
-    per_subject = {ds.site_id: len(ds.subject_index) for ds in datasets}
-    for site_id in n_samples:
-        windows = n_samples[site_id] // max(1, per_subject[site_id])
-        print(f"site {site_id}: {n_samples[site_id]} windows "
-              f"({per_subject[site_id]} subjects, {windows} windows/subject)")
+    for ds in datasets:
+        subjects = len(ds.subject_index)
+        print(f"site {ds.site_id}: {len(ds)} windows "
+              f"({subjects} subjects, {len(ds) // max(1, subjects)} windows/subject)")
     print(f"trained {settings.rounds} rounds; metrics at {out / 'metrics.csv'}")
     return 0
 
@@ -150,20 +148,15 @@ def cmd_train(args) -> int:
 # eval
 
 
-def _subject_label(dataset, subject_id) -> int:
-    truth = dataset.samples[dataset.subject_index[subject_id][0]].truth
-    if truth is None:
-        raise ConfigError(f"site {dataset.site_id}: no labels available for evaluation")
-    return truth
-
-
 def subject_folds(dataset, n_folds: int) -> list[list[int]]:
     """Subject-stratified fold assignment: subjects of each class are sorted
     and dealt round-robin, so every subject lands in exactly one fold and
     windows never split across folds."""
+    if dataset.truth is None:
+        raise ConfigError(f"site {dataset.site_id}: no labels available for evaluation")
     by_class: dict[int, list[str]] = {}
-    for subject_id in sorted(dataset.subject_index):
-        by_class.setdefault(_subject_label(dataset, subject_id), []).append(subject_id)
+    for subject_id, rows in sorted(dataset.subject_index.items()):
+        by_class.setdefault(int(dataset.truth[rows[0]]), []).append(subject_id)
     for label, members in sorted(by_class.items()):
         if len(members) < n_folds:
             raise ConfigError(f"site {dataset.site_id}: class {label} has "
@@ -195,12 +188,12 @@ def cmd_eval(args) -> int:
             lines.append(f"{ds.site_id},{fold_idx},{len(indices)},{_fmt(acc)}")
         mean = float(np.mean(accs))
         std = float(np.std(accs))
-        lines.append(f"{ds.site_id},mean,{len(ds.samples)},{_fmt(mean)}")
-        lines.append(f"{ds.site_id},std,{len(ds.samples)},{_fmt(std)}")
+        lines.append(f"{ds.site_id},mean,{len(ds)},{_fmt(mean)}")
+        lines.append(f"{ds.site_id},std,{len(ds)},{_fmt(std)}")
         summary.append((ds.site_id, mean, std))
         if cfg.subject_vote:
-            hits = [np.bincount(preds[indices], minlength=2).argmax() == _subject_label(ds, sid)
-                    for sid, indices in sorted(ds.subject_index.items())]
+            hits = [np.bincount(preds[indices], minlength=2).argmax() == truth[indices[0]]
+                    for _, indices in sorted(ds.subject_index.items())]
             vote = sum(hits) / len(hits)
             print(f"site {ds.site_id}: subject majority-vote accuracy {vote:.4f}")
     report = "\n".join(lines)
@@ -260,11 +253,10 @@ def cmd_explain(args) -> int:
 
 def build_gradcheck_toy(seed: int = 0):
     """A 2-site, 8-sample, 6-ROI instance exercising all four loss terms."""
-    cfg = SynthConfig(sites=[SynthSite("a", 1, True, 0.0), SynthSite("b", 1, False, 0.3)],
+    cfg = SynthConfig(sites=[SynthSite("a", 1, True, 0.0), SynthSite("b", 1, True, 0.3)],
                       n_rois=6, t=27, class_sep=0.6, window=20, top_k=2)
-    datasets = synth_multisite(cfg, seed=seed)
-    graphs = datasets[0].samples[:4] + datasets[1].samples[:4]
-    batch = network.make_batch(graphs, 0, labels=np.array([g.truth for g in graphs]))
+    both = data_mod.series_to_graphs(synth_series(cfg, seed), cfg.window, cfg.stride, cfg.top_k)
+    batch = network.make_batch(both, np.r_[0:4, 8:12], 0)  # 4 of each site's 8 windows
     batch.domains = np.array([0, 0, 0, 0, 1, 1, 1, 1])
     theta = network.init_theta(6, seed)
     prev = network.init_theta(6, seed + 1)

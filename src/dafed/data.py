@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from . import rng
+from .stfg import normalize_adjacency
 
 logger = logging.getLogger(__name__)
 
@@ -33,47 +35,56 @@ class TimeSeries:
 
 @dataclass
 class FCGraph:
-    """One windowed connectivity sample.
+    """One windowed connectivity sample, a view of one row of its site's
+    stacks: `features` is the full symmetric z-matrix whose rows are the
+    per-ROI feature vectors, `propagation` the normalized top-k graph."""
 
-    `adjacency` keeps the top-k absolute z-scores per row (zero diagonal,
-    symmetrized by max); `features` is the full symmetric z-matrix whose rows
-    are the per-ROI feature vectors.
-    """
-
-    adjacency: np.ndarray
     features: np.ndarray
-    label: int | None
-    site_id: str
+    propagation: np.ndarray
     subject_id: str
     window: int
-    truth: int | None = None  # evaluation-only class, see TimeSeries.truth
-    _norm: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def n_rois(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def uid(self) -> str:
-        return f"{self.subject_id}:{self.window}"
 
 
 @dataclass
 class SiteDataset:
-    site_id: str
-    samples: list[FCGraph]
-    labeled: bool
-    subject_index: dict[str, list[int]] = field(default_factory=dict)
+    """One site's windows as contiguous stacks; row i of every array is
+    window i. `labels` and `truth` are None where the site has none."""
 
-    def __post_init__(self):
-        if not self.subject_index:
-            for i, g in enumerate(self.samples):
-                self.subject_index.setdefault(g.subject_id, []).append(i)
-        for g in self.samples:
-            if self.labeled and g.label is None:
-                raise ValueError(f"site {self.site_id}: labeled dataset has unlabeled sample {g.uid}")
-            if not self.labeled and g.label is not None:
-                raise ValueError(f"site {self.site_id}: unlabeled dataset has labeled sample {g.uid}")
+    site_id: str
+    features: np.ndarray  # (n, R, R) Fisher z-matrices
+    propagation: np.ndarray  # (n, R, R) D^-1/2 (A + I) D^-1/2 of the top-k graphs
+    subject: np.ndarray  # (n,) subject ids
+    window: np.ndarray  # (n,) window index within the subject's series
+    uid: np.ndarray  # (n,) "subject:window" keys of the per-window dropout streams
+    labels: np.ndarray | None  # (n,) training labels, None at an unlabeled site
+    truth: np.ndarray | None  # (n,) known classes, see TimeSeries.truth
+
+    def __len__(self) -> int:
+        return self.features.shape[0]
+
+    @property
+    def n_rois(self) -> int:
+        return self.features.shape[-1]
+
+    @property
+    def labeled(self) -> bool:
+        return self.labels is not None
+
+    @cached_property
+    def subject_index(self) -> dict[str, list[int]]:
+        """Each subject's window rows, in row order."""
+        index: dict[str, list[int]] = {}
+        for i, subject_id in enumerate(self.subject.tolist()):
+            index.setdefault(subject_id, []).append(i)
+        return index
+
+    @cached_property
+    def samples(self) -> list[FCGraph]:
+        """Per-window views of the stacks, built on first use: only
+        attribution reads windows one at a time."""
+        return [FCGraph(features=self.features[i], propagation=self.propagation[i],
+                        subject_id=str(self.subject[i]), window=int(self.window[i]))
+                for i in range(len(self))]
 
 
 class ZeroVarianceError(ValueError):
@@ -140,28 +151,40 @@ def top_k_adjacency(fc: np.ndarray, k: int) -> np.ndarray:
     return np.maximum(adj, np.swapaxes(adj, -1, -2))
 
 
-def series_to_graphs(ts: TimeSeries, window: int, stride: int, k: int) -> list[FCGraph]:
-    """Window a series into graphs, all windows as one stack, skipping (and
-    logging) windows where an ROI is flat; kept windows keep their index."""
-    n = len(sliding_windows(ts.values.shape[0], window, stride))
-    windows = np.lib.stride_tricks.sliding_window_view(ts.values, window, axis=0)[::stride]
-    windows = np.ascontiguousarray(np.swapaxes(windows, -1, -2))  # (n, w, R)
-    kept = np.arange(n)
-    try:
-        corr = pearson_matrix(windows)
-    except ZeroVarianceError as zv:
-        flat = zv.flat.any(axis=-1)
-        for w_idx in np.flatnonzero(flat):
-            logger.warning("skipping window: subject=%s window=%d roi=%d has zero variance",
-                           ts.subject_id, w_idx, np.argmax(zv.flat[w_idx]))
-        kept = np.flatnonzero(~flat)
-        corr = pearson_matrix(windows[kept])
-    features = fisher_z(corr)
-    adjacency = top_k_adjacency(features, k)
-    return [FCGraph(adjacency=adjacency[i], features=features[i], label=ts.label,
-                    site_id=ts.site_id, subject_id=ts.subject_id, window=int(w_idx),
-                    truth=ts.truth)
-            for i, w_idx in enumerate(kept)]
+def series_to_graphs(series: list[TimeSeries], window: int, stride: int, k: int) -> SiteDataset:
+    """One site's graphs, written series by series into its stacks: all
+    windows of a series form one stack, windows where an ROI is flat are
+    skipped (and logged), and kept windows keep their index. Each graph's
+    propagation matrix is computed here, once."""
+    n = sum(len(sliding_windows(ts.values.shape[0], window, stride)) for ts in series)
+    r = series[0].values.shape[1]
+    features, propagation = np.empty((n, r, r)), np.empty((n, r, r))
+    kept_per_series, rows = [], 0
+    for ts in series:
+        windows = np.lib.stride_tricks.sliding_window_view(ts.values, window, axis=0)[::stride]
+        windows = np.ascontiguousarray(np.swapaxes(windows, -1, -2))  # (n, w, R)
+        kept = np.arange(len(windows))
+        try:
+            corr = pearson_matrix(windows)
+        except ZeroVarianceError as zv:
+            flat = zv.flat.any(axis=-1)
+            for w_idx in np.flatnonzero(flat):
+                logger.warning("skipping window: subject=%s window=%d roi=%d has zero variance",
+                               ts.subject_id, w_idx, np.argmax(zv.flat[w_idx]))
+            kept = np.flatnonzero(~flat)
+            corr = pearson_matrix(windows[kept])
+        end = rows + len(kept)
+        features[rows:end] = fisher_z(corr)
+        propagation[rows:end] = normalize_adjacency(top_k_adjacency(features[rows:end], k))
+        kept_per_series.append(kept)
+        rows = end
+    sizes = [len(kept) for kept in kept_per_series]
+    subject, index = np.repeat([ts.subject_id for ts in series], sizes), np.concatenate(kept_per_series)
+    return SiteDataset(site_id=series[0].site_id, features=features[:rows],
+                       propagation=propagation[:rows], subject=subject, window=index,
+                       uid=np.array([f"{s}:{w}" for s, w in zip(subject.tolist(), index.tolist())], dtype=str),
+                       labels=None if series[0].label is None else np.repeat([ts.label for ts in series], sizes),
+                       truth=None if series[0].truth is None else np.repeat([ts.truth for ts in series], sizes))
 
 
 # ---------------------------------------------------------------------------
@@ -290,18 +313,13 @@ def synth_series(cfg: SynthConfig, seed: int) -> list[TimeSeries]:
 
 
 def synth_multisite(cfg: SynthConfig, seed: int) -> list[SiteDataset]:
-    """Windowed graph datasets per site. Unlabeled sites carry no `label`;
-    every sample keeps the generator's class in `truth`, which only the
+    """Windowed graph datasets per site. Unlabeled sites carry no `labels`;
+    every site keeps the generator's class in `truth`, which only the
     accuracy metrics read, never training."""
     series = synth_series(cfg, seed)
-    datasets = []
-    for site in cfg.sites:
-        samples = []
-        for ts in series:
-            if ts.site_id == site.site_id:
-                samples.extend(series_to_graphs(ts, cfg.window, cfg.stride, cfg.top_k))
-        datasets.append(SiteDataset(site_id=site.site_id, samples=samples, labeled=site.labeled))
-    return datasets
+    return [series_to_graphs([ts for ts in series if ts.site_id == site.site_id],
+                             cfg.window, cfg.stride, cfg.top_k)
+            for site in cfg.sites]
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +383,8 @@ def ingest_csv(manifest_path, window: int, stride: int, k: int) -> list[SiteData
     """Datasets grouped by site; pipeline identical to the synthetic path.
 
     A window longer than a series or a `k` at or above its ROI count is a
-    configuration error naming the config key and the series file.
+    configuration error naming the config key and the series file; a site
+    left with no window that is free of flat ROIs is an IngestError.
     """
     from .config import ConfigError  # config imports this module
 
@@ -386,9 +405,8 @@ def ingest_csv(manifest_path, window: int, stride: int, k: int) -> list[SiteData
         labeled_flags = {ts.label is not None for ts in group}
         if len(labeled_flags) > 1:
             raise IngestError(f"site {site_id}: mixes labeled and unlabeled subjects")
-        samples = []
-        for ts in group:
-            samples.extend(series_to_graphs(ts, window, stride, k))
-        datasets.append(SiteDataset(site_id=site_id, samples=samples,
-                                    labeled=labeled_flags.pop()))
+        dataset = series_to_graphs(group, window, stride, k)
+        if not len(dataset):
+            raise IngestError(f"site {site_id}: no usable window, every window has a flat ROI")
+        datasets.append(dataset)
     return datasets

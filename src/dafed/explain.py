@@ -57,13 +57,15 @@ def score_cam(theta: ParamStore, graph: FCGraph, target_class: int, *,
 
     masks = [_minmax_rows(h.T) for h in eval_hidden(theta, graph, use_graph=use_graph)]
     stacked = np.concatenate(masks)  # (channels of every layer, N)
-    baseline = eval_class_probs(theta, [graph], np.zeros((1, graph.n_rois)),
+    x, adj = graph.features[None], graph.propagation[None]
+    baseline = eval_class_probs(theta, x, adj, np.zeros(x.shape[:2]),
                                 use_graph=use_graph)[0, target_class]
     # a constant channel's mask is all zero, so its input is the baseline's
     live = np.flatnonzero(stacked.any(axis=1))
     scores = np.full(stacked.shape[0], baseline)
-    scores[live] = eval_class_probs(theta, [graph] * live.size, stacked[live],
-                                    use_graph=use_graph)[:, target_class]
+    repeat = (live.size,) + x.shape[1:]
+    scores[live] = eval_class_probs(theta, np.broadcast_to(x, repeat), np.broadcast_to(adj, repeat),
+                                    stacked[live], use_graph=use_graph)[:, target_class]
     maps = []
     start = 0
     for layer, layer_masks in enumerate(masks, start=1):
@@ -193,9 +195,11 @@ def saliency_masked_scores(theta: ParamStore, graphs: list[FCGraph], *masks: np.
     In each mask set, row i is a per-ROI weight vector for graph i; it is
     min-max normalized and applied to the node-feature rows.
     """
-    clean = eval_class_probs(theta, graphs, use_graph=use_graph)
+    x = np.stack([g.features for g in graphs])
+    adj = np.stack([g.propagation for g in graphs])
+    clean = eval_class_probs(theta, x, adj, use_graph=use_graph)
     picked = (np.arange(len(graphs)), np.argmax(clean, axis=1))
-    masked = [eval_class_probs(theta, graphs, _minmax_rows(np.asarray(m, dtype=np.float64)),
+    masked = [eval_class_probs(theta, x, adj, _minmax_rows(np.asarray(m, dtype=np.float64)),
                                use_graph=use_graph)[picked] for m in masks]
     return (clean[picked], *masked)
 
@@ -237,15 +241,13 @@ def explain_cohort(theta: ParamStore, datasets: list[SiteDataset], layer: int,
         raise ValueError(f"layer must be in 1..{N_LAYERS}, got {layer}")
     from scipy import special  # noqa: F401  load it before the first forward, as set-up
 
-    subjects, groups = [], []  # per subject: (dataset, sample indices), class
     for ds in datasets:
-        for subject_id in sorted(ds.subject_index):
-            indices = ds.subject_index[subject_id][:windows]
-            truth = ds.samples[indices[0]].truth
-            if truth is None:
-                raise ConfigError(f"site {ds.site_id}: no labels available for explanation")
-            subjects.append((ds, indices))
-            groups.append(truth)
+        if ds.truth is None:
+            raise ConfigError(f"site {ds.site_id}: no labels available for explanation")
+    # per subject: (dataset, indices of its first windows), class
+    subjects = [(ds, indices[:windows]) for ds in datasets
+                for _, indices in sorted(ds.subject_index.items())]
+    groups = np.array([ds.truth[indices[0]] for ds, indices in subjects])
 
     subject_scores = []  # per subject, (N_LAYERS, R)
     focus_masks, focus_graphs = [], []
@@ -260,9 +262,8 @@ def explain_cohort(theta: ParamStore, datasets: list[SiteDataset], layer: int,
     subject_scores = np.stack(subject_scores)
 
     focus = subject_scores[:, layer - 1]
-    fc = np.stack([np.mean([ds.samples[i].features for i in indices], axis=0)
-                   for ds, indices in subjects])
-    edges = significant_edges(focus, fc, np.array(groups))
+    fc = np.stack([ds.features[indices].mean(axis=0) for ds, indices in subjects])
+    edges = significant_edges(focus, fc, groups)
 
     masks = np.stack(focus_masks)
     control = permuted_masks(masks, seed, "explain")

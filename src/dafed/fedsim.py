@@ -198,7 +198,7 @@ def build_states(datasets: list[SiteDataset], roles: dict[str, str],
     targets = []
     for ds in datasets:
         role = roles[ds.site_id]
-        if len(ds.samples) < 2:
+        if len(ds) < 2:
             raise ValueError(f"site {ds.site_id}: needs at least 2 samples")
         if role not in ROLES:
             raise ValueError(f"site {ds.site_id}: unknown role {role!r}")
@@ -218,14 +218,13 @@ def build_states(datasets: list[SiteDataset], roles: dict[str, str],
 
 
 def select_batch(state: SiteState, round_idx: int, settings: TrainSettings) -> Batch:
-    """Deterministic per-(site, round) minibatch: size max(2, n // 16)."""
-    samples = state.dataset.samples
-    n = len(samples)
+    """Deterministic per-(site, round) minibatch of max(2, n // batch_denom)
+    windows, or all n when fewer."""
+    n = len(state.dataset)
     size = min(n, max(2, n // settings.batch_denom))
     idx = rng.stream(settings.seed, "batch", state.site_id, round_idx).choice(n, size, replace=False)
-    graphs = [samples[i] for i in idx]
     domain = 0 if state.role == ROLE_SOURCE else 1
-    return make_batch(graphs, domain, use_graph=settings.use_stfg)
+    return make_batch(state.dataset, idx, domain, use_graph=settings.use_stfg)
 
 
 @dataclass
@@ -423,8 +422,7 @@ def run_training(settings: TrainSettings, datasets: list[SiteDataset],
                  roles: dict[str, str], on_round=None) -> TrainResult:
     """Full multi-site run from a fresh model; `on_round(round, theta, states)`
     fires after every aggregation."""
-    n_rois = datasets[0].samples[0].n_rois
-    theta = init_theta(n_rois, settings.seed)
+    theta = init_theta(datasets[0].n_rois, settings.seed)
     source, targets = build_states(datasets, roles, theta)
     noise = NoiseSpec(alpha=settings.alpha, key=(settings.seed, "noise"))
     metrics = []
@@ -440,8 +438,7 @@ def run_training(settings: TrainSettings, datasets: list[SiteDataset],
 def train_source_only(settings: TrainSettings, dataset: SiteDataset) -> ParamStore:
     """No-federation baseline: the same architecture trained with the
     classification loss alone on the source data, same budget and schedule."""
-    n_rois = dataset.samples[0].n_rois
-    theta = init_theta(n_rois, settings.seed)
+    theta = init_theta(dataset.n_rois, settings.seed)
     local = TrainSettings(seed=settings.seed, rounds=settings.rounds,
                           lr=settings.lr, batch_denom=settings.batch_denom,
                           use_stfg=settings.use_stfg, use_rd=False,
@@ -455,13 +452,12 @@ def train_source_only(settings: TrainSettings, dataset: SiteDataset) -> ParamSto
 
 
 def dataset_predictions(theta: ParamStore, dataset: SiteDataset, *, use_graph: bool = True):
-    """(predicted classes, true classes) of every sample in evaluation mode;
-    the true classes are the samples' `truth`."""
-    labels = [g.truth for g in dataset.samples]
-    if None in labels:
+    """(predicted classes, true classes) of every window in evaluation mode;
+    the true classes are the site's `truth`."""
+    if dataset.truth is None:
         raise ValueError(f"site {dataset.site_id}: no labels available for accuracy")
-    probs = eval_class_probs(theta, dataset.samples, use_graph=use_graph)
-    return np.argmax(probs, axis=1), np.asarray(labels)
+    probs = eval_class_probs(theta, dataset.features, dataset.propagation, use_graph=use_graph)
+    return np.argmax(probs, axis=1), dataset.truth
 
 
 def dataset_accuracy(theta: ParamStore, dataset: SiteDataset, *, use_graph: bool = True) -> float:

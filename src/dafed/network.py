@@ -9,11 +9,11 @@ import numpy as np
 
 from . import rng
 from . import tensor as tt
-from .data import FCGraph
+from .data import FCGraph, SiteDataset
 from .disentangle import disentangle_forward
 from .fusion import classifier_probs, fuse
 from .optim import ParamStore, is_running_stat
-from .stfg import GCN_WIDTHS, EMBED_DIM, normalize_adjacency, stfg_forward
+from .stfg import GCN_WIDTHS, EMBED_DIM, stfg_forward
 from .tensor import Tensor
 
 DROP_DIS = 0.2
@@ -76,11 +76,12 @@ def param_groups(theta: ParamStore) -> tuple[tuple[str, ...], tuple[str, ...]]:
 
 @dataclass
 class Batch:
+    """Model inputs; an evaluation forward reads only `x` and `adj_norm`."""
     x: np.ndarray  # (B, N, R) node features
     adj_norm: np.ndarray  # (B, N, N) normalized propagation matrices
-    labels: np.ndarray | None  # (B,) training labels, None at an unlabeled site
-    domains: np.ndarray  # (B,) 0 = source, 1 = target
-    uids: list[str]
+    labels: np.ndarray | None = None  # (B,) training labels, None at an unlabeled site
+    domains: np.ndarray | None = None  # (B,) 0 = source, 1 = target
+    uids: list[str] | None = None  # per-window dropout keys
     truth: np.ndarray | None = None  # (B,) known classes, for metrics only
 
     @property
@@ -88,30 +89,22 @@ class Batch:
         return self.x.shape[0]
 
 
-def make_batch(graphs: list[FCGraph], domain: int, *, use_graph: bool = True,
-               labels: np.ndarray | None = None) -> Batch:
-    """Stack graphs into batched arrays; propagation matrices are cached on
-    the graphs. With `use_graph` off, propagation degenerates to identity
-    (no neighbor aggregation)."""
-    n = graphs[0].n_rois
-    x = np.stack([g.features for g in graphs])
+def _propagation(stack: np.ndarray, use_graph: bool) -> np.ndarray:
+    """`stack`, or identity matrices (no neighbor aggregation) with `use_graph` off."""
     if use_graph:
-        mats = []
-        for g in graphs:
-            if g._norm is None:
-                g._norm = normalize_adjacency(g.adjacency)
-            mats.append(g._norm)
-        adj = np.stack(mats)
-    else:
-        adj = np.broadcast_to(np.eye(n), (len(graphs), n, n)).copy()
-    if labels is None and all(g.label is not None for g in graphs):
-        labels = np.array([g.label for g in graphs], dtype=np.int64)
-    truth = None
-    if all(g.truth is not None for g in graphs):
-        truth = np.array([g.truth for g in graphs], dtype=np.int64)
-    domains = np.full(len(graphs), domain, dtype=np.int64)
-    return Batch(x=x, adj_norm=adj, labels=labels, domains=domains,
-                 uids=[g.uid for g in graphs], truth=truth)
+        return stack
+    return np.broadcast_to(np.eye(stack.shape[-1]), stack.shape).copy()
+
+
+def make_batch(dataset: SiteDataset, idx, domain: int, *, use_graph: bool = True) -> Batch:
+    """The windows `idx` of a site (an index array, or a slice for views) as
+    one batch of rows of its stacks."""
+    x = dataset.features[idx]
+    return Batch(x=x, adj_norm=_propagation(dataset.propagation[idx], use_graph),
+                 labels=None if dataset.labels is None else dataset.labels[idx],
+                 domains=np.full(len(x), domain, dtype=np.int64),
+                 uids=dataset.uid[idx].tolist(),
+                 truth=None if dataset.truth is None else dataset.truth[idx])
 
 
 def _stfg_masks(batch: Batch, train: bool, key: tuple) -> list:
@@ -160,20 +153,19 @@ def model_forward(theta: ParamStore, batch: Batch, *, train: bool,
     return ForwardResult(z=z, f_di=f_di, f_ds=f_ds, fused=fused, class_probs=probs)
 
 
-EVAL_CHUNK = 64  # graphs per evaluation forward, which bounds its memory
+EVAL_CHUNK = 64  # windows per evaluation forward, which bounds its memory
 
 
-def eval_class_probs(theta: ParamStore, graphs: list[FCGraph],
+def eval_class_probs(theta: ParamStore, features: np.ndarray, propagation: np.ndarray,
                      weights: np.ndarray | None = None, *, use_graph: bool = True) -> np.ndarray:
-    """Evaluation-mode class probabilities of graphs, (len(graphs), 2), run
-    EVAL_CHUNK graphs at a time. With `weights`, graph i's node-feature rows
+    """Evaluation-mode class probabilities of n stacked windows, (n, 2), run
+    EVAL_CHUNK windows at a time. With `weights`, window i's node-feature rows
     are scaled by `weights[i]`. No tape, no statistics updates."""
-    probs = np.empty((len(graphs), 2))
-    for start in range(0, len(graphs), EVAL_CHUNK):
+    probs = np.empty((len(features), 2))
+    for start in range(0, len(features), EVAL_CHUNK):
         rows = slice(start, start + EVAL_CHUNK)
-        batch = make_batch(graphs[rows], 1, use_graph=use_graph)
-        if weights is not None:
-            batch.x = batch.x * weights[rows, :, None]
+        x = features[rows] if weights is None else features[rows] * weights[rows, :, None]
+        batch = Batch(x=x, adj_norm=_propagation(propagation[rows], use_graph))
         with tt.no_grad():
             probs[rows] = model_forward(theta, batch, train=False).class_probs.data
     return probs
@@ -181,8 +173,8 @@ def eval_class_probs(theta: ParamStore, graphs: list[FCGraph],
 
 def eval_hidden(theta: ParamStore, graph: FCGraph, *, use_graph: bool = True) -> list[np.ndarray]:
     """Per-layer (N, C) node activations of one graph in evaluation mode."""
-    batch = make_batch([graph], 1, use_graph=use_graph)
+    adj = _propagation(graph.propagation[None], use_graph)
     with tt.no_grad():
-        _, hidden = stfg_forward(theta, Tensor(batch.x), Tensor(batch.adj_norm),
+        _, hidden = stfg_forward(theta, Tensor(graph.features[None]), Tensor(adj),
                                  train=False, want_hidden=True)
     return [h.data[0] for h in hidden]

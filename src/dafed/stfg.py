@@ -14,21 +14,21 @@ EMBED_DIM = 2 * sum(GCN_WIDTHS)  # mean and max pooled, all layers concatenated
 
 
 def normalize_adjacency(adj: np.ndarray) -> np.ndarray:
-    """Symmetric propagation matrix D^-1/2 (A + I) D^-1/2.
+    """Symmetric propagation matrices D^-1/2 (A + I) D^-1/2 of a (..., R, R) stack.
 
     Self-loops guarantee positive degrees, so the inverse square root always
-    exists. Rejects non-symmetric input.
+    exists. Rejects a stack that holds any non-symmetric or negative matrix.
     """
     adj = np.asarray(adj, dtype=np.float64)
-    if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
+    if adj.ndim < 2 or adj.shape[-2] != adj.shape[-1]:
         raise ValueError(f"adjacency must be square, got shape {adj.shape}")
-    if not np.array_equal(adj, adj.T):
+    if not np.array_equal(adj, np.swapaxes(adj, -1, -2)):
         raise ValueError("adjacency must be symmetric")
-    if adj.min() < 0:
+    if (adj < 0).any():
         raise ValueError("adjacency must be nonnegative")
-    a_tilde = adj + np.eye(adj.shape[0])
-    inv_sqrt = 1.0 / np.sqrt(a_tilde.sum(axis=1))
-    return a_tilde * np.outer(inv_sqrt, inv_sqrt)
+    a_tilde = adj + np.eye(adj.shape[-1])
+    inv_sqrt = 1.0 / np.sqrt(a_tilde.sum(axis=-1))
+    return a_tilde * (inv_sqrt[..., :, None] * inv_sqrt[..., None, :])
 
 
 def gcn_propagate(h: Tensor, adj_norm: Tensor, w: Tensor) -> Tensor:
@@ -63,8 +63,7 @@ def jk_concat(pools: list[Tensor]) -> Tensor:
 
 
 def stfg_forward(theta, x: Tensor, adj_norm: Tensor, *, train: bool,
-                 drop_masks: list | None = None, want_hidden: bool = False,
-                 prefix: str = "stfg"):
+                 drop_masks: list | None = None, want_hidden: bool = False):
     """Embed a batch of graphs: x (B, N, R), adj_norm (B, N, N) -> (B, 480).
 
     `drop_masks` supplies one keep mask per layer (None entries allowed).
@@ -75,7 +74,7 @@ def stfg_forward(theta, x: Tensor, adj_norm: Tensor, *, train: bool,
     pools = []
     hidden = []
     for i, width in enumerate(GCN_WIDTHS, start=1):
-        p = f"{prefix}.l{i}"
+        p = f"stfg.l{i}"
         mask = drop_masks[i - 1] if drop_masks else None
         h = gcn_layer(h, adj_norm, theta[f"{p}.w"], theta[f"{p}.bn.gamma"],
                       theta[f"{p}.bn.beta"], theta[f"{p}.bn.running_mean"],

@@ -1,5 +1,5 @@
-"""Shared test helpers: independent finite-difference oracles and IEEE edge
-inputs for byte-equality tests."""
+"""Shared test helpers: independent finite-difference oracles, IEEE edge
+inputs for byte-equality tests, and the per-matrix propagation formula."""
 
 from __future__ import annotations
 
@@ -46,3 +46,12 @@ EDGE_VALUES = np.array([-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, TINY, -TINY
 def edge_array(shape, seed):
     """Signed zeros, signed NaNs, infinities, subnormals and plain values."""
     return np.random.default_rng(seed).choice(EDGE_VALUES, size=shape)
+
+
+def normalize_adjacency_oracle(adj):
+    """D^-1/2 (A + I) D^-1/2 of one matrix, as it was computed per window
+    before the loader normalized whole stacks."""
+    adj = np.asarray(adj, dtype=np.float64)
+    a_tilde = adj + np.eye(adj.shape[0])
+    inv_sqrt = 1.0 / np.sqrt(a_tilde.sum(axis=1))
+    return a_tilde * np.outer(inv_sqrt, inv_sqrt)

@@ -3,6 +3,7 @@ contracts, and output files."""
 
 import csv
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -162,6 +163,35 @@ def test_manifest_config_errors_exit_2_naming_key_and_file(tmp_path, capsys, old
     assert cli.main(["train", "--config", str(manifest_cfg),
                      "--out", str(tmp_path / "t")]) == 2
     assert capsys.readouterr().err.startswith(f"error: {new}")
+
+
+def test_site_with_only_flat_windows_exits_2_naming_it(tmp_path):
+    # every central subject has a constant ROI column, so no window is usable
+    g = np.random.default_rng(0)
+    rows = []
+    for site in ("central", "edge"):
+        for j in range(4):
+            values = g.standard_normal((30, 10))
+            label = ""
+            if site == "central":
+                values[:, 2] = 0.5
+                label = str(j % 2)
+            np.savetxt(tmp_path / f"{site}{j}.csv", values, delimiter=",")
+            rows.append(f"{site}{j},{site},{label},{site}{j}.csv")
+    (tmp_path / "manifest.csv").write_text("subject_id,site_id,label,path\n" + "\n".join(rows) + "\n")
+    cfg = write_cfg(tmp_path / "run.cfg").read_text().replace(
+        "data = synth", f"data = manifest\nmanifest = {tmp_path / 'manifest.csv'}")
+    (tmp_path / "run.cfg").write_text(cfg)
+    ckpt = tmp_path / "model.ckpt"
+    wire.save_checkpoint(ckpt, network.init_theta(10, 0), 1, bytes(32), {})
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    for argv in (["train", "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path / "t")],
+                 ["eval", str(ckpt), "--config", str(tmp_path / "run.cfg"), "--folds", "2"]):
+        out = subprocess.run([sys.executable, "-m", "dafed.cli", *argv],
+                             capture_output=True, text=True, env=env)
+        assert out.returncode == 2
+        assert "site central" in out.stderr and "flat ROI" in out.stderr
+        assert "Traceback" not in out.stderr
 
 
 def test_synth_window_count_matches_published_value(tmp_path, capsys):

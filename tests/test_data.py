@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from dafed import data, rng
+from conftest import normalize_adjacency_oracle
 
 
 def pearson_pair(x, y):
@@ -220,13 +221,16 @@ def _flat_series():
 def test_series_to_graphs_matches_per_window_oracle_bytes(values, window, stride, k, caplog):
     ts = data.TimeSeries("subj", "site", 1, values, truth=1)
     with caplog.at_level(logging.WARNING, logger="dafed.data"):
-        graphs = data.series_to_graphs(ts, window, stride, k)
+        ds = data.series_to_graphs([ts], window, stride, k)
+    graphs = ds.samples
     expect = _graphs_oracle(ts, window, stride, k)
     assert [g.window for g in graphs] == [w for w, _, _ in expect]
-    for g, (_, adj, fc) in zip(graphs, expect):
-        assert g.adjacency.tobytes() == adj.tobytes()
+    rows = zip(graphs, data.top_k_adjacency(ds.features, k), ds.labels, ds.truth, expect)
+    for g, a, label, truth, (_, adj, fc) in rows:
+        assert a.tobytes() == adj.tobytes()
+        assert g.propagation.tobytes() == normalize_adjacency_oracle(adj).tobytes()
         assert g.features.tobytes() == fc.tobytes()
-        assert (g.label, g.truth, g.site_id, g.subject_id) == (1, 1, "site", "subj")
+        assert (label, truth, ds.site_id, g.subject_id) == (1, 1, "site", "subj")
     skipped = sorted(set(range(len(data.sliding_windows(len(values), window, stride))))
                      - {g.window for g in graphs})
     assert [r.getMessage() for r in caplog.records] == [
@@ -235,7 +239,7 @@ def test_series_to_graphs_matches_per_window_oracle_bytes(values, window, stride
 
 def test_flat_roi_windows_are_skipped_and_later_indices_kept():
     ts = data.TimeSeries("subj", "site", 0, _flat_series())
-    windows = [g.window for g in data.series_to_graphs(ts, 10, 1, 2)]
+    windows = [g.window for g in data.series_to_graphs([ts], 10, 1, 2).samples]
     assert windows == [0, 1, 2, 3, 4] + list(range(11, 21))
 
 
@@ -243,12 +247,12 @@ def test_series_with_only_flat_windows_gives_no_graphs():
     values = _random_series(12, 4, 6)
     values[:, 1] = 0.0
     ts = data.TimeSeries("subj", "site", 0, values)
-    assert data.series_to_graphs(ts, 10, 1, 2) == []
+    assert data.series_to_graphs([ts], 10, 1, 2).samples == []
 
 
 def test_graph_features_diagonal_is_clipped_transform():
     ts = data.TimeSeries("s", "a", 0, np.random.default_rng(2).standard_normal((25, 5)))
-    graphs = data.series_to_graphs(ts, 20, 1, 2)
+    graphs = data.series_to_graphs([ts], 20, 1, 2).samples
     assert len(graphs) == 6
     for g in graphs:
         assert np.allclose(np.diag(g.features), math.atanh(0.999))
@@ -277,22 +281,27 @@ def test_synth_is_deterministic():
         assert len(da.samples) == len(db.samples)
         for ga, gb in zip(da.samples, db.samples):
             assert np.array_equal(ga.features, gb.features)
-            assert np.array_equal(ga.adjacency, gb.adjacency)
-            assert ga.label == gb.label
+            assert np.array_equal(ga.propagation, gb.propagation)
+        assert np.array_equal(da.labels, db.labels)
 
 
 # SHA-256 of the stacked adjacency and feature bytes of every window of a small
-# cohort, recorded when each window and each ROI row was still built on its own
+# cohort, recorded when each window and each ROI row was still built on its own,
+# and of the propagation matrices, recorded when each was still normalized on
+# its own
 PINNED_ADJACENCY = "9e0c6be5be681a06180d0841efd87530335beabebe6e2596e36cbe36a77c2209"
 PINNED_FEATURES = "25416223b6a7288ba5ad10979a9da08a0bff0f790d6c8c3c0de9279b0399e979"
+PINNED_PROPAGATION = "7f0d8ea576db8b7e7dbf95d34ffee04e1180f4b2a76c4aa8dbcbcf5cdc4c04c3"
 
 
 def test_synth_graph_bytes_are_pinned():
-    graphs = [g for ds in data.synth_multisite(_cfg(), seed=5) for g in ds.samples]
-    assert len(graphs) == 132
-    digests = tuple(hashlib.sha256(np.stack(arrays).tobytes()).hexdigest() for arrays in
-                    ([g.adjacency for g in graphs], [g.features for g in graphs]))
-    assert digests == (PINNED_ADJACENCY, PINNED_FEATURES)
+    datasets = data.synth_multisite(_cfg(), seed=5)
+    features = np.concatenate([ds.features for ds in datasets])
+    assert len(features) == 132
+    propagation = np.concatenate([ds.propagation for ds in datasets])
+    digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in
+                    (data.top_k_adjacency(features, _cfg().top_k), features, propagation))
+    assert digests == (PINNED_ADJACENCY, PINNED_FEATURES, PINNED_PROPAGATION)
 
 
 def _synth_series_oracle(cfg, seed):
@@ -361,8 +370,8 @@ def test_strong_separation_is_linearly_probeable():
     sites = [data.SynthSite("one", 20, True, 0.0)]
     ds = data.synth_multisite(_cfg(sites=sites, class_sep=0.8), seed=0)[0]
     feats = np.array([g.features[np.triu_indices(10, 1)] for g in ds.samples])
-    labels = np.array([g.label for g in ds.samples])
-    subjects = np.array([g.subject_id for g in ds.samples])
+    labels = ds.labels
+    subjects = ds.subject
     train = np.isin(subjects, np.unique(subjects)[::2])
     mu, sd = feats[train].mean(0), feats[train].std(0) + 1e-12
     z = (feats - mu) / sd
@@ -377,10 +386,10 @@ def test_strong_separation_is_linearly_probeable():
 def test_synth_hidden_labels_align_with_labeled_sites():
     dsets = data.synth_multisite(_cfg(), seed=2)
     labeled = dsets[0]
-    assert np.array_equal([g.truth for g in labeled.samples], [g.label for g in labeled.samples])
+    assert np.array_equal(labeled.truth, labeled.labels)
     unlabeled = dsets[1]
-    assert all(g.label is None for g in unlabeled.samples)
-    assert set(np.unique([g.truth for g in unlabeled.samples])) == {0, 1}
+    assert unlabeled.labels is None
+    assert set(np.unique(unlabeled.truth)) == {0, 1}
 
 
 def test_synth_config_validation():
@@ -416,7 +425,7 @@ def test_ingest_single_subject(tmp_path):
     dsets = data.ingest_csv(tmp_path / "manifest.csv", window=20, stride=1, k=2)
     assert len(dsets) == 1
     assert len(dsets[0].samples) == 1
-    assert dsets[0].labeled and dsets[0].samples[0].label == 1
+    assert dsets[0].labeled and dsets[0].labels[0] == 1
 
 
 def test_ingest_cohort_shape_window_count(tmp_path):
@@ -433,7 +442,7 @@ def test_ingest_empty_label_means_unlabeled(tmp_path):
     _write_manifest(tmp_path / "manifest.csv", [("s1", "site_u", "", "s1.csv")])
     ds = data.ingest_csv(tmp_path / "manifest.csv", window=20, stride=1, k=2)[0]
     assert not ds.labeled
-    assert ds.samples[0].label is None
+    assert ds.labels is None
 
 
 def test_ingest_ragged_rows_rejected_with_location(tmp_path):

@@ -6,17 +6,20 @@ from scipy import stats
 
 from dafed import explain, network
 from dafed import tensor as tt
-from dafed.data import SynthConfig, SynthSite, synth_multisite
+from dafed.data import SynthConfig, SynthSite, synth_multisite, top_k_adjacency
 from dafed.stfg import normalize_adjacency, stfg_forward
 from dafed.explain import (Edge, SaliencyMap, average_drop, average_increase,
                            permuted_masks, roi_ranking, saliency_masked_scores,
                            score_cam, significant_edges, top_rois)
 
 
+SMALL_WORLD_TOP_K = 3
+
+
 @pytest.fixture(scope="module")
 def small_world():
     cfg = SynthConfig(sites=[SynthSite("s", 4, True, 0.0)],
-                      n_rois=10, t=26, class_sep=0.7, window=20, top_k=3)
+                      n_rois=10, t=26, class_sep=0.7, window=20, top_k=SMALL_WORLD_TOP_K)
     ds = synth_multisite(cfg, seed=3)[0]
     theta = network.init_theta(10, seed=3)
     return theta, ds
@@ -79,8 +82,8 @@ def _minmax_columns(act):
 
 def _propagation(graph, use_graph):
     if use_graph:
-        return normalize_adjacency(graph.adjacency)
-    return np.eye(graph.n_rois)
+        return normalize_adjacency(top_k_adjacency(graph.features, SMALL_WORLD_TOP_K))
+    return np.eye(len(graph.features))
 
 
 def _forward_probs(theta, x, adj):
@@ -168,7 +171,7 @@ def test_saliency_masked_scores_match_per_graph_loop(small_world, monkeypatch):
     masks[4] = 0.25  # a constant mask scales every row by zero
     want_clean, want_masked, flips = [], [], 0
     for g, m in zip(graphs, masks):
-        adj = normalize_adjacency(g.adjacency)[None]
+        adj = _propagation(g, True)[None]
         probs = _forward_probs(theta, g.features[None], adj)[0]
         cls = int(np.argmax(probs))
         span = m.max() - m.min()
@@ -324,10 +327,10 @@ def test_faithfulness_runs_one_clean_pass(monkeypatch):
     forward, cam = explain.eval_class_probs, explain.score_cam
     inside_cam, faithfulness_rows = [], []
 
-    def counted_forward(theta, graphs, *args, **kwargs):
+    def counted_forward(theta, features, *args, **kwargs):
         if not inside_cam:
-            faithfulness_rows.append(len(graphs))
-        return forward(theta, graphs, *args, **kwargs)
+            faithfulness_rows.append(len(features))
+        return forward(theta, features, *args, **kwargs)
 
     def flagged_cam(*args, **kwargs):
         inside_cam.append(True)

@@ -6,13 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from dafed import fusion, network, rng, stfg
+from dafed import data, fusion, network, rng, stfg
 from dafed import tensor as tt
 from dafed.data import SynthConfig, SynthSite, synth_multisite
 from dafed.disentangle import (disentangle_forward, dv_estimate, marginal_permutation,
                                mi_loss, mine_estimate)
 from dafed.tensor import Tensor
-from conftest import max_rel_error, numeric_grads
+from conftest import max_rel_error, normalize_adjacency_oracle, numeric_grads
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +62,45 @@ def test_normalize_rejects_asymmetric():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="symmetric"):
         stfg.normalize_adjacency(bad)
+
+
+def _adjacency_stacks():
+    g = np.random.default_rng(11)
+    fc = g.standard_normal((7, 9, 9))
+    random = data.top_k_adjacency(fc + np.swapaxes(fc, -1, -2), 3)
+    tied = np.full((4, 6, 6), 0.7) * (1.0 - np.eye(6))
+    isolated = np.abs(g.standard_normal((5, 8, 8)))
+    isolated = np.maximum(isolated, np.swapaxes(isolated, -1, -2)) * (1.0 - np.eye(8))
+    isolated[:, 3, :] = isolated[:, :, 3] = 0.0
+    single = np.zeros((3, 5, 5))
+    single[:, 1, 4] = single[:, 4, 1] = [0.25, 1.0, 3.5]
+    return {"random": random, "all-zero": np.zeros((6, 5, 5)), "tied": tied,
+            "isolated-node": isolated, "single-edge": single, "one-matrix": random[0],
+            "two-leading-axes": random[:6].reshape(2, 3, 9, 9)}
+
+
+@pytest.mark.parametrize("kind", list(_adjacency_stacks()))
+def test_normalize_adjacency_stack_matches_per_matrix_oracle_bytes(kind):
+    adj = _adjacency_stacks()[kind]
+    r = adj.shape[-1]
+    want = np.stack([normalize_adjacency_oracle(m) for m in adj.reshape(-1, r, r)])
+    got = stfg.normalize_adjacency(adj)
+    assert got.shape == adj.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_normalize_adjacency_rejects_a_stack_with_one_bad_window():
+    good = _adjacency_stacks()["random"]
+    asymmetric = good.copy()
+    asymmetric[4, 0, 1] += 0.5
+    with pytest.raises(ValueError, match="symmetric"):
+        stfg.normalize_adjacency(asymmetric)
+    negative = good.copy()
+    negative[2, 0, 1] = negative[2, 1, 0] = -0.5
+    with pytest.raises(ValueError, match="nonnegative"):
+        stfg.normalize_adjacency(negative)
+    with pytest.raises(ValueError, match="square"):
+        stfg.normalize_adjacency(good[:, :, :4])
 
 
 def test_jk_pool_identical_rows():
@@ -429,7 +468,7 @@ def test_param_groups_split():
 def test_model_forward_shapes_and_prob_rows(theta12):
     sites = [SynthSite("s", 3, True, 0.0)]
     ds = synth_multisite(SynthConfig(sites=sites, n_rois=12, t=24, window=20, top_k=4), seed=1)[0]
-    batch = network.make_batch(ds.samples[:6], 0)
+    batch = network.make_batch(ds, slice(0, 6), 0)
     res = network.model_forward(theta12, batch, train=False)
     assert res.z.shape == (6, 480)
     assert res.fused.shape == (6, 256)
@@ -440,5 +479,30 @@ def test_model_forward_shapes_and_prob_rows(theta12):
 def test_make_batch_without_graph_uses_identity_propagation():
     sites = [SynthSite("s", 2, True, 0.0)]
     ds = synth_multisite(SynthConfig(sites=sites, n_rois=10, t=22, window=20, top_k=3), seed=2)[0]
-    batch = network.make_batch(ds.samples[:3], 0, use_graph=False)
+    batch = network.make_batch(ds, slice(0, 3), 0, use_graph=False)
     assert np.array_equal(batch.adj_norm[0], np.eye(10))
+
+
+@pytest.mark.parametrize("use_graph", [True, False])
+def test_samples_are_views_and_make_batch_stacks_their_rows(use_graph):
+    sites = [SynthSite("s", 3, True, 0.0)]
+    ds = synth_multisite(SynthConfig(sites=sites, n_rois=10, t=24, window=20, top_k=3), seed=4)[0]
+    for i, g in enumerate(ds.samples):
+        assert np.shares_memory(g.features, ds.features[i])
+        assert np.shares_memory(g.propagation, ds.propagation[i])
+    idx = np.array([7, 0, 12, 3, 3])
+    batch = network.make_batch(ds, idx, 1, use_graph=use_graph)
+    rows = [ds.samples[i] for i in idx]
+    want_adj = np.stack([g.propagation if use_graph else np.eye(10) for g in rows])
+    assert batch.x.tobytes() == np.stack([g.features for g in rows]).tobytes()
+    assert batch.adj_norm.tobytes() == want_adj.tobytes()
+    assert batch.uids == [f"{g.subject_id}:{g.window}" for g in rows]
+    assert batch.labels.tolist() == [ds.labels[i] for i in idx]
+    assert batch.truth.tolist() == [ds.truth[i] for i in idx]
+    assert batch.domains.tolist() == [1] * len(idx)
+    # a slice gives views, and an evaluation forward over views leaves the stacks as they were
+    assert np.shares_memory(network.make_batch(ds, slice(2, 6), 0).x, ds.features)
+    before = ds.features.tobytes() + ds.propagation.tobytes()
+    network.eval_class_probs(network.init_theta(10, 0), ds.features, ds.propagation,
+                             use_graph=use_graph)
+    assert ds.features.tobytes() + ds.propagation.tobytes() == before
