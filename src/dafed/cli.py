@@ -17,7 +17,7 @@ import numpy as np
 from . import data as data_mod
 from . import explain as explain_mod
 from . import fedsim, network, rng, wire
-from .config import ConfigError, RunConfig, parse_config
+from .config import KEYS, ConfigError, RunConfig, parse_config
 from .data import IngestError, SynthConfig, SynthSite, synth_multisite, synth_series
 from .fedsim import TrainingDiverged, site_objective
 from .fusion import ROLE_SOURCE
@@ -170,15 +170,12 @@ def subject_folds(dataset, n_folds: int) -> list[list[int]]:
 
 def cmd_eval(args) -> int:
     cfg = parse_config(args.config, _overrides(args))
-    n_folds = args.folds if args.folds is not None else cfg.folds
-    if n_folds < 2:
-        raise ConfigError("folds must be >= 2")
     datasets = _load_datasets(cfg)
     theta = _load_fitting_checkpoint(args.checkpoint, datasets)
     lines = ["site,fold,n_windows,acc"]
     summary = []
     for ds in datasets:
-        folds = subject_folds(ds, n_folds)
+        folds = subject_folds(ds, cfg.folds)
         preds, truth = fedsim.dataset_predictions(theta, ds, use_graph=cfg.use_stfg)
         correct = preds == truth
         accs = []
@@ -199,7 +196,7 @@ def cmd_eval(args) -> int:
     report = "\n".join(lines)
     print(report)
     for site_id, mean, std in summary:
-        print(f"site {site_id}: window accuracy {mean:.4f} +/- {std:.4f} over {n_folds} folds")
+        print(f"site {site_id}: window accuracy {mean:.4f} +/- {std:.4f} over {cfg.folds} folds")
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -213,12 +210,7 @@ def cmd_eval(args) -> int:
 
 def cmd_explain(args) -> int:
     cfg = parse_config(args.config, _overrides(args))
-    layer = args.layer if args.layer is not None else cfg.explain_layer
-    target_class = args.target_class if args.target_class is not None else cfg.explain_class
-    if not 1 <= layer <= 4:
-        raise ConfigError("layer must be in 1..4")
-    if target_class not in (0, 1):
-        raise ConfigError("class must be 0 or 1")
+    layer, target_class = cfg.explain_layer, cfg.explain_class
     datasets = _load_datasets(cfg)
     theta = _load_fitting_checkpoint(args.checkpoint, datasets)
     result = explain_mod.explain_cohort(theta, datasets, layer, target_class,
@@ -297,7 +289,9 @@ def cmd_gradcheck(args) -> int:
 
 
 def _overrides(args) -> dict:
-    return {"seed": args.seed} if args.seed is not None else {}
+    """The config keys set by flags; each flag's `dest` is the key it overrides."""
+    return {key: value for key, value in vars(args).items()
+            if key in KEYS and value is not None}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -308,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", required=True, help="run configuration file")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        p.add_argument("--seed", type=int, default=None, help="override the config key seed")
 
     p_synth = sub.add_parser("synth", help="write synthetic per-subject series and a manifest")
     common(p_synth)
@@ -323,15 +317,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="cross-validated accuracy of a checkpoint")
     common(p_eval)
     p_eval.add_argument("checkpoint")
-    p_eval.add_argument("--folds", type=int, default=None)
+    p_eval.add_argument("--folds", type=int, default=None, help="override the config key folds")
     p_eval.add_argument("--out", default=None)
     p_eval.set_defaults(func=cmd_eval)
 
     p_explain = sub.add_parser("explain", help="saliency, edges, and faithfulness")
     common(p_explain)
     p_explain.add_argument("checkpoint")
-    p_explain.add_argument("--layer", type=int, default=None)
-    p_explain.add_argument("--class", dest="target_class", type=int, default=None)
+    p_explain.add_argument("--layer", dest="explain_layer", type=int, default=None,
+                           help="override the config key explain_layer")
+    p_explain.add_argument("--class", dest="explain_class", type=int, default=None,
+                           help="override the config key explain_class")
     p_explain.add_argument("--out", required=True)
     p_explain.set_defaults(func=cmd_explain)
 

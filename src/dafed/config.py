@@ -6,10 +6,9 @@ the canonicalized effective pairs (sorted, normalized spacing) and is stored
 in checkpoints.
 """
 
-from __future__ import annotations
-
 import hashlib
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .data import SynthConfig, SynthSite
@@ -31,72 +30,13 @@ def _parse_bool(raw: str, key: str) -> bool:
     raise ConfigError(f"key {key!r}: expected a boolean, got {raw!r}")
 
 
-# key -> (type tag, default); site.* keys are validated separately
-KEYS = {
-    "seed": ("int", 0),
-    "rounds": ("int", 50),
-    "mode": ("choice:dafed_u,dafed_l", "dafed_u"),
-    "data": ("choice:synth,manifest", "synth"),
-    "manifest": ("str", ""),
-    "window": ("int", 20),
-    "stride": ("int", 1),
-    "top_k": ("int", 10),
-    "rois": ("int", 32),
-    "t_points": ("int", 48),
-    "subjects": ("int", 40),
-    "class_sep": ("float", 0.6),
-    "class_balance": ("float", 0.5),
-    "signal_frac": ("float", 0.2),
-    "ar_coeff": ("float", 0.5),
-    "sites": ("int", 0),
-    "lambda_mi": ("float", 1.0),
-    "lambda_cl": ("float", 0.1),
-    "gamma": ("float", 10.0),
-    "tau": ("float", 0.5),
-    "queue": ("int", 5),
-    "alpha": ("float", 0.01),
-    "lr_profile": ("choice:warmup_decay,decay", "warmup_decay"),
-    "lr_base": ("float", 1e-4),
-    "lr_decay": ("float", 0.99),
-    "lr_warmup": ("optint", None),
-    "batch_denom": ("int", 16),
-    "use_stfg": ("bool", True),
-    "use_rd": ("bool", True),
-    "use_dat": ("bool", True),
-    "use_cl": ("bool", True),
-    "reversal": ("bool", True),
-    "broadcast_grads": ("bool", True),
-    "folds": ("int", 5),
-    "subject_vote": ("bool", False),
-    "explain_layer": ("int", 4),
-    "explain_class": ("int", 1),
-    "explain_windows": ("int", 4),
-}
+def _finite(key: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise ConfigError(f"key {key!r}: expected a finite number, got {value!r}")
+    return value
+
 
 SITE_KEYS = ("id", "role", "shift", "subjects", "t_points")
-
-
-def _convert(key: str, raw: str):
-    kind, _ = KEYS[key]
-    try:
-        if kind == "int":
-            return int(raw)
-        if kind == "optint":
-            return int(raw) if raw else None
-        if kind == "float":
-            return float(raw)
-        if kind == "bool":
-            return _parse_bool(raw, key)
-        if kind.startswith("choice:"):
-            allowed = kind.split(":", 1)[1].split(",")
-            if raw not in allowed:
-                raise ConfigError(f"key {key!r}: expected one of {allowed}, got {raw!r}")
-            return raw
-        return raw
-    except ConfigError:
-        raise
-    except ValueError:
-        raise ConfigError(f"key {key!r}: cannot parse value {raw!r} as {kind}") from None
 
 
 @dataclass
@@ -110,18 +50,52 @@ class SiteSpec:
 
 @dataclass
 class RunConfig:
-    values: dict = field(default_factory=dict)
+    """Every config key is a field with its default; `site_specs` (the
+    site.N.* entries) and `base_dir` (the config file's directory) are not
+    keys."""
+    seed: int = 0
+    rounds: int = 50
+    mode: str = "dafed_u"
+    data: str = "synth"
+    manifest: str = ""
+    window: int = 20
+    stride: int = 1
+    top_k: int = 10
+    rois: int = 32
+    t_points: int = 48
+    subjects: int = 40
+    class_sep: float = 0.6
+    class_balance: float = 0.5
+    signal_frac: float = 0.2
+    ar_coeff: float = 0.5
+    sites: int = 0
+    lambda_mi: float = 1.0
+    lambda_cl: float = 0.1
+    gamma: float = 10.0
+    tau: float = 0.5
+    queue: int = 5
+    alpha: float = 0.01
+    lr_profile: str = "warmup_decay"
+    lr_base: float = 1e-4
+    lr_decay: float = 0.99
+    lr_warmup: int | None = None
+    batch_denom: int = 16
+    use_stfg: bool = True
+    use_rd: bool = True
+    use_dat: bool = True
+    use_cl: bool = True
+    reversal: bool = True
+    broadcast_grads: bool = True
+    folds: int = 5
+    subject_vote: bool = False
+    explain_layer: int = 4
+    explain_class: int = 1
+    explain_windows: int = 4
     site_specs: list[SiteSpec] = field(default_factory=list)
     base_dir: Path = field(default_factory=Path)
 
-    def __getattr__(self, key):
-        values = object.__getattribute__(self, "values")
-        if key in values:
-            return values[key]
-        raise AttributeError(key)
-
     def digest(self) -> bytes:
-        lines = [f"{k}={self.values[k]!r}" for k in sorted(self.values)]
+        lines = [f"{k}={getattr(self, k)!r}" for k in sorted(KEYS)]
         for i, s in enumerate(self.site_specs):
             lines.append(f"site.{i}={s.site_id}|{s.role}|{s.shift!r}|{s.subjects!r}|{s.t_points!r}")
         return hashlib.sha256("\n".join(lines).encode("utf-8")).digest()
@@ -144,7 +118,7 @@ class RunConfig:
 
     def synth_config(self) -> SynthConfig:
         sites = [SynthSite(site_id=s.site_id,
-                           subjects=s.subjects or self.subjects,
+                           subjects=self.subjects if s.subjects is None else s.subjects,
                            labeled=(s.role in (ROLE_SOURCE, ROLE_TARGET_LABELED)),
                            shift=s.shift, t=s.t_points)
                  for s in self.site_specs]
@@ -158,6 +132,30 @@ class RunConfig:
         if not path.is_absolute():
             path = self.base_dir / path
         return path
+
+
+# key -> declared type (a type object: this module does not postpone
+# annotations); site.* keys are parsed separately
+KEYS = {f.name: f.type for f in fields(RunConfig) if f.name not in ("site_specs", "base_dir")}
+CHOICES = {"mode": ("dafed_u", "dafed_l"), "data": ("synth", "manifest"),
+           "lr_profile": ("warmup_decay", "decay")}
+
+
+def _convert(key: str, raw: str):
+    kind = KEYS[key]
+    if kind is bool:
+        return _parse_bool(raw, key)
+    if key in CHOICES and raw not in CHOICES[key]:
+        raise ConfigError(f"key {key!r}: expected one of {list(CHOICES[key])}, got {raw!r}")
+    if kind == int | None:
+        if not raw:
+            return None
+        kind = int
+    try:
+        value = kind(raw)
+    except ValueError:
+        raise ConfigError(f"key {key!r}: cannot parse value {raw!r} as {kind.__name__}") from None
+    return _finite(key, value) if kind is float else value
 
 
 def _read_pairs(path: Path) -> dict[str, str]:
@@ -182,8 +180,9 @@ def _read_pairs(path: Path) -> dict[str, str]:
 def parse_config(path, overrides: dict | None = None) -> RunConfig:
     """Load, validate, and default a run configuration.
 
-    `overrides` (e.g. a --seed flag) replace file values before validation
-    and therefore change the digest.
+    `overrides` (the command-line flags, keyed by the config key each one
+    names) replace file values before validation and therefore change the
+    digest.
     """
     path = Path(path)
     pairs = _read_pairs(path)
@@ -191,7 +190,7 @@ def parse_config(path, overrides: dict | None = None) -> RunConfig:
         for key, val in overrides.items():
             pairs[key] = str(val)
 
-    values = {key: default for key, (_, default) in KEYS.items()}
+    values = {}
     site_raw: dict[int, dict[str, str]] = {}
     for key, raw in pairs.items():
         if key.startswith("site."):
@@ -208,7 +207,7 @@ def parse_config(path, overrides: dict | None = None) -> RunConfig:
         else:
             raise ConfigError(f"unknown config key {key!r}")
 
-    n_sites = values["sites"] or (max(site_raw) + 1 if site_raw else 0)
+    n_sites = values.get("sites") or (max(site_raw) + 1 if site_raw else 0)
     if set(site_raw) - set(range(n_sites)):
         raise ConfigError(f"site indices {sorted(site_raw)} must be 0..{n_sites - 1}")
     specs = []
@@ -227,9 +226,10 @@ def parse_config(path, overrides: dict | None = None) -> RunConfig:
                 t_points=int(raw["t_points"]) if "t_points" in raw else None)
         except ValueError as err:
             raise ConfigError(f"site.{i}: {err}") from None
+        _finite(f"site.{i}.shift", spec.shift)
         specs.append(spec)
 
-    cfg = RunConfig(values=values, site_specs=specs, base_dir=path.parent)
+    cfg = RunConfig(**values, site_specs=specs, base_dir=path.parent)
     _validate(cfg)
     return cfg
 
@@ -254,13 +254,17 @@ def _validate(cfg: RunConfig):
             raise ConfigError(f"manifest not found: {cfg.manifest_path()}")
     if cfg.batch_denom < 1:
         raise ConfigError(f"batch_denom must be >= 1, got {cfg.batch_denom}")
+    if cfg.window < 2:
+        raise ConfigError(f"window must be >= 2, got {cfg.window}")
+    if cfg.stride < 1:
+        raise ConfigError(f"stride must be >= 1, got {cfg.stride}")
     if cfg.top_k < 1:
         raise ConfigError(f"top_k must be >= 1, got {cfg.top_k}")
     if cfg.data == "synth":
         if cfg.top_k >= cfg.rois:
             raise ConfigError(f"top_k = {cfg.top_k} must be below rois = {cfg.rois}")
         for i, s in enumerate(cfg.site_specs):
-            key, length = ((f"site.{i}.t_points", s.t_points) if s.t_points
+            key, length = ((f"site.{i}.t_points", s.t_points) if s.t_points is not None
                            else ("t_points", cfg.t_points))
             if cfg.window > length:
                 raise ConfigError(f"window = {cfg.window} is longer than {key} = {length}")
@@ -276,5 +280,13 @@ def _validate(cfg: RunConfig):
         raise ConfigError("explain_layer must be in 1..4")
     if cfg.explain_class not in (0, 1):
         raise ConfigError("explain_class must be 0 or 1")
+    if cfg.explain_windows < 1:
+        raise ConfigError(f"explain_windows must be >= 1, got {cfg.explain_windows}")
     if cfg.folds < 2:
         raise ConfigError("folds must be >= 2")
+    if cfg.data == "synth":
+        # the generator's own ranges, after the checks above that name the key
+        try:
+            cfg.synth_config().validate()
+        except ValueError as err:
+            raise ConfigError(str(err)) from None

@@ -50,9 +50,6 @@ class ParamStore:
             dup.add(name, self._tensors[name].data.copy())
         return dup
 
-    def n_values(self) -> int:
-        return sum(t.size for t in self._tensors.values())
-
 
 def is_running_stat(name: str) -> bool:
     """Batch-norm running statistics ride along in the store but are never

@@ -75,21 +75,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(op={self.op!r}, shape={self.data.shape})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -383,11 +368,10 @@ def grad_reverse(a, scale_factor: float) -> Tensor:
 
 
 def dropout(a, rate: float, *, mask: np.ndarray | None = None,
-            rng: np.random.Generator | None = None, train: bool = True) -> Tensor:
+            train: bool = True) -> Tensor:
     """Inverted dropout: train-time scaling by 1/(1-rate), identity in eval.
 
-    The keep mask may be supplied directly (boolean array of the input shape)
-    or drawn from `rng`.
+    Train mode needs the keep mask, a boolean array of the input shape.
     """
     a = _wrap(a)
     if not 0.0 <= rate < 1.0:
@@ -395,9 +379,7 @@ def dropout(a, rate: float, *, mask: np.ndarray | None = None,
     if not train or rate == 0.0:
         return _node(a.data, [(a, lambda g: g)], "dropout")
     if mask is None:
-        if rng is None:
-            raise ValueError("dropout: train mode needs a mask or an rng stream")
-        mask = rng.random(a.shape) >= rate
+        raise ValueError("dropout: train mode needs a mask")
     if mask.shape != a.shape:
         raise ShapeError(f"dropout: mask shape {mask.shape} != input shape {a.shape}")
     inv = 1.0 / (1.0 - rate)

@@ -75,6 +75,24 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     ("window = 20", "window = 30", "window"),  # t_points = 24
     ("", "site.1.t_points = 18", "site.1.t_points"),  # window = 20
     ("lr_base = 0.005", "lr_base = 0", "lr_base"),
+    # ranges of the generator and of the window pipeline
+    ("class_sep = 0.6", "class_sep = 1.5", "class_sep"),
+    ("", "class_balance = 1", "class_balance"),
+    ("", "signal_frac = 0", "signal_frac"),
+    ("", "ar_coeff = 1.0", "ar_coeff"),
+    ("", "stride = 0", "stride"),
+    ("window = 20", "window = 1", "window"),
+    ("site.1.shift = 0.3", "site.1.shift = -0.5", "shift"),
+    # a zero per-site value is a value, not "use the global one"
+    ("", "site.1.subjects = 0", "subjects"),
+    ("", "site.1.t_points = 0", "site.1.t_points"),
+    # non-finite numbers
+    ("", "lambda_mi = nan", "lambda_mi"),
+    ("alpha = 0.01", "alpha = nan", "alpha"),
+    ("", "tau = inf", "tau"),
+    ("site.1.shift = 0.3", "site.1.shift = nan", "shift"),
+    # read only by explain, which indexed an empty window list
+    ("explain_windows = 2", "explain_windows = 0", "explain_windows"),
 ])
 def test_bad_value_exits_2_naming_the_key(tmp_path, capsys, old, new, key):
     cfg = write_cfg(tmp_path / "run.cfg")
@@ -111,6 +129,86 @@ def test_config_defaults_and_overrides(tmp_path):
 def test_config_digest_is_stable(tmp_path):
     cfg = write_cfg(tmp_path / "run.cfg")
     assert parse_config(cfg).digest() == parse_config(cfg).digest()
+
+
+EVERY_KIND_CFG = """
+seed = 3
+rounds = 2
+mode = dafed_l
+data = synth
+manifest =
+rois = 12
+t_points = 30
+subjects = 6
+gamma = 12
+alpha = 0
+lr_profile = warmup_decay
+lr_warmup = 4
+use_stfg = off
+use_cl = yes
+reversal = 0
+subject_vote = TRUE
+site.0.id = central
+site.0.role = source
+site.1.id = edge
+site.1.role = target_labeled
+site.1.shift = 0.25
+site.1.subjects = 5
+site.1.t_points = 28
+"""
+
+
+@pytest.mark.parametrize("text, want", [
+    (None, "85fd05ed0da83123b11130bfb56e0ca90b83a954ca33f4355c94e13b4114d46a"),
+    (EVERY_KIND_CFG, "286866c475c809337336e785e89e14ee88692e484ae33fefeb5697964c6c4962"),
+    (EVERY_KIND_CFG.replace("lr_warmup = 4", "lr_warmup ="),
+     "9511b3630be222a9e12b26865d1628ded779cf7153596916341e7005885a1c32"),
+], ids=["canonical", "every-kind", "every-kind-empty-warmup"])
+def test_config_digest_is_pinned(tmp_path, text, want):
+    # checkpoints store this digest, so its bytes must not move
+    path = Path(__file__).resolve().parents[1] / "configs" / "synthetic_4site.cfg"
+    if text is not None:
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+    assert parse_config(path).digest().hex() == want
+
+
+def test_flags_override_the_keys_they_name(tmp_path):
+    parser = cli.build_parser()
+    args = parser.parse_args(["explain", "ck", "--config", "c", "--seed", "4",
+                              "--layer", "2", "--class", "0", "--out", "o"])
+    assert cli._overrides(args) == {"seed": 4, "explain_layer": 2, "explain_class": 0}
+    args = parser.parse_args(["eval", "ck", "--config", "c", "--folds", "3"])
+    assert cli._overrides(args) == {"folds": 3}
+    cfg = write_cfg(tmp_path / "run.cfg")
+    assert parse_config(cfg, cli._overrides(args)).folds == 3
+
+
+@pytest.mark.parametrize("command, flag, value, key", [
+    ("eval", "--folds", "1", "folds"),
+    ("explain", "--layer", "7", "explain_layer"),
+    ("explain", "--class", "3", "explain_class"),
+])
+def test_bad_flag_exits_2_naming_its_key(tmp_path, capsys, command, flag, value, key):
+    cfg = write_cfg(tmp_path / "run.cfg")  # rois = 10
+    ckpt = tmp_path / "init.ckpt"
+    wire.save_checkpoint(ckpt, network.init_theta(10, 0), 1, bytes(32), {})
+    code = cli.main([command, str(ckpt), "--config", str(cfg), flag, value,
+                     "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert key in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("line, key", [("window = 1", "window"), ("stride = 0", "stride")])
+def test_window_and_stride_are_checked_for_manifest_data(tmp_path, line, key):
+    (tmp_path / "manifest.csv").write_text("subject_id,site_id,label,path\n")
+    cfg = write_cfg(tmp_path / "run.cfg")
+    cfg.write_text(cfg.read_text().replace("window = 20", line).replace(
+        "data = synth", "data = manifest\nmanifest = manifest.csv"))
+    with pytest.raises(ConfigError, match=key):
+        parse_config(cfg)
 
 
 def test_labeled_target_requires_labeled_mode(tmp_path):

