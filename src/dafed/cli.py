@@ -10,6 +10,7 @@ import hashlib
 import math
 import sys
 from collections import deque
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +40,8 @@ def _fmt(value) -> str:
 
 
 def _load_datasets(cfg: RunConfig) -> list[data_mod.SiteDataset]:
+    """The configured sites in config order. With `use_stfg` off every
+    window's propagation is the identity, so no layer aggregates neighbors."""
     if cfg.data == "synth":
         datasets = synth_multisite(cfg.synth_config(), cfg.seed)
     else:
@@ -51,6 +54,9 @@ def _load_datasets(cfg: RunConfig) -> list[data_mod.SiteDataset]:
     extra = known - set(roles)
     if extra:
         raise ConfigError(f"data contains sites without a configured role: {sorted(extra)}")
+    if not cfg.use_stfg:
+        datasets = [replace(ds, propagation=np.broadcast_to(np.eye(ds.n_rois), ds.propagation.shape))
+                    for ds in datasets]
     order = {spec.site_id: i for i, spec in enumerate(cfg.site_specs)}
     return sorted(datasets, key=lambda ds: order[ds.site_id])
 
@@ -176,7 +182,7 @@ def cmd_eval(args) -> int:
     summary = []
     for ds in datasets:
         folds = subject_folds(ds, cfg.folds)
-        preds, truth = fedsim.dataset_predictions(theta, ds, use_graph=cfg.use_stfg)
+        preds, truth = fedsim.dataset_predictions(theta, ds)
         correct = preds == truth
         accs = []
         for fold_idx, indices in enumerate(folds):
@@ -214,8 +220,7 @@ def cmd_explain(args) -> int:
     datasets = _load_datasets(cfg)
     theta = _load_fitting_checkpoint(args.checkpoint, datasets)
     result = explain_mod.explain_cohort(theta, datasets, layer, target_class,
-                                        windows=cfg.explain_windows, seed=cfg.seed,
-                                        use_graph=cfg.use_stfg)
+                                        windows=cfg.explain_windows, seed=cfg.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "saliency.csv", "w", newline="") as fh:
@@ -263,8 +268,7 @@ def build_gradcheck_toy(seed: int = 0):
 
     def objective(store):
         obj = site_objective(store, batch, role=ROLE_SOURCE, ramp=0.62, settings=settings,
-                             queue=queue, prev_global=prev,
-                             key=(seed, "drop", "toy", 0), train=True)
+                             queue=queue, prev_global=prev, key=(seed, "drop", "toy", 0))
         return obj.total
 
     return objective, theta

@@ -111,10 +111,9 @@ class RunConfig:
             seed=self.seed, rounds=self.rounds, lambda_mi=self.lambda_mi,
             lambda_cl=self.lambda_cl, gamma=self.gamma, tau=self.tau,
             queue_len=self.queue, alpha=self.alpha, lr=self.lr(),
-            batch_denom=self.batch_denom, use_stfg=self.use_stfg,
-            use_rd=self.use_rd, use_dat=self.use_dat, use_cl=self.use_cl,
-            reversal=self.reversal, broadcast_grads=self.broadcast_grads,
-            mode=self.mode)
+            batch_denom=self.batch_denom, use_rd=self.use_rd,
+            use_dat=self.use_dat, use_cl=self.use_cl, reversal=self.reversal,
+            broadcast_grads=self.broadcast_grads)
 
     def synth_config(self) -> SynthConfig:
         sites = [SynthSite(site_id=s.site_id,
@@ -272,10 +271,10 @@ def _validate(cfg: RunConfig):
         raise ConfigError(f"lr_base must be positive, got {cfg.lr_base}")
     if cfg.tau <= 0:
         raise ConfigError("tau must be positive")
-    if cfg.alpha < 0:
-        raise ConfigError("alpha must be >= 0")
-    if cfg.queue < 0:
-        raise ConfigError("queue must be >= 0")
+    for key in ("lambda_mi", "lambda_cl", "gamma", "alpha", "queue", "lr_warmup"):
+        value = getattr(cfg, key)
+        if value is not None and value < 0:
+            raise ConfigError(f"{key} must be >= 0, got {value}")
     if not 1 <= cfg.explain_layer <= 4:
         raise ConfigError("explain_layer must be in 1..4")
     if cfg.explain_class not in (0, 1):

@@ -25,6 +25,7 @@ from .stfg import GCN_WIDTHS
 logger = logging.getLogger(__name__)
 
 N_LAYERS = len(GCN_WIDTHS)
+MIN_GROUP_SUBJECTS = 3  # per class, for the edge correlations' test
 
 
 @dataclass
@@ -43,29 +44,25 @@ def _minmax_rows(a: np.ndarray) -> np.ndarray:
     return np.where(span > 0, (a - lo) / np.where(span > 0, span, 1.0), 0.0)
 
 
-def score_cam(theta: ParamStore, graph: FCGraph, target_class: int, *,
-              use_graph: bool = True) -> list[SaliencyMap]:
+def score_cam(theta: ParamStore, graph: FCGraph, target_class: int) -> list[SaliencyMap]:
     """Channel-mask attribution of one sample at every layer of the
     convolution stack, in layer order; the masks scale the node-feature rows.
 
     The masked inputs of all layers' channels are scored together, from one
-    pass for the activations and one for the all-zero baseline. `use_graph`
-    is the propagation the model was trained with (`use_stfg`).
-    """
+    pass for the activations and one for the all-zero baseline."""
     if target_class not in (0, 1):
         raise ValueError(f"target class must be 0 or 1, got {target_class}")
 
-    masks = [_minmax_rows(h.T) for h in eval_hidden(theta, graph, use_graph=use_graph)]
+    masks = [_minmax_rows(h.T) for h in eval_hidden(theta, graph)]
     stacked = np.concatenate(masks)  # (channels of every layer, N)
     x, adj = graph.features[None], graph.propagation[None]
-    baseline = eval_class_probs(theta, x, adj, np.zeros(x.shape[:2]),
-                                use_graph=use_graph)[0, target_class]
+    baseline = eval_class_probs(theta, x, adj, np.zeros(x.shape[:2]))[0, target_class]
     # a constant channel's mask is all zero, so its input is the baseline's
     live = np.flatnonzero(stacked.any(axis=1))
     scores = np.full(stacked.shape[0], baseline)
     repeat = (live.size,) + x.shape[1:]
     scores[live] = eval_class_probs(theta, np.broadcast_to(x, repeat), np.broadcast_to(adj, repeat),
-                                    stacked[live], use_graph=use_graph)[:, target_class]
+                                    stacked[live])[:, target_class]
     maps = []
     start = 0
     for layer, layer_masks in enumerate(masks, start=1):
@@ -152,8 +149,9 @@ def significant_edges(scores: np.ndarray, fc: np.ndarray, groups: np.ndarray,
     if fc.shape[0] != n or groups.shape[0] != n:
         raise ValueError("scores, fc, and groups must agree on subject count")
     counts = np.bincount(groups.astype(int), minlength=2)
-    if counts.min() < 3:
-        raise ValueError(f"need at least 3 subjects per group, got {counts.tolist()}")
+    if counts.min() < MIN_GROUP_SUBJECTS:
+        raise ValueError(f"need at least {MIN_GROUP_SUBJECTS} subjects per group, "
+                         f"got {counts.tolist()}")
 
     mean_abs = np.abs(scores).mean(axis=0)
     kept = np.argsort(-mean_abs, kind="stable")[:n_rois_kept]
@@ -187,8 +185,8 @@ def significant_edges(scores: np.ndarray, fc: np.ndarray, groups: np.ndarray,
 # faithfulness against the model
 
 
-def saliency_masked_scores(theta: ParamStore, graphs: list[FCGraph], *masks: np.ndarray,
-                           use_graph: bool = True) -> tuple[np.ndarray, ...]:
+def saliency_masked_scores(theta: ParamStore, graphs: list[FCGraph],
+                           *masks: np.ndarray) -> tuple[np.ndarray, ...]:
     """(clean, masked, ...) predicted-class probabilities per graph: the
     clean ones, then one array per mask set, all from one clean pass.
 
@@ -197,10 +195,11 @@ def saliency_masked_scores(theta: ParamStore, graphs: list[FCGraph], *masks: np.
     """
     x = np.stack([g.features for g in graphs])
     adj = np.stack([g.propagation for g in graphs])
-    clean = eval_class_probs(theta, x, adj, use_graph=use_graph)
+    clean = eval_class_probs(theta, x, adj)
     picked = (np.arange(len(graphs)), np.argmax(clean, axis=1))
-    masked = [eval_class_probs(theta, x, adj, _minmax_rows(np.asarray(m, dtype=np.float64)),
-                               use_graph=use_graph)[picked] for m in masks]
+    masked = [eval_class_probs(theta, x, adj,
+                               _minmax_rows(np.asarray(m, dtype=np.float64)))[picked]
+              for m in masks]
     return (clean[picked], *masked)
 
 
@@ -228,15 +227,12 @@ class Explanation:
 
 
 def explain_cohort(theta: ParamStore, datasets: list[SiteDataset], layer: int,
-                   target_class: int, *, windows: int, seed: int,
-                   use_graph: bool = True) -> Explanation:
+                   target_class: int, *, windows: int, seed: int) -> Explanation:
     """Attribute the first `windows` windows of every subject at every layer.
 
     Subject maps are the mean of their window maps. The focus `layer` selects
     the maps behind the group-discriminative edges and the faithfulness of
-    the window maps against equal-sparsity random controls. `use_graph` is
-    the propagation the model was trained with (`use_stfg`).
-    """
+    the window maps against equal-sparsity random controls."""
     if not 1 <= layer <= N_LAYERS:
         raise ValueError(f"layer must be in 1..{N_LAYERS}, got {layer}")
     from scipy import special  # noqa: F401  load it before the first forward, as set-up
@@ -248,13 +244,16 @@ def explain_cohort(theta: ParamStore, datasets: list[SiteDataset], layer: int,
     subjects = [(ds, indices[:windows]) for ds in datasets
                 for _, indices in sorted(ds.subject_index.items())]
     groups = np.array([ds.truth[indices[0]] for ds, indices in subjects])
+    counts = np.bincount(groups, minlength=2)
+    if counts.min() < MIN_GROUP_SUBJECTS:
+        raise ConfigError(f"explain needs at least {MIN_GROUP_SUBJECTS} subjects of each "
+                          f"class, the cohort has {counts.tolist()}")
 
     subject_scores = []  # per subject, (N_LAYERS, R)
     focus_masks, focus_graphs = [], []
     for ds, indices in subjects:
         graphs = [ds.samples[i] for i in indices]
-        window_scores = np.array([[m.scores for m in score_cam(theta, g, target_class,
-                                                               use_graph=use_graph)]
+        window_scores = np.array([[m.scores for m in score_cam(theta, g, target_class)]
                                   for g in graphs])
         subject_scores.append(window_scores.mean(axis=0))
         focus_masks.extend(window_scores[:, layer - 1])
@@ -267,8 +266,7 @@ def explain_cohort(theta: ParamStore, datasets: list[SiteDataset], layer: int,
 
     masks = np.stack(focus_masks)
     control = permuted_masks(masks, seed, "explain")
-    clean, masked, masked_ctl = saliency_masked_scores(theta, focus_graphs, masks, control,
-                                                       use_graph=use_graph)
+    clean, masked, masked_ctl = saliency_masked_scores(theta, focus_graphs, masks, control)
     faithfulness = {
         "saliency": (average_drop(clean, masked), average_increase(clean, masked)),
         "random": (average_drop(clean, masked_ctl), average_increase(clean, masked_ctl)),

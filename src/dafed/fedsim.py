@@ -21,8 +21,8 @@ from . import rng
 from . import tensor as tt
 from .data import SiteDataset
 from .disentangle import marginal_permutation, mi_loss, mine_estimate
-from .fusion import (ROLE_SOURCE, ROLE_TARGET_LABELED, ROLES, adversarial_ramp,
-                     classify_loss, domain_loss, domain_probs, total_loss)
+from .fusion import (ROLE_SOURCE, ROLE_TARGET_LABELED, ROLE_TARGET_UNLABELED, ROLES,
+                     adversarial_ramp, classify_loss, domain_loss, domain_probs, total_loss)
 from .network import (Batch, eval_class_probs, make_batch, model_forward, param_groups,
                       init_theta)
 from .optim import Adam, LrProfile, ParamStore, adam_step, is_running_stat, lr_at
@@ -168,13 +168,11 @@ class TrainSettings:
     alpha: float = 0.01
     lr: LrProfile = field(default_factory=lambda: LrProfile("decay", 0.01, 0.99))
     batch_denom: int = 16
-    use_stfg: bool = True
     use_rd: bool = True
     use_dat: bool = True
     use_cl: bool = True
     reversal: bool = True  # gradient reversal separable from the loss weight
     broadcast_grads: bool = True  # off: sites treat the central loss as a constant
-    mode: str = "dafed_u"  # "dafed_l" adds the classification term at labeled targets
 
 
 @dataclass
@@ -224,7 +222,7 @@ def select_batch(state: SiteState, round_idx: int, settings: TrainSettings) -> B
     size = min(n, max(2, n // settings.batch_denom))
     idx = rng.stream(settings.seed, "batch", state.site_id, round_idx).choice(n, size, replace=False)
     domain = 0 if state.role == ROLE_SOURCE else 1
-    return make_batch(state.dataset, idx, domain, use_graph=settings.use_stfg)
+    return make_batch(state.dataset, idx, domain)
 
 
 @dataclass
@@ -238,16 +236,15 @@ class SiteObjective:
 
 
 def site_objective(theta: ParamStore, batch: Batch, *, role: str, ramp: float,
-                   settings: TrainSettings, queue: dict | None,
-                   prev_global: ParamStore | None, key: tuple,
-                   train: bool = True) -> SiteObjective:
-    """Forward one batch and assemble the weighted objective for its role."""
-    fw = model_forward(theta, batch, train=train, drop_key=key)
+                   settings: TrainSettings, queue: dict,
+                   prev_global: ParamStore | None, key: tuple) -> SiteObjective:
+    """Forward one training batch and assemble the weighted objective. Every
+    role but an unlabeled target adds the classification term."""
+    fw = model_forward(theta, batch, train=True, drop_key=key)
     tensors = {}
     parts = {"cls": 0.0, "mi": 0.0, "cl": 0.0, "dom": 0.0}
 
-    include_cls = role == ROLE_SOURCE or (role == ROLE_TARGET_LABELED and settings.mode == "dafed_l")
-    if include_cls:
+    if role != ROLE_TARGET_UNLABELED:
         if batch.labels is None:
             raise ValueError(f"role {role} needs labels for the classification term")
         tensors["cls"] = classify_loss(fw.class_probs, batch.labels)
@@ -256,23 +253,22 @@ def site_objective(theta: ParamStore, batch: Batch, *, role: str, ramp: float,
     estimator_objective = None
     if settings.use_rd:
         perm = marginal_permutation(batch.size, rng.stream(*key, "marginal"))
-        dv = mine_estimate(theta, fw.f_di, fw.f_ds, perm, train=train)
+        dv = mine_estimate(theta, fw.f_di, fw.f_ds, perm, train=True)
         tensors["mi"] = mi_loss(dv)
         parts["mi"] = tensors["mi"].item()
         dv_phi = mine_estimate(theta, fw.f_di.detach(), fw.f_ds.detach(), perm,
-                               train=train, update_running=False)
+                               train=True, update_running=False)
         estimator_objective = tt.scale(dv_phi, -1.0)
 
     if settings.use_dat:
-        mask = (rng.dropout_keep_masks((160,), 0.5, batch.uids, *key, "dom")
-                if train else None)
-        probs = domain_probs(theta, fw.f_di, train=train, drop_mask=mask,
+        mask = rng.dropout_keep_masks((160,), 0.5, batch.uids, *key, "dom")
+        probs = domain_probs(theta, fw.f_di, train=True, drop_mask=mask,
                              reverse_scale=ramp if settings.reversal else None)
         tensors["dom"] = domain_loss(probs, batch.domains)
         parts["dom"] = tensors["dom"].item()
 
     sim_pos = float("nan")
-    if settings.use_cl and queue is not None and prev_global is not None:
+    if settings.use_cl and prev_global is not None:
         with tt.no_grad():
             positive = model_forward(prev_global, batch, train=False).f_di.data
         negatives = [list(queue.get(uid, ())) for uid in batch.uids]
@@ -284,7 +280,7 @@ def site_objective(theta: ParamStore, batch: Batch, *, role: str, ramp: float,
         sim_pos = float(((anchor * positive).sum(axis=1)[ok] / norms[ok]).mean()) if ok.any() else float("nan")
 
     total = total_loss(tensors, lambda_mi=settings.lambda_mi,
-                       lambda_cl=settings.lambda_cl, ramp=ramp, role=role)
+                       lambda_cl=settings.lambda_cl, ramp=ramp)
 
     if batch.truth is None:
         accuracy = float("nan")
@@ -441,8 +437,7 @@ def train_source_only(settings: TrainSettings, dataset: SiteDataset) -> ParamSto
     theta = init_theta(dataset.n_rois, settings.seed)
     local = TrainSettings(seed=settings.seed, rounds=settings.rounds,
                           lr=settings.lr, batch_denom=settings.batch_denom,
-                          use_stfg=settings.use_stfg, use_rd=False,
-                          use_dat=False, use_cl=False, queue_len=0)
+                          use_rd=False, use_dat=False, use_cl=False, queue_len=0)
     state = SiteState(site_id=dataset.site_id, role=ROLE_SOURCE, dataset=dataset,
                       adam_main=Adam(names=param_groups(theta)[0]), adam_mine=Adam(names=()))
     for round_idx in range(local.rounds):
@@ -451,16 +446,16 @@ def train_source_only(settings: TrainSettings, dataset: SiteDataset) -> ParamSto
     return theta
 
 
-def dataset_predictions(theta: ParamStore, dataset: SiteDataset, *, use_graph: bool = True):
+def dataset_predictions(theta: ParamStore, dataset: SiteDataset):
     """(predicted classes, true classes) of every window in evaluation mode;
     the true classes are the site's `truth`."""
     if dataset.truth is None:
         raise ValueError(f"site {dataset.site_id}: no labels available for accuracy")
-    probs = eval_class_probs(theta, dataset.features, dataset.propagation, use_graph=use_graph)
+    probs = eval_class_probs(theta, dataset.features, dataset.propagation)
     return np.argmax(probs, axis=1), dataset.truth
 
 
-def dataset_accuracy(theta: ParamStore, dataset: SiteDataset, *, use_graph: bool = True) -> float:
+def dataset_accuracy(theta: ParamStore, dataset: SiteDataset) -> float:
     """Window accuracy of the model on a dataset in evaluation mode."""
-    preds, labels = dataset_predictions(theta, dataset, use_graph=use_graph)
+    preds, labels = dataset_predictions(theta, dataset)
     return float((preds == labels).mean())

@@ -123,18 +123,13 @@ def adversarial_ramp(progress: float, gamma: float = 10.0) -> float:
 
 
 def total_loss(parts: dict, *, lambda_mi: float, lambda_cl: float,
-               ramp: float, role: str) -> Tensor:
-    """Weighted objective for one site batch.
-
-    Source and labeled-target batches include the classification term;
-    unlabeled targets drop it even if supplied.
-    """
-    if role not in ROLES:
-        raise ValueError(f"unknown site role {role!r}")
+               ramp: float) -> Tensor:
+    """Weighted objective for one site batch; the classification term, when
+    supplied, enters unweighted."""
     zero = tt.Tensor(0.0)
     total = tt.add(tt.scale(parts.get("mi", zero), lambda_mi),
                    tt.add(tt.scale(parts.get("cl", zero), lambda_cl),
                           tt.scale(parts.get("dom", zero), ramp)))
-    if role != ROLE_TARGET_UNLABELED and "cls" in parts:
+    if "cls" in parts:
         total = tt.add(parts["cls"], total)
     return total

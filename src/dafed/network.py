@@ -89,18 +89,11 @@ class Batch:
         return self.x.shape[0]
 
 
-def _propagation(stack: np.ndarray, use_graph: bool) -> np.ndarray:
-    """`stack`, or identity matrices (no neighbor aggregation) with `use_graph` off."""
-    if use_graph:
-        return stack
-    return np.broadcast_to(np.eye(stack.shape[-1]), stack.shape).copy()
-
-
-def make_batch(dataset: SiteDataset, idx, domain: int, *, use_graph: bool = True) -> Batch:
+def make_batch(dataset: SiteDataset, idx, domain: int) -> Batch:
     """The windows `idx` of a site (an index array, or a slice for views) as
     one batch of rows of its stacks."""
     x = dataset.features[idx]
-    return Batch(x=x, adj_norm=_propagation(dataset.propagation[idx], use_graph),
+    return Batch(x=x, adj_norm=dataset.propagation[idx],
                  labels=None if dataset.labels is None else dataset.labels[idx],
                  domains=np.full(len(x), domain, dtype=np.int64),
                  uids=dataset.uid[idx].tolist(),
@@ -157,7 +150,7 @@ EVAL_CHUNK = 64  # windows per evaluation forward, which bounds its memory
 
 
 def eval_class_probs(theta: ParamStore, features: np.ndarray, propagation: np.ndarray,
-                     weights: np.ndarray | None = None, *, use_graph: bool = True) -> np.ndarray:
+                     weights: np.ndarray | None = None) -> np.ndarray:
     """Evaluation-mode class probabilities of n stacked windows, (n, 2), run
     EVAL_CHUNK windows at a time. With `weights`, window i's node-feature rows
     are scaled by `weights[i]`. No tape, no statistics updates."""
@@ -165,16 +158,16 @@ def eval_class_probs(theta: ParamStore, features: np.ndarray, propagation: np.nd
     for start in range(0, len(features), EVAL_CHUNK):
         rows = slice(start, start + EVAL_CHUNK)
         x = features[rows] if weights is None else features[rows] * weights[rows, :, None]
-        batch = Batch(x=x, adj_norm=_propagation(propagation[rows], use_graph))
+        batch = Batch(x=x, adj_norm=propagation[rows])
         with tt.no_grad():
             probs[rows] = model_forward(theta, batch, train=False).class_probs.data
     return probs
 
 
-def eval_hidden(theta: ParamStore, graph: FCGraph, *, use_graph: bool = True) -> list[np.ndarray]:
+def eval_hidden(theta: ParamStore, graph: FCGraph) -> list[np.ndarray]:
     """Per-layer (N, C) node activations of one graph in evaluation mode."""
-    adj = _propagation(graph.propagation[None], use_graph)
     with tt.no_grad():
-        _, hidden = stfg_forward(theta, Tensor(graph.features[None]), Tensor(adj),
+        _, hidden = stfg_forward(theta, Tensor(graph.features[None]),
+                                 Tensor(graph.propagation[None]),
                                  train=False, want_hidden=True)
     return [h.data[0] for h in hidden]

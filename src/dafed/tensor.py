@@ -143,17 +143,13 @@ def scale(a, c: float) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product: 2-D x 2-D, batched ND x ND, or batched ND x 2-D."""
+    """Matrix product: ND x ND with equal leading dimensions (so 2-D x 2-D),
+    or batched ND x 2-D."""
     a, b = _wrap(a), _wrap(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul: operands must be at least 2-D, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
-
-    if a.ndim == 2 and b.ndim == 2:
-        out = a.data @ b.data
-        return _node(out, [(a, lambda g: g @ b.data.T),
-                           (b, lambda g: a.data.T @ g)], "matmul")
 
     if a.ndim == b.ndim and a.shape[:-2] == b.shape[:-2]:
         out = a.data @ b.data

@@ -2,6 +2,7 @@
 contracts, and output files."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -93,6 +94,11 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     ("site.1.shift = 0.3", "site.1.shift = nan", "shift"),
     # read only by explain, which indexed an empty window list
     ("explain_windows = 2", "explain_windows = 0", "explain_windows"),
+    # negative loss weights and schedule values
+    ("", "lambda_mi = -1", "lambda_mi"),
+    ("", "lambda_cl = -0.5", "lambda_cl"),
+    ("", "gamma = -1", "gamma"),
+    ("", "lr_warmup = -5", "lr_warmup"),
 ])
 def test_bad_value_exits_2_naming_the_key(tmp_path, capsys, old, new, key):
     cfg = write_cfg(tmp_path / "run.cfg")
@@ -502,28 +508,81 @@ def test_explain_honours_use_stfg(tmp_path):
     ckpt = tmp_path / "t" / "checkpoint_final.ckpt"
     assert cli.main(["explain", str(ckpt), "--config", str(cfg),
                      "--out", str(tmp_path / "ex")]) == 0
-    run = parse_config(cfg)
     theta = wire.load_checkpoint(ckpt)[0]
-    datasets = cli._load_datasets(run)
 
-    def cohort(use_graph):
-        res = explain.explain_cohort(theta, datasets, run.explain_layer, run.explain_class,
-                                     windows=run.explain_windows, seed=run.seed,
-                                     use_graph=use_graph)
+    def cohort(path):
+        run = parse_config(path)
+        res = explain.explain_cohort(theta, cli._load_datasets(run), run.explain_layer,
+                                     run.explain_class, windows=run.explain_windows,
+                                     seed=run.seed)
         edges = [(e.roi_a, e.roi_b, e.correlation, e.p_value) for e in res.edges]
         return res.saliency, edges, res.faithfulness
 
     saliency, edges, faith = _explain_tables(tmp_path / "ex")
-    want_saliency, want_edges, want_faith = cohort(use_graph=False)
+    want_saliency, want_edges, want_faith = cohort(cfg)
     assert np.array_equal(saliency, want_saliency)
     assert edges == want_edges and faith == want_faith
-    assert not np.array_equal(saliency, cohort(use_graph=True)[0])
+    assert not np.array_equal(saliency, cohort(write_cfg(tmp_path / "on.cfg"))[0])
 
 
 def test_explain_rejects_bad_layer(tmp_path, trained):
     cfg, ckpt = trained
     assert cli.main(["explain", str(ckpt), "--config", str(cfg), "--layer", "7",
                      "--out", str(tmp_path / "x")]) == 2
+
+
+def test_explain_with_too_few_subjects_of_a_class_exits_2(tmp_path, capsys):
+    # one subject per site: the cohort holds two subjects of one class only
+    cfg = write_cfg(tmp_path / "run.cfg")
+    cfg.write_text(cfg.read_text().replace("subjects = 4", "subjects = 1"))
+    assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 0
+    capsys.readouterr()
+    code = cli.main(["explain", str(tmp_path / "t" / "checkpoint_final.ckpt"),
+                     "--config", str(cfg), "--out", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "[0, 2]" in err and "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
+# ---------------------------------------------------------------------------
+# pinned outputs of the switches that are not the defaults
+
+# recorded before `use_stfg` moved into the loader and the class term was
+# decided by the site role alone; the same with 1 and 2 BLAS threads
+PINNED_SWITCH_OUTPUTS = {
+    "use_stfg-off": {
+        "t/metrics.csv": "0606e61a15a5310d46ff7f5d69ad219788754cda8a76dadfe9402a40418808c3",
+        "t/checkpoint_final.ckpt": "dc6fb2e01cef64018772165fa1d4090ccdb933c5ed4c7ffce1958d64fb47a308",
+        "e/eval.csv": "b777a65945ef9a88321e63fbdbc9e217b0f47d98642616da4f62c6b3be3e3fff",
+        "x/saliency.csv": "2822f1c84d82200f518463242261555ca7dbce9385ab2c7d332922d6b40a725a",
+        "x/edges.csv": "fa4a3a42abfef73d2db12ba661f7ba7c92d8ee963ec6818df1f78b907c02c4be",
+        "x/faithfulness.csv": "9d0bcd287ec7f72f8591c1c2c696eda66b136302741d31d612707b5132410f6a",
+    },
+    "dafed_l": {
+        "t/metrics.csv": "9a1a796905cf73049670ab807eb6353f0479d9a9b65c83462596425bf8ec74b6",
+        "t/checkpoint_final.ckpt": "4834d4603801398d06b35b50ec7cdf40932b2b7638a8e70aa9d78bc70382157a",
+        "e/eval.csv": "0d7201937064ee7a1b8dde58c0e8b3dcd646759434174c92a1967ec44b78b5e4",
+        "x/saliency.csv": "9909959702b048750efc5c3801ffbc4b3c348b5fad09c1787564356cd40ed139",
+        "x/edges.csv": "eae401089a5bca21d974c3ea649794d46006fa27fb2467725ddb13cbf3d0e3c5",
+        "x/faithfulness.csv": "83ff90f73cface37fcc15e5474df6ed3a599097ecb453903b332afa65e280b4e",
+    },
+}
+SWITCHES = {"use_stfg-off": dict(extra="use_stfg = false\n"),
+            "dafed_l": dict(mode="dafed_l", target_role="target_labeled")}
+
+
+@pytest.mark.parametrize("switch", list(SWITCHES))
+def test_switch_outputs_are_pinned(tmp_path, switch):
+    cfg = write_cfg(tmp_path / "run.cfg", rounds=3, **SWITCHES[switch])
+    assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 0
+    ckpt = str(tmp_path / "t" / "checkpoint_final.ckpt")
+    assert cli.main(["eval", ckpt, "--config", str(cfg), "--folds", "2",
+                     "--out", str(tmp_path / "e")]) == 0
+    assert cli.main(["explain", ckpt, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 0
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in PINNED_SWITCH_OUTPUTS[switch]}
+    assert got == PINNED_SWITCH_OUTPUTS[switch]
 
 
 # ---------------------------------------------------------------------------

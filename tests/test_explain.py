@@ -1,5 +1,7 @@
 """Attribution, faithfulness metrics, ROI ranking, and edge significance."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -144,8 +146,10 @@ def test_score_cam_matches_per_layer_oracle(small_world, dead, use_graph):
         n_dead = sum(int((~_minmax_columns(h[0]).any(axis=1)).sum()) for h in hidden)
         if dead:
             assert n_dead >= 40 + 20 + 8
+        if not use_graph:  # as loaded with use_stfg = false
+            g = replace(g, propagation=np.eye(10))
         for target_class in (0, 1):
-            maps = score_cam(theta, g, target_class, use_graph=use_graph)
+            maps = score_cam(theta, g, target_class)
             assert len(maps) == explain.N_LAYERS
             for layer, m in enumerate(maps, start=1):
                 want = _score_cam_oracle(theta, g, layer, target_class, use_graph)

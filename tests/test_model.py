@@ -2,11 +2,13 @@
 heads, and the assembled network."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dafed import data, fusion, network, rng, stfg
+from dafed import cli, data, fusion, network, rng, stfg
+from dafed.config import parse_config
 from dafed import tensor as tt
 from dafed.data import SynthConfig, SynthSite, synth_multisite
 from dafed.disentangle import (disentangle_forward, dv_estimate, marginal_permutation,
@@ -384,26 +386,23 @@ def test_adversarial_ramp_clamps_out_of_range():
 
 
 def test_total_loss_assembly():
-    zero = fusion.total_loss({}, lambda_mi=1.0, lambda_cl=0.1, ramp=0.5, role="source")
+    zero = fusion.total_loss({}, lambda_mi=1.0, lambda_cl=0.1, ramp=0.5)
     assert zero.item() == 0.0
     parts = {"cls": Tensor(1.0), "mi": Tensor(2.0), "cl": Tensor(3.0), "dom": Tensor(4.0)}
-    src = fusion.total_loss(parts, lambda_mi=1.0, lambda_cl=0.1, ramp=0.5, role="source")
+    src = fusion.total_loss(parts, lambda_mi=1.0, lambda_cl=0.1, ramp=0.5)
     assert src.item() == pytest.approx(5.3, abs=1e-12)
-    tgt = fusion.total_loss(parts, lambda_mi=1.0, lambda_cl=0.1, ramp=0.5,
-                            role="target_unlabeled")
-    assert tgt.item() == pytest.approx(4.3, abs=1e-12)  # classification ignored
-    with pytest.raises(ValueError):
-        fusion.total_loss(parts, lambda_mi=1.0, lambda_cl=0.1, ramp=0.5, role="client")
+    del parts["cls"]  # an unlabeled target's batch has no classification term
+    tgt = fusion.total_loss(parts, lambda_mi=1.0, lambda_cl=0.1, ramp=0.5)
+    assert tgt.item() == pytest.approx(4.3, abs=1e-12)
 
 
 def test_total_loss_linear_in_each_part():
     base = {"cls": Tensor(1.0), "mi": Tensor(1.0), "cl": Tensor(1.0), "dom": Tensor(1.0)}
-    ref = fusion.total_loss(base, lambda_mi=0.7, lambda_cl=0.2, ramp=0.3, role="source").item()
+    ref = fusion.total_loss(base, lambda_mi=0.7, lambda_cl=0.2, ramp=0.3).item()
     for key, weight in [("mi", 0.7), ("cl", 0.2), ("dom", 0.3), ("cls", 1.0)]:
         bumped = dict(base)
         bumped[key] = Tensor(2.0)
-        got = fusion.total_loss(bumped, lambda_mi=0.7, lambda_cl=0.2, ramp=0.3,
-                                role="source").item()
+        got = fusion.total_loss(bumped, lambda_mi=0.7, lambda_cl=0.2, ramp=0.3).item()
         assert got - ref == pytest.approx(weight, abs=1e-12)
 
 
@@ -476,10 +475,32 @@ def test_model_forward_shapes_and_prob_rows(theta12):
     assert np.max(np.abs(res.class_probs.data.sum(axis=1) - 1.0)) <= 1e-12
 
 
-def test_make_batch_without_graph_uses_identity_propagation():
-    sites = [SynthSite("s", 2, True, 0.0)]
-    ds = synth_multisite(SynthConfig(sites=sites, n_rois=10, t=22, window=20, top_k=3), seed=2)[0]
-    batch = network.make_batch(ds, slice(0, 3), 0, use_graph=False)
+SMALL_CFG = """
+seed = 2
+data = synth
+rois = 10
+t_points = 22
+subjects = 2
+window = 20
+top_k = 3
+site.0.id = s
+site.0.role = source
+"""
+
+
+def test_make_batch_without_graph_uses_identity_propagation(tmp_path):
+    # the loader applies use_stfg = false: every window's propagation is the
+    # identity, so no layer aggregates neighbors
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_CFG)
+    on = cli._load_datasets(parse_config(cfg))[0]
+    cfg.write_text(SMALL_CFG + "use_stfg = false\n")
+    off = cli._load_datasets(parse_config(cfg))[0]
+    assert not np.array_equal(on.propagation[0], np.eye(10))
+    assert off.features.tobytes() == on.features.tobytes()
+    assert off.propagation.shape == on.propagation.shape
+    assert all(np.array_equal(p, np.eye(10)) for p in off.propagation)
+    batch = network.make_batch(off, slice(0, 3), 0)
     assert np.array_equal(batch.adj_norm[0], np.eye(10))
 
 
@@ -487,11 +508,13 @@ def test_make_batch_without_graph_uses_identity_propagation():
 def test_samples_are_views_and_make_batch_stacks_their_rows(use_graph):
     sites = [SynthSite("s", 3, True, 0.0)]
     ds = synth_multisite(SynthConfig(sites=sites, n_rois=10, t=24, window=20, top_k=3), seed=4)[0]
+    if not use_graph:  # as loaded with use_stfg = false
+        ds = replace(ds, propagation=np.broadcast_to(np.eye(10), ds.propagation.shape))
     for i, g in enumerate(ds.samples):
         assert np.shares_memory(g.features, ds.features[i])
         assert np.shares_memory(g.propagation, ds.propagation[i])
     idx = np.array([7, 0, 12, 3, 3])
-    batch = network.make_batch(ds, idx, 1, use_graph=use_graph)
+    batch = network.make_batch(ds, idx, 1)
     rows = [ds.samples[i] for i in idx]
     want_adj = np.stack([g.propagation if use_graph else np.eye(10) for g in rows])
     assert batch.x.tobytes() == np.stack([g.features for g in rows]).tobytes()
@@ -503,6 +526,5 @@ def test_samples_are_views_and_make_batch_stacks_their_rows(use_graph):
     # a slice gives views, and an evaluation forward over views leaves the stacks as they were
     assert np.shares_memory(network.make_batch(ds, slice(2, 6), 0).x, ds.features)
     before = ds.features.tobytes() + ds.propagation.tobytes()
-    network.eval_class_probs(network.init_theta(10, 0), ds.features, ds.propagation,
-                             use_graph=use_graph)
+    network.eval_class_probs(network.init_theta(10, 0), ds.features, ds.propagation)
     assert ds.features.tobytes() + ds.propagation.tobytes() == before
