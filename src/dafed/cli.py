@@ -349,11 +349,11 @@ def main(argv=None) -> int:
     except (ConfigError, IngestError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except TrainingDiverged as err:
+    except (TrainingDiverged, ValueError, wire.WireError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except (ValueError, wire.WireError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
+    except MemoryError:
+        print(f"error: out of memory during {args.command}", file=sys.stderr)
         return 1
 
 

@@ -269,6 +269,8 @@ def _validate(cfg: RunConfig):
                 raise ConfigError(f"window = {cfg.window} is longer than {key} = {length}")
     if cfg.lr_base <= 0:
         raise ConfigError(f"lr_base must be positive, got {cfg.lr_base}")
+    if not 0 < cfg.lr_decay <= 1:
+        raise ConfigError(f"lr_decay must be in (0, 1], got {cfg.lr_decay}")
     if cfg.tau <= 0:
         raise ConfigError("tau must be positive")
     for key in ("lambda_mi", "lambda_cl", "gamma", "alpha", "queue", "lr_warmup"):

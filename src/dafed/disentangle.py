@@ -5,10 +5,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import rng
 from . import tensor as tt
 from .tensor import Tensor
-
-FEATURE_DIM = 128  # width of each disentangled component
 
 
 def _mlp_bn_block(theta, x: Tensor, prefix: str, *, train: bool,
@@ -20,18 +19,22 @@ def _mlp_bn_block(theta, x: Tensor, prefix: str, *, train: bool,
     return activation(h)
 
 
-def _branch(theta, z: Tensor, branch: str, *, train: bool, drop_mask) -> Tensor:
-    h = _mlp_bn_block(theta, z, f"dis.{branch}.fc1", train=train)
-    h = tt.dropout(h, 0.2, mask=drop_mask, train=train)
-    return _mlp_bn_block(theta, h, f"dis.{branch}.fc2", train=train)
+def _branch(theta, z: Tensor, branch: str, *, train: bool, drop_key) -> Tensor:
+    tag = f"dis.{branch}"
+    h = _mlp_bn_block(theta, z, f"{tag}.fc1", train=train)
+    rate = 0.2
+    mask = None if drop_key is None else rng.dropout_keep_masks(h.shape[1:], rate, *drop_key, tag)
+    h = tt.dropout(h, rate, mask=mask, train=train)
+    return _mlp_bn_block(theta, h, f"{tag}.fc2", train=train)
 
 
 def disentangle_forward(theta, z: Tensor, *, train: bool,
-                        di_mask=None, ds_mask=None) -> tuple[Tensor, Tensor]:
+                        drop_key: tuple | None = None) -> tuple[Tensor, Tensor]:
     """Two independent stacks map the embedding to the invariant and the
-    specific component, (B, 480) -> (B, 128) each."""
-    f_di = _branch(theta, z, "di", train=train, drop_mask=di_mask)
-    f_ds = _branch(theta, z, "ds", train=train, drop_mask=ds_mask)
+    specific component, (B, 480) -> (B, 128) each. `drop_key` is (uids, *key)
+    in training and None in evaluation."""
+    f_di = _branch(theta, z, "di", train=train, drop_key=drop_key)
+    f_ds = _branch(theta, z, "ds", train=train, drop_key=drop_key)
     return f_di, f_ds
 
 

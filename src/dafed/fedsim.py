@@ -240,7 +240,8 @@ def site_objective(theta: ParamStore, batch: Batch, *, role: str, ramp: float,
                    prev_global: ParamStore | None, key: tuple) -> SiteObjective:
     """Forward one training batch and assemble the weighted objective. Every
     role but an unlabeled target adds the classification term."""
-    fw = model_forward(theta, batch, train=True, drop_key=key)
+    drop_key = (batch.uids, *key)
+    fw = model_forward(theta, batch, train=True, drop_key=drop_key)
     tensors = {}
     parts = {"cls": 0.0, "mi": 0.0, "cl": 0.0, "dom": 0.0}
 
@@ -261,8 +262,7 @@ def site_objective(theta: ParamStore, batch: Batch, *, role: str, ramp: float,
         estimator_objective = tt.scale(dv_phi, -1.0)
 
     if settings.use_dat:
-        mask = rng.dropout_keep_masks((160,), 0.5, batch.uids, *key, "dom")
-        probs = domain_probs(theta, fw.f_di, train=True, drop_mask=mask,
+        probs = domain_probs(theta, fw.f_di, train=True, drop_key=drop_key,
                              reverse_scale=ramp if settings.reversal else None)
         tensors["dom"] = domain_loss(probs, batch.domains)
         parts["dom"] = tensors["dom"].item()

@@ -7,6 +7,7 @@ import logging
 
 import numpy as np
 
+from . import rng
 from . import tensor as tt
 from .tensor import Tensor
 
@@ -57,23 +58,27 @@ def fuse(theta, f_di: Tensor, f_ds: Tensor) -> Tensor:
 
 
 def _head(theta, x: Tensor, prefix: str, drop_rate: float, *, train: bool,
-          drop_mask=None) -> Tensor:
+          drop_key) -> Tensor:
     h = tt.add(tt.matmul(x, theta[f"{prefix}.fc1.w"]), theta[f"{prefix}.fc1.b"])
     h = tt.batch_norm(h, theta[f"{prefix}.bn.gamma"], theta[f"{prefix}.bn.beta"],
                       theta[f"{prefix}.bn.running_mean"], theta[f"{prefix}.bn.running_var"],
                       train=train)
     h = tt.relu(h)
-    h = tt.dropout(h, drop_rate, mask=drop_mask, train=train)
+    mask = None if drop_key is None else rng.dropout_keep_masks(
+        h.shape[1:], drop_rate, *drop_key, prefix)
+    h = tt.dropout(h, drop_rate, mask=mask, train=train)
     logits = tt.add(tt.matmul(h, theta[f"{prefix}.fc2.w"]), theta[f"{prefix}.fc2.b"])
     return tt.softmax(logits, axis=1)
 
 
-def classifier_probs(theta, f_fused: Tensor, *, train: bool, drop_mask=None) -> Tensor:
-    """Two-class probabilities from the fused feature, (B, 256) -> (B, 2)."""
-    return _head(theta, f_fused, "clf", 0.5, train=train, drop_mask=drop_mask)
+def classifier_probs(theta, f_fused: Tensor, *, train: bool,
+                     drop_key: tuple | None = None) -> Tensor:
+    """Two-class probabilities from the fused feature, (B, 256) -> (B, 2).
+    `drop_key` is (uids, *key) in training and None in evaluation."""
+    return _head(theta, f_fused, "clf", 0.5, train=train, drop_key=drop_key)
 
 
-def domain_probs(theta, f_di: Tensor, *, train: bool, drop_mask=None,
+def domain_probs(theta, f_di: Tensor, *, train: bool, drop_key: tuple | None = None,
                  reverse_scale: float | None = None) -> Tensor:
     """Domain predictions from the invariant component, (B, 128) -> (B, 2).
 
@@ -82,7 +87,7 @@ def domain_probs(theta, f_di: Tensor, *, train: bool, drop_mask=None,
     everything upstream is pushed the other way.
     """
     x = tt.grad_reverse(f_di, reverse_scale) if reverse_scale is not None else f_di
-    return _head(theta, x, "dom", 0.5, train=train, drop_mask=drop_mask)
+    return _head(theta, x, "dom", 0.5, train=train, drop_key=drop_key)
 
 
 def nll_from_probs(probs: Tensor, targets: np.ndarray) -> Tensor:

@@ -16,9 +16,6 @@ from .optim import ParamStore, is_running_stat
 from .stfg import GCN_WIDTHS, EMBED_DIM, stfg_forward
 from .tensor import Tensor
 
-DROP_DIS = 0.2
-DROP_HEAD = 0.5
-
 
 def _glorot(stream, fan_in: int, fan_out: int) -> np.ndarray:
     bound = np.sqrt(6.0 / (fan_in + fan_out))
@@ -100,24 +97,6 @@ def make_batch(dataset: SiteDataset, idx, domain: int) -> Batch:
                  truth=None if dataset.truth is None else dataset.truth[idx])
 
 
-def _stfg_masks(batch: Batch, train: bool, key: tuple) -> list:
-    if not train:
-        return [None] * len(GCN_WIDTHS)
-    n = batch.x.shape[1]
-    masks = [None]
-    widths_in = GCN_WIDTHS[:-1]
-    for layer, width in enumerate(widths_in, start=2):
-        masks.append(rng.dropout_keep_masks((n, width), 0.1, batch.uids,
-                                            *key, f"stfg.l{layer}"))
-    return masks
-
-
-def _mask(batch: Batch, train: bool, key: tuple, tag: str, width: int, rate: float):
-    if not train:
-        return None
-    return rng.dropout_keep_masks((width,), rate, batch.uids, *key, tag)
-
-
 @dataclass
 class ForwardResult:
     z: Tensor
@@ -128,21 +107,18 @@ class ForwardResult:
 
 
 def model_forward(theta: ParamStore, batch: Batch, *, train: bool,
-                  drop_key: tuple = ("eval",)) -> ForwardResult:
+                  drop_key: tuple | None = None) -> ForwardResult:
     """Graphs -> embedding -> components -> fused feature -> class probs.
 
-    `drop_key` scopes the dropout streams; it must identify (seed, site,
-    round) during training so masks are reproducible sample by sample.
+    In training, `drop_key` is (batch.uids, seed, "drop", site, round): each
+    dropout layer draws its masks window by window from it, so they are
+    reproducible sample by sample. It is None in evaluation.
     """
     z = stfg_forward(theta, Tensor(batch.x), Tensor(batch.adj_norm), train=train,
-                     drop_masks=_stfg_masks(batch, train, drop_key))
-    f_di, f_ds = disentangle_forward(
-        theta, z, train=train,
-        di_mask=_mask(batch, train, drop_key, "dis.di", 256, DROP_DIS),
-        ds_mask=_mask(batch, train, drop_key, "dis.ds", 256, DROP_DIS))
+                     drop_key=drop_key)
+    f_di, f_ds = disentangle_forward(theta, z, train=train, drop_key=drop_key)
     fused = fuse(theta, f_di, f_ds)
-    probs = classifier_probs(theta, fused, train=train,
-                             drop_mask=_mask(batch, train, drop_key, "clf", 320, DROP_HEAD))
+    probs = classifier_probs(theta, fused, train=train, drop_key=drop_key)
     return ForwardResult(z=z, f_di=f_di, f_ds=f_ds, fused=fused, class_probs=probs)
 
 

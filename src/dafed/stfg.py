@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import rng
 from . import tensor as tt
 from .tensor import Tensor
 
@@ -39,14 +40,18 @@ def gcn_propagate(h: Tensor, adj_norm: Tensor, w: Tensor) -> Tensor:
     return tt.matmul(tt.matmul(adj_norm, h), w)
 
 
-def gcn_layer(h: Tensor, adj_norm: Tensor, w: Tensor, gamma: Tensor, beta: Tensor,
-              running_mean: Tensor, running_var: Tensor, *, train: bool,
-              drop_rate: float = 0.0, drop_mask: np.ndarray | None = None) -> Tensor:
-    """One full block: optional input dropout, propagation, then BN and ReLU."""
+def gcn_layer(theta, prefix: str, h: Tensor, adj_norm: Tensor, *, train: bool,
+              drop_rate: float, drop_key: tuple | None) -> Tensor:
+    """One full block: input dropout (none at rate 0), propagation, then BN
+    and ReLU. The dropout stream is tagged with the layer's `prefix`."""
     if drop_rate > 0.0:
-        h = tt.dropout(h, drop_rate, mask=drop_mask, train=train)
-    out = gcn_propagate(h, adj_norm, w)
-    out = tt.batch_norm(out, gamma, beta, running_mean, running_var, train=train)
+        mask = None if drop_key is None else rng.dropout_keep_masks(
+            h.shape[1:], drop_rate, *drop_key, prefix)
+        h = tt.dropout(h, drop_rate, mask=mask, train=train)
+    out = gcn_propagate(h, adj_norm, theta[f"{prefix}.w"])
+    out = tt.batch_norm(out, theta[f"{prefix}.bn.gamma"], theta[f"{prefix}.bn.beta"],
+                        theta[f"{prefix}.bn.running_mean"], theta[f"{prefix}.bn.running_var"],
+                        train=train)
     return tt.relu(out)
 
 
@@ -63,23 +68,19 @@ def jk_concat(pools: list[Tensor]) -> Tensor:
 
 
 def stfg_forward(theta, x: Tensor, adj_norm: Tensor, *, train: bool,
-                 drop_masks: list | None = None, want_hidden: bool = False):
+                 drop_key: tuple | None = None, want_hidden: bool = False):
     """Embed a batch of graphs: x (B, N, R), adj_norm (B, N, N) -> (B, 480).
 
-    `drop_masks` supplies one keep mask per layer (None entries allowed).
-    With `want_hidden`, also returns the post-activation node features of
-    every layer for attribution.
+    `drop_key` is (uids, *key) in training and None in evaluation; each layer
+    draws its dropout masks with it. With `want_hidden`, also returns the
+    post-activation node features of every layer for attribution.
     """
     h = x
     pools = []
     hidden = []
-    for i, width in enumerate(GCN_WIDTHS, start=1):
-        p = f"stfg.l{i}"
-        mask = drop_masks[i - 1] if drop_masks else None
-        h = gcn_layer(h, adj_norm, theta[f"{p}.w"], theta[f"{p}.bn.gamma"],
-                      theta[f"{p}.bn.beta"], theta[f"{p}.bn.running_mean"],
-                      theta[f"{p}.bn.running_var"], train=train,
-                      drop_rate=GCN_DROPOUT[i - 1], drop_mask=mask)
+    for i, rate in enumerate(GCN_DROPOUT, start=1):
+        h = gcn_layer(theta, f"stfg.l{i}", h, adj_norm, train=train,
+                      drop_rate=rate, drop_key=drop_key)
         hidden.append(h)
         pools.append(jk_pool(h))
     z = jk_concat(pools)

@@ -80,12 +80,6 @@ def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _node(data, parents, op) -> Tensor:
-    if not _RECORDING:
-        return Tensor(data, op=op)
-    return Tensor(data, parents=parents, op=op)
-
-
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum `grad` down to `shape` after numpy broadcasting."""
     extra = grad.ndim - len(shape)
@@ -112,30 +106,30 @@ def add(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     _check_broadcast(a, b, "add")
     out = a.data + b.data
-    return _node(out, [(a, lambda g: _unbroadcast(g, a.shape)),
-                       (b, lambda g: _unbroadcast(g, b.shape))], "add")
+    return Tensor(out, [(a, lambda g: _unbroadcast(g, a.shape)),
+                        (b, lambda g: _unbroadcast(g, b.shape))], "add")
 
 
 def sub(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     _check_broadcast(a, b, "sub")
     out = a.data - b.data
-    return _node(out, [(a, lambda g: _unbroadcast(g, a.shape)),
-                       (b, lambda g: _unbroadcast(-g, b.shape))], "sub")
+    return Tensor(out, [(a, lambda g: _unbroadcast(g, a.shape)),
+                        (b, lambda g: _unbroadcast(-g, b.shape))], "sub")
 
 
 def mul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     _check_broadcast(a, b, "mul")
     out = a.data * b.data
-    return _node(out, [(a, lambda g: _unbroadcast(g * b.data, a.shape)),
-                       (b, lambda g: _unbroadcast(g * a.data, b.shape))], "mul")
+    return Tensor(out, [(a, lambda g: _unbroadcast(g * b.data, a.shape)),
+                        (b, lambda g: _unbroadcast(g * a.data, b.shape))], "mul")
 
 
 def scale(a, c: float) -> Tensor:
     a = _wrap(a)
     c = float(c)
-    return _node(a.data * c, [(a, lambda g: g * c)], "scale")
+    return Tensor(a.data * c, [(a, lambda g: g * c)], "scale")
 
 
 # ---------------------------------------------------------------------------
@@ -154,15 +148,15 @@ def matmul(a, b) -> Tensor:
     if a.ndim == b.ndim and a.shape[:-2] == b.shape[:-2]:
         out = a.data @ b.data
         sw = lambda x: np.swapaxes(x, -1, -2)
-        return _node(out, [(a, lambda g: g @ sw(b.data)),
-                           (b, lambda g: sw(a.data) @ g)], "matmul")
+        return Tensor(out, [(a, lambda g: g @ sw(b.data)),
+                            (b, lambda g: sw(a.data) @ g)], "matmul")
 
     if a.ndim >= 3 and b.ndim == 2:
         out = a.data @ b.data
         lead = a.ndim - 1
-        return _node(out, [(a, lambda g: g @ b.data.T),
-                           (b, lambda g: np.tensordot(a.data, g, axes=(tuple(range(lead)), tuple(range(lead)))))],
-                     "matmul")
+        return Tensor(out, [(a, lambda g: g @ b.data.T),
+                            (b, lambda g: np.tensordot(a.data, g, axes=(tuple(range(lead)), tuple(range(lead)))))],
+                      "matmul")
 
     raise ShapeError(f"matmul: unsupported operand ranks {a.shape} @ {b.shape}")
 
@@ -173,7 +167,7 @@ def transpose(a, axes=None) -> Tensor:
         axes = tuple(reversed(range(a.ndim)))
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
-    return _node(np.transpose(a.data, axes), [(a, lambda g: np.transpose(g, inv))], "transpose")
+    return Tensor(np.transpose(a.data, axes), [(a, lambda g: np.transpose(g, inv))], "transpose")
 
 
 def reshape(a, shape) -> Tensor:
@@ -182,7 +176,7 @@ def reshape(a, shape) -> Tensor:
     if int(np.prod(shape)) != a.size:
         raise ShapeError(f"reshape: cannot view {a.shape} as {shape}")
     old = a.shape
-    return _node(a.data.reshape(shape), [(a, lambda g: g.reshape(old))], "reshape")
+    return Tensor(a.data.reshape(shape), [(a, lambda g: g.reshape(old))], "reshape")
 
 
 def concat(tensors: Iterable[Tensor], axis: int) -> Tensor:
@@ -195,7 +189,7 @@ def concat(tensors: Iterable[Tensor], axis: int) -> Tensor:
     def part_vjp(i):
         return lambda g: np.split(g, splits, axis=axis)[i]
 
-    return _node(out, [(t, part_vjp(i)) for i, t in enumerate(ts)], "concat")
+    return Tensor(out, [(t, part_vjp(i)) for i, t in enumerate(ts)], "concat")
 
 
 def take_rows(a, indices) -> Tensor:
@@ -211,7 +205,7 @@ def take_rows(a, indices) -> Tensor:
         np.add.at(full, idx, g)
         return full
 
-    return _node(a.data[idx], [(a, vjp)], "take_rows")
+    return Tensor(a.data[idx], [(a, vjp)], "take_rows")
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +216,9 @@ def tsum(a, axis=None) -> Tensor:
     a = _wrap(a)
     if axis is None:
         shape = a.shape
-        return _node(a.data.sum(), [(a, lambda g: np.broadcast_to(g, shape).copy())], "sum")
+        return Tensor(a.data.sum(), [(a, lambda g: np.broadcast_to(g, shape).copy())], "sum")
     out = a.data.sum(axis=axis)
-    return _node(out, [(a, lambda g: np.broadcast_to(np.expand_dims(g, axis), a.shape).copy())], "sum")
+    return Tensor(out, [(a, lambda g: np.broadcast_to(np.expand_dims(g, axis), a.shape).copy())], "sum")
 
 
 def mean(a, axis=None) -> Tensor:
@@ -232,10 +226,10 @@ def mean(a, axis=None) -> Tensor:
     if axis is None:
         n = a.size
         shape = a.shape
-        return _node(a.data.mean(), [(a, lambda g: np.broadcast_to(g / n, shape).copy())], "mean")
+        return Tensor(a.data.mean(), [(a, lambda g: np.broadcast_to(g / n, shape).copy())], "mean")
     n = a.shape[axis]
     out = a.data.mean(axis=axis)
-    return _node(out, [(a, lambda g: np.broadcast_to(np.expand_dims(g, axis) / n, a.shape).copy())], "mean")
+    return Tensor(out, [(a, lambda g: np.broadcast_to(np.expand_dims(g, axis) / n, a.shape).copy())], "mean")
 
 
 def amax(a, axis: int) -> Tensor:
@@ -253,7 +247,7 @@ def amax(a, axis: int) -> Tensor:
         if ties.any():
             tied = np.moveaxis(a.data, axis, -1)[ties]
             out[ties] = tied[np.arange(tied.shape[0]), np.argmax(tied, axis=-1)]
-        return _node(out, (), "max")
+        return Tensor(out, (), "max")
     arg = np.argmax(a.data, axis=axis)
     out = np.take_along_axis(a.data, np.expand_dims(arg, axis), axis=axis).squeeze(axis)
 
@@ -262,7 +256,7 @@ def amax(a, axis: int) -> Tensor:
         np.put_along_axis(full, np.expand_dims(arg, axis), np.expand_dims(g, axis), axis=axis)
         return full
 
-    return _node(out, [(a, vjp)], "max")
+    return Tensor(out, [(a, vjp)], "max")
 
 
 # ---------------------------------------------------------------------------
@@ -274,16 +268,16 @@ def relu(a) -> Tensor:
     out = np.fmax(a.data, 0.0)  # NaN -> 0.0
     out += 0.0  # -0.0 -> +0.0: the same bytes as np.where(a > 0, a, 0.0)
     if not _RECORDING:
-        return _node(out, (), "relu")
+        return Tensor(out, (), "relu")
     mask = a.data > 0
-    return _node(out, [(a, lambda g: g * mask)], "relu")
+    return Tensor(out, [(a, lambda g: g * mask)], "relu")
 
 
 def leaky_relu(a, slope: float = 0.01) -> Tensor:
     a = _wrap(a)
     mask = a.data > 0
     out = np.where(mask, a.data, slope * a.data)
-    return _node(out, [(a, lambda g: g * np.where(mask, 1.0, slope))], "leaky_relu")
+    return Tensor(out, [(a, lambda g: g * np.where(mask, 1.0, slope))], "leaky_relu")
 
 
 def softmax(a, axis: int = -1) -> Tensor:
@@ -297,30 +291,30 @@ def softmax(a, axis: int = -1) -> Tensor:
     def vjp(g):
         return out * (g - (g * out).sum(axis=axis, keepdims=True))
 
-    return _node(out, [(a, vjp)], "softmax")
+    return Tensor(out, [(a, vjp)], "softmax")
 
 
 def log(a) -> Tensor:
     a = _wrap(a)
-    return _node(np.log(a.data), [(a, lambda g: g / a.data)], "log")
+    return Tensor(np.log(a.data), [(a, lambda g: g / a.data)], "log")
 
 
 def exp(a) -> Tensor:
     a = _wrap(a)
     out = np.exp(a.data)
-    return _node(out, [(a, lambda g: g * out)], "exp")
+    return Tensor(out, [(a, lambda g: g * out)], "exp")
 
 
 def absolute(a) -> Tensor:
     a = _wrap(a)
-    return _node(np.abs(a.data), [(a, lambda g: g * np.sign(a.data))], "abs")
+    return Tensor(np.abs(a.data), [(a, lambda g: g * np.sign(a.data))], "abs")
 
 
 def clip(a, lo: float, hi: float) -> Tensor:
     """Clamp values; gradient passes only strictly inside (lo, hi)."""
     a = _wrap(a)
     inside = (a.data > lo) & (a.data < hi)
-    return _node(np.clip(a.data, lo, hi), [(a, lambda g: g * inside)], "clip")
+    return Tensor(np.clip(a.data, lo, hi), [(a, lambda g: g * inside)], "clip")
 
 
 def cosine_similarity(a, b) -> Tensor:
@@ -349,14 +343,14 @@ def cosine_similarity(a, b) -> Tensor:
         g = np.where(bad, 0.0, g)[:, None]
         return g * (a.data / safe[:, None] - sim[:, None] * b.data / np.where(bad, 1.0, nb * nb)[:, None])
 
-    return _node(sim, [(a, vjp_a), (b, vjp_b)], "cosine_similarity")
+    return Tensor(sim, [(a, vjp_a), (b, vjp_b)], "cosine_similarity")
 
 
 def grad_reverse(a, scale_factor: float) -> Tensor:
     """Identity on the forward pass; backward multiplies the gradient by -scale."""
     a = _wrap(a)
     s = float(scale_factor)
-    return _node(a.data, [(a, lambda g: -s * g)], "grad_reverse")
+    return Tensor(a.data, [(a, lambda g: -s * g)], "grad_reverse")
 
 
 # ---------------------------------------------------------------------------
@@ -373,14 +367,14 @@ def dropout(a, rate: float, *, mask: np.ndarray | None = None,
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout: rate must be in [0, 1), got {rate}")
     if not train or rate == 0.0:
-        return _node(a.data, [(a, lambda g: g)], "dropout")
+        return Tensor(a.data, [(a, lambda g: g)], "dropout")
     if mask is None:
         raise ValueError("dropout: train mode needs a mask")
     if mask.shape != a.shape:
         raise ShapeError(f"dropout: mask shape {mask.shape} != input shape {a.shape}")
     inv = 1.0 / (1.0 - rate)
     factor = mask * inv
-    return _node(a.data * factor, [(a, lambda g: g * factor)], "dropout")
+    return Tensor(a.data * factor, [(a, lambda g: g * factor)], "dropout")
 
 
 def batch_norm(x, gamma, beta, running_mean, running_var, *, train: bool,
@@ -427,7 +421,7 @@ def batch_norm(x, gamma, beta, running_mean, running_var, *, train: bool,
             return g.sum(axis=axes)
 
         out = gamma.data * xhat + beta.data
-        return _node(out, [(x, vjp_x), (gamma, vjp_gamma), (beta, vjp_beta)], "batch_norm")
+        return Tensor(out, [(x, vjp_x), (gamma, vjp_gamma), (beta, vjp_beta)], "batch_norm")
 
     # running variance can dip below zero after parameter noise; clamp at use
     inv_std = 1.0 / np.sqrt(np.maximum(running_var.data, 0.0) + eps)
@@ -437,11 +431,11 @@ def batch_norm(x, gamma, beta, running_mean, running_var, *, train: bool,
         # the recorded path's operations in the same order, in place
         np.multiply(gamma.data, xhat, out=xhat)  # operand order fixes NaN signs
         xhat += beta.data
-        return _node(xhat, (), "batch_norm")
+        return Tensor(xhat, (), "batch_norm")
     out = gamma.data * xhat + beta.data
-    return _node(out, [(x, lambda g: g * gamma.data * inv_std),
-                       (gamma, lambda g: (g * xhat).sum(axis=axes)),
-                       (beta, lambda g: g.sum(axis=axes))], "batch_norm")
+    return Tensor(out, [(x, lambda g: g * gamma.data * inv_std),
+                        (gamma, lambda g: (g * xhat).sum(axis=axes)),
+                        (beta, lambda g: g.sum(axis=axes))], "batch_norm")
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,10 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     ("", "lambda_cl = -0.5", "lambda_cl"),
     ("", "gamma = -1", "gamma"),
     ("", "lr_warmup = -5", "lr_warmup"),
+    # a decay rate outside (0, 1] freezes, flips or grows the step size
+    ("lr_decay = 0.99", "lr_decay = 0", "lr_decay"),
+    ("lr_decay = 0.99", "lr_decay = -1", "lr_decay"),
+    ("lr_decay = 0.99", "lr_decay = 1.5", "lr_decay"),
 ])
 def test_bad_value_exits_2_naming_the_key(tmp_path, capsys, old, new, key):
     cfg = write_cfg(tmp_path / "run.cfg")
@@ -381,6 +385,16 @@ def test_non_finite_upload_exits_1_naming_site_and_round(tmp_path, capsys, monke
     assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err == "error: non-finite upload tensor 'clf.fc2.w' at round 0, site edge\n"
+
+
+def test_out_of_memory_exits_1_naming_the_command(tmp_path, capsys, monkeypatch):
+    def no_room(cfg):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_load_datasets", no_room)
+    cfg = write_cfg(tmp_path / "run.cfg")
+    assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "error: out of memory during train\n"
 
 
 # ---------------------------------------------------------------------------

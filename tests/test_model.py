@@ -475,6 +475,41 @@ def test_model_forward_shapes_and_prob_rows(theta12):
     assert np.max(np.abs(res.class_probs.data.sum(axis=1) - 1.0)) <= 1e-12
 
 
+def test_dropout_keep_masks_are_keyed_per_window():
+    uids = ["a:0", "b:3", "c:7"]
+    key = (5, "drop", "s", 2, "clf")
+    first = rng.dropout_keep_masks((4, 6), 0.3, uids, *key)
+    last = rng.dropout_keep_masks((4, 6), 0.3, uids[1:] + uids[:1], *key)
+    assert first.shape == (3, 4, 6) and first.dtype == bool
+    assert np.array_equal(first[0], last[-1])  # a window's row, wherever it lands
+    for row, uid in zip(first, uids):
+        assert np.array_equal(row, rng.stream(*key, uid).random((4, 6)) >= 0.3)
+
+
+def test_each_dropout_layer_draws_its_masks_from_its_own_stream(monkeypatch):
+    calls = []
+    draw = rng.dropout_keep_masks
+
+    def spy(shape, rate, uids, *key):
+        calls.append((tuple(shape), rate, key))
+        return draw(shape, rate, uids, *key)
+
+    monkeypatch.setattr(rng, "dropout_keep_masks", spy)
+    theta = network.init_theta(12, seed=0)  # a training forward moves running statistics
+    sites = [SynthSite("s", 3, True, 0.0)]
+    ds = synth_multisite(SynthConfig(sites=sites, n_rois=12, t=24, window=20, top_k=4), seed=1)[0]
+    batch = network.make_batch(ds, slice(0, 6), 0)
+    drop_key = (batch.uids, 0, "drop", "s", 1)
+    res = network.model_forward(theta, batch, train=True, drop_key=drop_key)
+    fusion.domain_probs(theta, res.f_di, train=True, drop_key=drop_key)
+    tags = [("stfg.l2", (12, 128), 0.1), ("stfg.l3", (12, 64), 0.1), ("stfg.l4", (12, 32), 0.1),
+            ("dis.di", (256,), 0.2), ("dis.ds", (256,), 0.2), ("clf", (320,), 0.5),
+            ("dom", (160,), 0.5)]
+    assert calls == [(shape, rate, (0, "drop", "s", 1, tag)) for tag, shape, rate in tags]
+    with pytest.raises(ValueError, match="train mode needs a mask"):
+        network.model_forward(theta, batch, train=True)
+
+
 SMALL_CFG = """
 seed = 2
 data = synth
