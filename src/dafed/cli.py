@@ -21,7 +21,7 @@ from . import fedsim, network, rng, wire
 from .config import KEYS, ConfigError, RunConfig, parse_config
 from .data import IngestError, SynthConfig, SynthSite, synth_multisite, synth_series
 from .fedsim import TrainingDiverged, site_objective
-from .fusion import ROLE_SOURCE
+from .fusion import ROLE_SOURCE, ROLE_TARGET_LABELED
 from .optim import ParamStore, grad_check
 
 METRICS_HEADER = ["round", "site", "role", "L_C", "L_MI", "L_CL", "L_DI",
@@ -41,7 +41,8 @@ def _fmt(value) -> str:
 
 def _load_datasets(cfg: RunConfig) -> list[data_mod.SiteDataset]:
     """The configured sites in config order. With `use_stfg` off every
-    window's propagation is the identity, so no layer aggregates neighbors."""
+    window's propagation is the identity, so no layer aggregates neighbors.
+    A labeled role on a site the manifest leaves unlabeled is a ConfigError."""
     if cfg.data == "synth":
         datasets = synth_multisite(cfg.synth_config(), cfg.seed)
     else:
@@ -57,8 +58,12 @@ def _load_datasets(cfg: RunConfig) -> list[data_mod.SiteDataset]:
     if not cfg.use_stfg:
         datasets = [replace(ds, propagation=np.broadcast_to(np.eye(ds.n_rois), ds.propagation.shape))
                     for ds in datasets]
-    order = {spec.site_id: i for i, spec in enumerate(cfg.site_specs)}
-    return sorted(datasets, key=lambda ds: order[ds.site_id])
+    by_id = {ds.site_id: ds for ds in datasets}
+    for i, spec in enumerate(cfg.site_specs):
+        if spec.role in (ROLE_SOURCE, ROLE_TARGET_LABELED) and not by_id[spec.site_id].labeled:
+            raise ConfigError(f"site.{i}.role = {spec.role} needs labels, "
+                              f"but site {spec.site_id} has none in the manifest")
+    return [by_id[spec.site_id] for spec in cfg.site_specs]
 
 
 def _load_fitting_checkpoint(path, datasets) -> ParamStore:

@@ -150,6 +150,10 @@ def _convert(key: str, raw: str):
         if not raw:
             return None
         kind = int
+    return _parse(key, raw, kind)
+
+
+def _parse(key: str, raw: str, kind: type):
     try:
         value = kind(raw)
     except ValueError:
@@ -217,16 +221,10 @@ def parse_config(path, overrides: dict | None = None) -> RunConfig:
             raise ConfigError(f"site.{i}.role is required")
         if role not in ROLES:
             raise ConfigError(f"site.{i}.role: expected one of {ROLES}, got {role!r}")
-        try:
-            spec = SiteSpec(
-                site_id=raw.get("id", f"site{i}"), role=role,
-                shift=float(raw.get("shift", 0.0)),
-                subjects=int(raw["subjects"]) if "subjects" in raw else None,
-                t_points=int(raw["t_points"]) if "t_points" in raw else None)
-        except ValueError as err:
-            raise ConfigError(f"site.{i}: {err}") from None
-        _finite(f"site.{i}.shift", spec.shift)
-        specs.append(spec)
+        numbers = {name: _parse(f"site.{i}.{name}", raw[name], kind)
+                   for name, kind in (("shift", float), ("subjects", int), ("t_points", int))
+                   if name in raw}
+        specs.append(SiteSpec(site_id=raw.get("id", f"site{i}"), role=role, **numbers))
 
     cfg = RunConfig(**values, site_specs=specs, base_dir=path.parent)
     _validate(cfg)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -344,9 +345,12 @@ def _read_series_csv(path: Path) -> np.ndarray:
             elif len(cells) != width:
                 raise IngestError(f"{path}:{lineno}: expected {width} columns, found {len(cells)}")
             try:
-                rows.append([float(c) for c in cells])
+                row = [float(c) for c in cells]
             except ValueError:
                 raise IngestError(f"{path}:{lineno}: non-numeric cell") from None
+            if not all(map(math.isfinite, row)):
+                raise IngestError(f"{path}:{lineno}: non-finite cell")
+            rows.append(row)
     if not rows:
         raise IngestError(f"{path}: empty series file")
     return np.asarray(rows, dtype=np.float64)
@@ -366,10 +370,10 @@ def read_manifest(manifest_path) -> list[tuple[Path, TimeSeries]]:
             raise IngestError(f"{manifest_path}: manifest needs columns {sorted(required)}")
         for lineno, row in enumerate(reader, start=2):
             raw_label = (row["label"] or "").strip()
-            try:
-                label = int(raw_label) if raw_label else None
-            except ValueError:
-                raise IngestError(f"{manifest_path}:{lineno}: label must be an integer or empty") from None
+            if raw_label not in ("0", "1", ""):
+                raise IngestError(f"{manifest_path}:{lineno}: label must be 0, 1 or empty, "
+                                  f"got {raw_label!r}")
+            label = int(raw_label) if raw_label else None
             path = Path(row["path"])
             if not path.is_absolute():
                 path = base / path

@@ -19,34 +19,34 @@ def _mlp_bn_block(theta, x: Tensor, prefix: str, *, train: bool,
     return activation(h)
 
 
-def _branch(theta, z: Tensor, branch: str, *, train: bool, drop_key) -> Tensor:
+def _branch(theta, z: Tensor, branch: str, drop_key) -> Tensor:
     tag = f"dis.{branch}"
+    train = drop_key is not None
     h = _mlp_bn_block(theta, z, f"{tag}.fc1", train=train)
-    rate = 0.2
-    mask = None if drop_key is None else rng.dropout_keep_masks(h.shape[1:], rate, *drop_key, tag)
-    h = tt.dropout(h, rate, mask=mask, train=train)
+    if train:
+        rate = 0.2
+        h = tt.dropout(h, rate, rng.dropout_keep_masks(h.shape[1:], rate, *drop_key, tag))
     return _mlp_bn_block(theta, h, f"{tag}.fc2", train=train)
 
 
-def disentangle_forward(theta, z: Tensor, *, train: bool,
+def disentangle_forward(theta, z: Tensor, *,
                         drop_key: tuple | None = None) -> tuple[Tensor, Tensor]:
     """Two independent stacks map the embedding to the invariant and the
     specific component, (B, 480) -> (B, 128) each. `drop_key` is (uids, *key)
     in training and None in evaluation."""
-    f_di = _branch(theta, z, "di", train=train, drop_key=drop_key)
-    f_ds = _branch(theta, z, "ds", train=train, drop_key=drop_key)
+    f_di = _branch(theta, z, "di", drop_key)
+    f_ds = _branch(theta, z, "ds", drop_key)
     return f_di, f_ds
 
 
-def mine_score(theta, p: Tensor, q: Tensor, *, train: bool,
-               update_running: bool = True) -> Tensor:
-    """Statistics-network score of a (p, q) pair batch -> (B,).
+def mine_score(theta, p: Tensor, q: Tensor, *, update_running: bool) -> Tensor:
+    """Training-mode statistics-network score of a (p, q) pair batch -> (B,).
 
     The network input is 128-wide while the pair is 2x128, so the pair
     enters as the elementwise sum.
     """
     x = tt.add(p, q)
-    h = _mlp_bn_block(theta, x, "mine.fc1", train=train,
+    h = _mlp_bn_block(theta, x, "mine.fc1", train=True,
                       activation=lambda t: tt.leaky_relu(t, 0.01),
                       update_running=update_running)
     out = tt.add(tt.matmul(h, theta["mine.fc2.w"]), theta["mine.fc2.b"])
@@ -65,13 +65,12 @@ def dv_estimate(joint_scores: Tensor, marginal_scores: Tensor) -> Tensor:
     return tt.sub(tt.mean(joint_scores), lme)
 
 
-def mine_estimate(theta, f_di: Tensor, f_ds: Tensor, perm: np.ndarray, *,
-                  train: bool, update_running: bool = True) -> Tensor:
-    """Dependence estimate between the two components on one batch.
+def mine_estimate(theta, f_di: Tensor, f_ds: Tensor, perm: np.ndarray) -> Tensor:
+    """Dependence estimate between the two components on one training batch.
 
     Joint pairs align rows; marginal pairs re-pair the specific component by
-    `perm`. Batches below 2 are rejected because the marginal shuffle is
-    undefined.
+    `perm`, and only the joint pass moves the running statistics. Batches
+    below 2 are rejected because the marginal shuffle is undefined.
     """
     n = f_di.shape[0]
     if n < 2:
@@ -79,9 +78,8 @@ def mine_estimate(theta, f_di: Tensor, f_ds: Tensor, perm: np.ndarray, *,
     perm = np.asarray(perm, dtype=np.intp)
     if sorted(perm.tolist()) != list(range(n)):
         raise ValueError("perm must be a permutation of the batch indices")
-    joint = mine_score(theta, f_di, f_ds, train=train, update_running=update_running)
-    marginal = mine_score(theta, f_di, tt.take_rows(f_ds, perm), train=train,
-                          update_running=False)
+    joint = mine_score(theta, f_di, f_ds, update_running=True)
+    marginal = mine_score(theta, f_di, tt.take_rows(f_ds, perm), update_running=False)
     return dv_estimate(joint, marginal)
 
 

@@ -254,15 +254,14 @@ def site_objective(theta: ParamStore, batch: Batch, *, role: str, ramp: float,
     estimator_objective = None
     if settings.use_rd:
         perm = marginal_permutation(batch.size, rng.stream(*key, "marginal"))
-        dv = mine_estimate(theta, fw.f_di, fw.f_ds, perm, train=True)
+        dv = mine_estimate(theta, fw.f_di, fw.f_ds, perm)
         tensors["mi"] = mi_loss(dv)
         parts["mi"] = tensors["mi"].item()
-        dv_phi = mine_estimate(theta, fw.f_di.detach(), fw.f_ds.detach(), perm,
-                               train=True, update_running=False)
-        estimator_objective = tt.scale(dv_phi, -1.0)
+        # the estimator maximizes the same estimate; its backward stops at its own parameters
+        estimator_objective = tt.scale(dv, -1.0)
 
     if settings.use_dat:
-        probs = domain_probs(theta, fw.f_di, train=True, drop_key=drop_key,
+        probs = domain_probs(theta, fw.f_di, drop_key=drop_key,
                              reverse_scale=ramp if settings.reversal else None)
         tensors["dom"] = domain_loss(probs, batch.domains)
         parts["dom"] = tensors["dom"].item()

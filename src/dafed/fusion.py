@@ -57,28 +57,26 @@ def fuse(theta, f_di: Tensor, f_ds: Tensor) -> Tensor:
     return tt.reshape(attention(theta, tokens), (b, 2 * HID_DIM))
 
 
-def _head(theta, x: Tensor, prefix: str, drop_rate: float, *, train: bool,
-          drop_key) -> Tensor:
+def _head(theta, x: Tensor, prefix: str, drop_rate: float, drop_key) -> Tensor:
     h = tt.add(tt.matmul(x, theta[f"{prefix}.fc1.w"]), theta[f"{prefix}.fc1.b"])
     h = tt.batch_norm(h, theta[f"{prefix}.bn.gamma"], theta[f"{prefix}.bn.beta"],
                       theta[f"{prefix}.bn.running_mean"], theta[f"{prefix}.bn.running_var"],
-                      train=train)
+                      train=drop_key is not None)
     h = tt.relu(h)
-    mask = None if drop_key is None else rng.dropout_keep_masks(
-        h.shape[1:], drop_rate, *drop_key, prefix)
-    h = tt.dropout(h, drop_rate, mask=mask, train=train)
+    if drop_key is not None:
+        mask = rng.dropout_keep_masks(h.shape[1:], drop_rate, *drop_key, prefix)
+        h = tt.dropout(h, drop_rate, mask)
     logits = tt.add(tt.matmul(h, theta[f"{prefix}.fc2.w"]), theta[f"{prefix}.fc2.b"])
     return tt.softmax(logits, axis=1)
 
 
-def classifier_probs(theta, f_fused: Tensor, *, train: bool,
-                     drop_key: tuple | None = None) -> Tensor:
+def classifier_probs(theta, f_fused: Tensor, *, drop_key: tuple | None = None) -> Tensor:
     """Two-class probabilities from the fused feature, (B, 256) -> (B, 2).
     `drop_key` is (uids, *key) in training and None in evaluation."""
-    return _head(theta, f_fused, "clf", 0.5, train=train, drop_key=drop_key)
+    return _head(theta, f_fused, "clf", 0.5, drop_key)
 
 
-def domain_probs(theta, f_di: Tensor, *, train: bool, drop_key: tuple | None = None,
+def domain_probs(theta, f_di: Tensor, *, drop_key: tuple | None = None,
                  reverse_scale: float | None = None) -> Tensor:
     """Domain predictions from the invariant component, (B, 128) -> (B, 2).
 
@@ -87,7 +85,7 @@ def domain_probs(theta, f_di: Tensor, *, train: bool, drop_key: tuple | None = N
     everything upstream is pushed the other way.
     """
     x = tt.grad_reverse(f_di, reverse_scale) if reverse_scale is not None else f_di
-    return _head(theta, x, "dom", 0.5, train=train, drop_key=drop_key)
+    return _head(theta, x, "dom", 0.5, drop_key)
 
 
 def nll_from_probs(probs: Tensor, targets: np.ndarray) -> Tensor:

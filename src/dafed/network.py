@@ -112,13 +112,15 @@ def model_forward(theta: ParamStore, batch: Batch, *, train: bool,
 
     In training, `drop_key` is (batch.uids, seed, "drop", site, round): each
     dropout layer draws its masks window by window from it, so they are
-    reproducible sample by sample. It is None in evaluation.
+    reproducible sample by sample, and batch norms use batch statistics. It
+    is None in evaluation. A `train` that disagrees with it raises at once.
     """
-    z = stfg_forward(theta, Tensor(batch.x), Tensor(batch.adj_norm), train=train,
-                     drop_key=drop_key)
-    f_di, f_ds = disentangle_forward(theta, z, train=train, drop_key=drop_key)
+    if train != (drop_key is not None):
+        raise ValueError(f"model_forward: train={train} needs {'a' if train else 'no'} drop_key")
+    z = stfg_forward(theta, Tensor(batch.x), Tensor(batch.adj_norm), drop_key=drop_key)
+    f_di, f_ds = disentangle_forward(theta, z, drop_key=drop_key)
     fused = fuse(theta, f_di, f_ds)
-    probs = classifier_probs(theta, fused, train=train, drop_key=drop_key)
+    probs = classifier_probs(theta, fused, drop_key=drop_key)
     return ForwardResult(z=z, f_di=f_di, f_ds=f_ds, fused=fused, class_probs=probs)
 
 
@@ -144,6 +146,5 @@ def eval_hidden(theta: ParamStore, graph: FCGraph) -> list[np.ndarray]:
     """Per-layer (N, C) node activations of one graph in evaluation mode."""
     with tt.no_grad():
         _, hidden = stfg_forward(theta, Tensor(graph.features[None]),
-                                 Tensor(graph.propagation[None]),
-                                 train=False, want_hidden=True)
+                                 Tensor(graph.propagation[None]), want_hidden=True)
     return [h.data[0] for h in hidden]

@@ -40,14 +40,15 @@ def gcn_propagate(h: Tensor, adj_norm: Tensor, w: Tensor) -> Tensor:
     return tt.matmul(tt.matmul(adj_norm, h), w)
 
 
-def gcn_layer(theta, prefix: str, h: Tensor, adj_norm: Tensor, *, train: bool,
+def gcn_layer(theta, prefix: str, h: Tensor, adj_norm: Tensor, *,
               drop_rate: float, drop_key: tuple | None) -> Tensor:
     """One full block: input dropout (none at rate 0), propagation, then BN
-    and ReLU. The dropout stream is tagged with the layer's `prefix`."""
-    if drop_rate > 0.0:
-        mask = None if drop_key is None else rng.dropout_keep_masks(
-            h.shape[1:], drop_rate, *drop_key, prefix)
-        h = tt.dropout(h, drop_rate, mask=mask, train=train)
+    and ReLU. With a `drop_key` the block trains: the dropout stream is
+    tagged with the layer's `prefix` and BN uses batch statistics."""
+    train = drop_key is not None
+    if train and drop_rate > 0.0:
+        mask = rng.dropout_keep_masks(h.shape[1:], drop_rate, *drop_key, prefix)
+        h = tt.dropout(h, drop_rate, mask)
     out = gcn_propagate(h, adj_norm, theta[f"{prefix}.w"])
     out = tt.batch_norm(out, theta[f"{prefix}.bn.gamma"], theta[f"{prefix}.bn.beta"],
                         theta[f"{prefix}.bn.running_mean"], theta[f"{prefix}.bn.running_var"],
@@ -67,7 +68,7 @@ def jk_concat(pools: list[Tensor]) -> Tensor:
     return tt.concat(pools, axis=1)
 
 
-def stfg_forward(theta, x: Tensor, adj_norm: Tensor, *, train: bool,
+def stfg_forward(theta, x: Tensor, adj_norm: Tensor, *,
                  drop_key: tuple | None = None, want_hidden: bool = False):
     """Embed a batch of graphs: x (B, N, R), adj_norm (B, N, N) -> (B, 480).
 
@@ -79,8 +80,7 @@ def stfg_forward(theta, x: Tensor, adj_norm: Tensor, *, train: bool,
     pools = []
     hidden = []
     for i, rate in enumerate(GCN_DROPOUT, start=1):
-        h = gcn_layer(theta, f"stfg.l{i}", h, adj_norm, train=train,
-                      drop_rate=rate, drop_key=drop_key)
+        h = gcn_layer(theta, f"stfg.l{i}", h, adj_norm, drop_rate=rate, drop_key=drop_key)
         hidden.append(h)
         pools.append(jk_pool(h))
     z = jk_concat(pools)

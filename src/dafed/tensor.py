@@ -357,23 +357,16 @@ def grad_reverse(a, scale_factor: float) -> Tensor:
 # stochastic / stateful layers
 
 
-def dropout(a, rate: float, *, mask: np.ndarray | None = None,
-            train: bool = True) -> Tensor:
-    """Inverted dropout: train-time scaling by 1/(1-rate), identity in eval.
-
-    Train mode needs the keep mask, a boolean array of the input shape.
-    """
+def dropout(a, rate: float, mask: np.ndarray) -> Tensor:
+    """Inverted dropout: zero where the boolean keep `mask` (the input's
+    shape) is false, scale the kept entries by 1/(1-rate). Evaluation passes
+    skip it."""
     a = _wrap(a)
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout: rate must be in [0, 1), got {rate}")
-    if not train or rate == 0.0:
-        return Tensor(a.data, [(a, lambda g: g)], "dropout")
-    if mask is None:
-        raise ValueError("dropout: train mode needs a mask")
     if mask.shape != a.shape:
         raise ShapeError(f"dropout: mask shape {mask.shape} != input shape {a.shape}")
-    inv = 1.0 / (1.0 - rate)
-    factor = mask * inv
+    factor = mask * (1.0 / (1.0 - rate))
     return Tensor(a.data * factor, [(a, lambda g: g * factor)], "dropout")
 
 

@@ -5,6 +5,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -103,6 +104,10 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     ("lr_decay = 0.99", "lr_decay = 0", "lr_decay"),
     ("lr_decay = 0.99", "lr_decay = -1", "lr_decay"),
     ("lr_decay = 0.99", "lr_decay = 1.5", "lr_decay"),
+    # per-site values that do not parse name their full key
+    ("", "site.1.subjects = abc", "site.1.subjects"),
+    ("", "site.1.t_points = 2.5", "site.1.t_points"),
+    ("site.1.shift = 0.3", "site.1.shift = abc", "site.1.shift"),
 ])
 def test_bad_value_exits_2_naming_the_key(tmp_path, capsys, old, new, key):
     cfg = write_cfg(tmp_path / "run.cfg")
@@ -271,6 +276,34 @@ def test_manifest_config_errors_exit_2_naming_key_and_file(tmp_path, capsys, old
     assert cli.main(["train", "--config", str(manifest_cfg),
                      "--out", str(tmp_path / "t")]) == 2
     assert capsys.readouterr().err.startswith(f"error: {new}")
+
+
+@pytest.mark.parametrize("case, where", [
+    ("label", r"manifest\.csv:2: label must be 0, 1 or empty"),
+    ("cell", r"central_s000\.csv:3: non-finite cell"),
+    ("role", r"site\.1\.role = target_labeled needs labels, but site edge has none"),
+])
+def test_bad_manifest_data_exits_2_naming_where(tmp_path, capsys, case, where):
+    data_dir = tmp_path / "d"
+    assert cli.main(["synth", "--config", str(write_cfg(tmp_path / "run.cfg")),
+                     "--out", str(data_dir)]) == 0
+    manifest = data_dir / "manifest.csv"
+    if case == "label":  # line 2 is the first central subject, labeled 0
+        lines = manifest.read_text().splitlines()
+        lines[1] = lines[1].replace(",0,", ",2,")
+        manifest.write_text("\n".join(lines) + "\n")
+    if case == "cell":
+        series = data_dir / "series" / "central_s000.csv"
+        lines = series.read_text().splitlines()
+        lines[2] = "nan" + lines[2][lines[2].index(","):]
+        series.write_text("\n".join(lines) + "\n")
+    roles = {"mode": "dafed_l", "target_role": "target_labeled"} if case == "role" else {}
+    cfg = write_cfg(tmp_path / "mrun.cfg", **roles)
+    cfg.write_text(cfg.read_text().replace("data = synth", f"data = manifest\nmanifest = {manifest}"))
+    code = cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "t")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert re.search(where, err) and "Traceback" not in err
 
 
 def test_site_with_only_flat_windows_exits_2_naming_it(tmp_path):

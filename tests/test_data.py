@@ -461,6 +461,25 @@ def test_ingest_non_numeric_rejected(tmp_path):
         data.ingest_csv(tmp_path / "manifest.csv", window=2, stride=1, k=1)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_ingest_non_finite_rejected(tmp_path, cell):
+    with open(tmp_path / "bad.csv", "w") as fh:
+        fh.write(f"1.0,2.0\n1.0,{cell}\n")
+    _write_manifest(tmp_path / "manifest.csv", [("s1", "a", "0", "bad.csv")])
+    with pytest.raises(data.IngestError, match=r"bad\.csv:2: non-finite"):
+        data.ingest_csv(tmp_path / "manifest.csv", window=2, stride=1, k=1)
+
+
+@pytest.mark.parametrize("label", ["2", "-1", "1.0", "yes"])
+def test_ingest_label_outside_0_1_rejected(tmp_path, label):
+    _write_series(tmp_path / "s1.csv", np.random.default_rng(7).standard_normal((20, 3)))
+    _write_series(tmp_path / "s2.csv", np.random.default_rng(8).standard_normal((20, 3)))
+    _write_manifest(tmp_path / "manifest.csv",
+                    [("s1", "site", "0", "s1.csv"), ("s2", "site", label, "s2.csv")])
+    with pytest.raises(data.IngestError, match=r"manifest\.csv:3: label must be 0, 1 or empty"):
+        data.ingest_csv(tmp_path / "manifest.csv", window=20, stride=1, k=2)
+
+
 def test_ingest_inconsistent_rois_rejected(tmp_path):
     _write_series(tmp_path / "a.csv", np.zeros((20, 3)) + np.random.default_rng(3).standard_normal((20, 3)))
     _write_series(tmp_path / "b.csv", np.random.default_rng(4).standard_normal((20, 4)))

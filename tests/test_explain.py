@@ -100,8 +100,7 @@ def _forward_probs(theta, x, adj):
 def _forward_hidden(theta, x, adj):
     """Per-layer activations of raw arrays in one forward."""
     with tt.no_grad():
-        _, hidden = stfg_forward(theta, tt.Tensor(x), tt.Tensor(adj), train=False,
-                                 want_hidden=True)
+        _, hidden = stfg_forward(theta, tt.Tensor(x), tt.Tensor(adj), want_hidden=True)
     return [h.data for h in hidden]
 
 

@@ -321,25 +321,30 @@ def _full_sweep_gradients(loss, wrt):
     return [grads.get(id(t), np.zeros(t.shape)) for t in wrt]
 
 
-def _count_leaf_vjps(root, calls):
-    """Wrap every VJP into a leaf on the tape under `root` so that each call
-    appends the leaf to `calls`; returns the leaves."""
+def _count_leaf_vjps(roots, calls):
+    """Wrap every VJP into a leaf on the tape under `roots`, once per node
+    however many roots share it, so that each call appends the leaf to
+    `calls`; returns the leaves."""
     def counted(leaf, vjp):
         def call(g):
             calls.append(leaf)
             return vjp(g)
         return call
 
-    leaves = []
-    for node in tt._topo_order(root):
-        leaves += [p for p, _ in node.parents if p.op == "leaf"]
-        node.parents = tuple((p, counted(p, vjp)) if p.op == "leaf" else (p, vjp)
-                             for p, vjp in node.parents)
+    leaves, seen = [], set()
+    for root in roots:
+        for node in tt._topo_order(root):
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            leaves += [p for p, _ in node.parents if p.op == "leaf"]
+            node.parents = tuple((p, counted(p, vjp)) if p.op == "leaf" else (p, vjp)
+                                 for p, vjp in node.parents)
     return leaves
 
 
 @pytest.mark.parametrize("site", [0, 1])
-def test_backward_calls_no_vjp_into_constants_and_matches_full_sweep(site):
+def test_backward_calls_no_vjp_into_constants_and_matches_full_sweep(site, monkeypatch):
     datasets = _tiny_datasets()
     settings = _settings(rounds=2)
     theta = init_theta(10, settings.seed)
@@ -356,10 +361,19 @@ def test_backward_calls_no_vjp_into_constants_and_matches_full_sweep(site):
     want = dict(zip(main_names, _full_sweep_gradients(obj.total, [theta[n] for n in main_names])))
     want.update(zip(mine_names, _full_sweep_gradients(obj.estimator_objective,
                                                       [theta[n] for n in mine_names])))
-    main_calls, mine_calls = [], []
-    leaves = (_count_leaf_vjps(obj.total, main_calls)
-              + _count_leaf_vjps(obj.estimator_objective, mine_calls))
+    # the two objectives share one tape: count the leaf VJPs of each backward call
+    calls, per_backward = [], []
+
+    def counted_backward(loss, store, names=None):
+        calls.clear()
+        out = tt.backward(loss, store, names)
+        per_backward.append(list(calls))
+        return out
+
+    leaves = _count_leaf_vjps([obj.total, obj.estimator_objective], calls)
+    monkeypatch.setattr(fedsim, "backward", counted_backward)
     grads = fedsim._split_grads(theta, obj)
+    main_calls, mine_calls = per_backward
 
     params = {id(theta[n]): n for n in theta.names()}
     assert any(id(leaf) not in params for leaf in leaves)  # the tape holds constants

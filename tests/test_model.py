@@ -141,7 +141,7 @@ def test_stfg_node_permutation_invariance(theta12):
 
     def embed(features, a):
         s = stfg.normalize_adjacency(a)[None]
-        return stfg.stfg_forward(theta12, Tensor(features[None]), Tensor(s), train=False).data
+        return stfg.stfg_forward(theta12, Tensor(features[None]), Tensor(s)).data
 
     z1 = embed(x, adj)
     z2 = embed(x[perm], adj[np.ix_(perm, perm)])
@@ -152,8 +152,8 @@ def test_stfg_eval_mode_is_deterministic(theta12):
     g = np.random.default_rng(10)
     adj = stfg.normalize_adjacency(np.zeros((12, 12)))[None]
     x = Tensor(g.standard_normal((1, 12, 12)))
-    a = stfg.stfg_forward(theta12, x, Tensor(adj), train=False).data
-    b = stfg.stfg_forward(theta12, x, Tensor(adj), train=False).data
+    a = stfg.stfg_forward(theta12, x, Tensor(adj)).data
+    b = stfg.stfg_forward(theta12, x, Tensor(adj)).data
     assert np.array_equal(a, b)
 
 
@@ -164,8 +164,7 @@ def test_gcn_weight_gradient_matches_finite_differences():
     x = g.standard_normal((3, 5, 5))
 
     def loss():
-        z = stfg.stfg_forward(theta, Tensor(x), Tensor(np.broadcast_to(adj, (3, 5, 5)).copy()),
-                              train=False)
+        z = stfg.stfg_forward(theta, Tensor(x), Tensor(np.broadcast_to(adj, (3, 5, 5)).copy()))
         return tt.tsum(tt.mul(z, z))
 
     w = theta["stfg.l1.w"]
@@ -197,7 +196,7 @@ def _sym(g, n):
 
 def test_disentangle_shapes_and_determinism(theta12):
     z = Tensor(np.tile(np.random.default_rng(1).standard_normal(480), (3, 1)))
-    f_di, f_ds = disentangle_forward(theta12, z, train=False)
+    f_di, f_ds = disentangle_forward(theta12, z)
     assert f_di.shape == (3, 128) and f_ds.shape == (3, 128)
     assert np.array_equal(f_di.data[0], f_di.data[1])
     assert not np.array_equal(f_di.data, f_ds.data)
@@ -208,7 +207,7 @@ def test_disentangler_gradient_via_finite_differences():
     z = np.random.default_rng(2).standard_normal((4, 480))
 
     def loss():
-        f_di, f_ds = disentangle_forward(theta, Tensor(z), train=False)
+        f_di, f_ds = disentangle_forward(theta, Tensor(z))
         return tt.add(tt.tsum(tt.mul(f_di, f_di)), tt.tsum(f_ds))
 
     w = theta["dis.di.fc1.w"]
@@ -236,8 +235,7 @@ def test_constant_statistics_network_gives_zero_estimate(theta12):
     g = np.random.default_rng(3)
     f_di = Tensor(g.standard_normal((6, 128)))
     f_ds = Tensor(g.standard_normal((6, 128)))
-    est = mine_estimate(theta, f_di, f_ds, marginal_permutation(6, rng.stream("t", 0)),
-                        train=False)
+    est = mine_estimate(theta, f_di, f_ds, marginal_permutation(6, rng.stream("t", 0)))
     assert est.item() == pytest.approx(0.0, abs=1e-12)
 
 
@@ -258,13 +256,13 @@ def test_dv_estimate_is_overflow_safe():
 def test_mine_estimate_rejects_tiny_batch(theta12):
     one = Tensor(np.zeros((1, 128)))
     with pytest.raises(ValueError, match="at least 2"):
-        mine_estimate(theta12, one, one, np.array([0]), train=False)
+        mine_estimate(theta12, one, one, np.array([0]))
 
 
 def test_mine_estimate_rejects_bad_permutation(theta12):
     x = Tensor(np.zeros((3, 128)))
     with pytest.raises(ValueError, match="permutation"):
-        mine_estimate(theta12, x, x, np.array([0, 0, 2]), train=False)
+        mine_estimate(theta12, x, x, np.array([0, 0, 2]))
 
 
 def test_mi_loss_is_absolute_value():
@@ -287,11 +285,12 @@ def test_dv_estimate_stable_across_permutations(theta12):
     base = g.standard_normal((128, 128))
     f_di = Tensor(base + 0.1 * g.standard_normal((128, 128)))
     f_ds = Tensor(0.7 * base + 0.5 * g.standard_normal((128, 128)))
+    theta = theta12.copy()  # the joint pass moves running statistics
     estimates = []
     for s in range(50):
         perm = marginal_permutation(128, rng.stream("permtest", s))
         with tt.no_grad():
-            est = mine_estimate(theta12, f_di, f_ds, perm, train=True, update_running=False)
+            est = mine_estimate(theta, f_di, f_ds, perm)
         estimates.append(est.item())
     estimates = np.array(estimates)
     assert estimates.std() < 0.2 * np.abs(estimates).mean()
@@ -413,12 +412,12 @@ def test_gradient_reversal_realizes_the_adversarial_game():
 
     def di_loss_value(store):
         with tt.no_grad():
-            f_di, _ = disentangle_forward(store, Tensor(z), train=False)
-            probs = fusion.domain_probs(store, f_di, train=False, reverse_scale=0.8)
+            f_di, _ = disentangle_forward(store, Tensor(z))
+            probs = fusion.domain_probs(store, f_di, reverse_scale=0.8)
         return fusion.domain_loss(probs, domains).item()
 
-    f_di, _ = disentangle_forward(theta, Tensor(z), train=False)
-    probs = fusion.domain_probs(theta, f_di, train=False, reverse_scale=0.8)
+    f_di, _ = disentangle_forward(theta, Tensor(z))
+    probs = fusion.domain_probs(theta, f_di, reverse_scale=0.8)
     loss = fusion.domain_loss(probs, domains)
     grads = tt.backward(loss, theta)
     before = di_loss_value(theta)
@@ -501,13 +500,41 @@ def test_each_dropout_layer_draws_its_masks_from_its_own_stream(monkeypatch):
     batch = network.make_batch(ds, slice(0, 6), 0)
     drop_key = (batch.uids, 0, "drop", "s", 1)
     res = network.model_forward(theta, batch, train=True, drop_key=drop_key)
-    fusion.domain_probs(theta, res.f_di, train=True, drop_key=drop_key)
+    fusion.domain_probs(theta, res.f_di, drop_key=drop_key)
     tags = [("stfg.l2", (12, 128), 0.1), ("stfg.l3", (12, 64), 0.1), ("stfg.l4", (12, 32), 0.1),
             ("dis.di", (256,), 0.2), ("dis.ds", (256,), 0.2), ("clf", (320,), 0.5),
             ("dom", (160,), 0.5)]
     assert calls == [(shape, rate, (0, "drop", "s", 1, tag)) for tag, shape, rate in tags]
-    with pytest.raises(ValueError, match="train mode needs a mask"):
+    with pytest.raises(ValueError, match="needs a drop_key"):
         network.model_forward(theta, batch, train=True)
+
+
+def test_evaluation_forward_applies_no_dropout(monkeypatch):
+    calls = []
+    monkeypatch.setattr(rng, "dropout_keep_masks", lambda *args: calls.append(args))
+    monkeypatch.setattr(tt, "dropout", lambda *args: calls.append(args))
+    theta = network.init_theta(12, seed=0)
+    sites = [SynthSite("s", 3, True, 0.0)]
+    ds = synth_multisite(SynthConfig(sites=sites, n_rois=12, t=24, window=20, top_k=4), seed=1)[0]
+    res = network.model_forward(theta, network.make_batch(ds, slice(0, 6), 0), train=False)
+    probs = fusion.domain_probs(theta, res.f_di, reverse_scale=0.5)
+    network.eval_hidden(theta, ds.samples[0])
+    assert calls == []
+    assert not [n for n in tt._topo_order(tt.add(tt.tsum(res.class_probs), tt.tsum(probs)))
+                if n.op == "dropout"]
+
+
+def test_mismatched_train_switch_raises_before_any_layer_runs():
+    theta = network.init_theta(12, seed=0)
+    sites = [SynthSite("s", 3, True, 0.0)]
+    ds = synth_multisite(SynthConfig(sites=sites, n_rois=12, t=24, window=20, top_k=4), seed=1)[0]
+    batch = network.make_batch(ds, slice(0, 6), 0)
+    before = {name: t.data.tobytes() for name, t in theta.items()}
+    with pytest.raises(ValueError, match="needs a drop_key"):
+        network.model_forward(theta, batch, train=True)
+    with pytest.raises(ValueError, match="needs no drop_key"):
+        network.model_forward(theta, batch, train=False, drop_key=(batch.uids, 0, "drop", "s", 1))
+    assert {name: t.data.tobytes() for name, t in theta.items()} == before
 
 
 SMALL_CFG = """

@@ -178,30 +178,25 @@ def test_clip_kills_gradient_outside_range():
     assert np.array_equal(g, [1.0, 0.0, 0.0])
 
 
-def test_dropout_eval_is_identity():
-    x = tt.Tensor(np.random.default_rng(5).standard_normal((6, 4)))
-    out = tt.dropout(x, 0.3, train=False)
-    assert np.array_equal(out.data, x.data)
-
-
 def test_dropout_train_scales_by_keep_probability():
     x = tt.Tensor(np.ones((4, 5)))
     mask = np.random.default_rng(6).random((4, 5)) >= 0.4
-    out = tt.dropout(x, 0.4, mask=mask, train=True)
+    out = tt.dropout(x, 0.4, mask)
     expect = np.where(mask, 1.0 / 0.6, 0.0)
     assert np.allclose(out.data, expect, atol=0)
 
 
-def test_dropout_train_needs_a_mask():
+def test_dropout_mask_must_match_the_input():
     x = tt.Tensor(np.ones((4, 5)))
-    with pytest.raises(ValueError, match="needs a mask"):
-        tt.dropout(x, 0.4, train=True)
-    assert np.array_equal(tt.dropout(x, 0.0, train=True).data, x.data)  # rate 0 needs none
+    with pytest.raises(tt.ShapeError, match="mask shape"):
+        tt.dropout(x, 0.4, np.ones((5, 4), dtype=bool))
+    keep = np.ones((4, 5), dtype=bool)
+    assert np.array_equal(tt.dropout(x, 0.0, keep).data, x.data)  # rate 0 keeps every value
 
 
 def test_dropout_gradient_with_fixed_mask():
     mask = np.random.default_rng(7).random((6, 5)) >= 0.25
-    _check_grad(lambda a: tt.dropout(a, 0.25, mask=mask, train=True),
+    _check_grad(lambda a: tt.dropout(a, 0.25, mask),
                 [RNG.standard_normal((6, 5))])
 
 
