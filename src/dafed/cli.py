@@ -21,7 +21,7 @@ from . import fedsim, network, rng, wire
 from .config import KEYS, ConfigError, RunConfig, parse_config
 from .data import IngestError, SynthConfig, SynthSite, synth_multisite, synth_series
 from .fedsim import TrainingDiverged, site_objective
-from .fusion import ROLE_SOURCE, ROLE_TARGET_LABELED
+from .fusion import LABELED_ROLES, ROLE_SOURCE
 from .optim import ParamStore, grad_check
 
 METRICS_HEADER = ["round", "site", "role", "L_C", "L_MI", "L_CL", "L_DI",
@@ -60,7 +60,7 @@ def _load_datasets(cfg: RunConfig) -> list[data_mod.SiteDataset]:
                     for ds in datasets]
     by_id = {ds.site_id: ds for ds in datasets}
     for i, spec in enumerate(cfg.site_specs):
-        if spec.role in (ROLE_SOURCE, ROLE_TARGET_LABELED) and not by_id[spec.site_id].labeled:
+        if spec.role in LABELED_ROLES and not by_id[spec.site_id].labeled:
             raise ConfigError(f"site.{i}.role = {spec.role} needs labels, "
                               f"but site {spec.site_id} has none in the manifest")
     return [by_id[spec.site_id] for spec in cfg.site_specs]

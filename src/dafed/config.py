@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .data import SynthConfig, SynthSite
 from .fedsim import TrainSettings
-from .fusion import ROLE_SOURCE, ROLE_TARGET_LABELED, ROLES
+from .fusion import LABELED_ROLES, ROLE_SOURCE, ROLE_TARGET_LABELED, ROLES
 from .optim import LrProfile
 
 
@@ -118,7 +118,7 @@ class RunConfig:
     def synth_config(self) -> SynthConfig:
         sites = [SynthSite(site_id=s.site_id,
                            subjects=self.subjects if s.subjects is None else s.subjects,
-                           labeled=(s.role in (ROLE_SOURCE, ROLE_TARGET_LABELED)),
+                           labeled=s.role in LABELED_ROLES,
                            shift=s.shift, t=s.t_points)
                  for s in self.site_specs]
         return SynthConfig(sites=sites, n_rois=self.rois, t=self.t_points,

@@ -363,6 +363,7 @@ def read_manifest(manifest_path) -> list[tuple[Path, TimeSeries]]:
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
     series = []
+    first_line = {}  # (site_id, subject_id) -> manifest line
     with open(manifest_path, newline="") as fh:
         reader = csv.DictReader(fh)
         required = {"subject_id", "site_id", "label", "path"}
@@ -374,6 +375,12 @@ def read_manifest(manifest_path) -> list[tuple[Path, TimeSeries]]:
                 raise IngestError(f"{manifest_path}:{lineno}: label must be 0, 1 or empty, "
                                   f"got {raw_label!r}")
             label = int(raw_label) if raw_label else None
+            where = (row["site_id"], row["subject_id"])
+            if where in first_line:
+                # window uids are subject-keyed, so a repeat would merge two series
+                raise IngestError(f"{manifest_path}:{lineno}: subject {where[1]!r} of site "
+                                  f"{where[0]!r} repeats line {first_line[where]}")
+            first_line[where] = lineno
             path = Path(row["path"])
             if not path.is_absolute():
                 path = base / path

@@ -5,28 +5,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import rng
 from . import tensor as tt
+from .stfg import keyed_dropout, linear, norm
 from .tensor import Tensor
-
-
-def _mlp_bn_block(theta, x: Tensor, prefix: str, *, train: bool,
-                  activation=tt.relu, update_running: bool = True) -> Tensor:
-    h = tt.add(tt.matmul(x, theta[f"{prefix}.w"]), theta[f"{prefix}.b"])
-    h = tt.batch_norm(h, theta[f"{prefix}.bn.gamma"], theta[f"{prefix}.bn.beta"],
-                      theta[f"{prefix}.bn.running_mean"], theta[f"{prefix}.bn.running_var"],
-                      train=train, update_running=update_running)
-    return activation(h)
 
 
 def _branch(theta, z: Tensor, branch: str, drop_key) -> Tensor:
     tag = f"dis.{branch}"
     train = drop_key is not None
-    h = _mlp_bn_block(theta, z, f"{tag}.fc1", train=train)
-    if train:
-        rate = 0.2
-        h = tt.dropout(h, rate, rng.dropout_keep_masks(h.shape[1:], rate, *drop_key, tag))
-    return _mlp_bn_block(theta, h, f"{tag}.fc2", train=train)
+    h = tt.relu(norm(theta, f"{tag}.fc1", linear(theta, f"{tag}.fc1", z), train=train))
+    h = keyed_dropout(h, 0.2, drop_key, tag)
+    return tt.relu(norm(theta, f"{tag}.fc2", linear(theta, f"{tag}.fc2", h), train=train))
 
 
 def disentangle_forward(theta, z: Tensor, *,
@@ -45,11 +34,9 @@ def mine_score(theta, p: Tensor, q: Tensor, *, update_running: bool) -> Tensor:
     The network input is 128-wide while the pair is 2x128, so the pair
     enters as the elementwise sum.
     """
-    x = tt.add(p, q)
-    h = _mlp_bn_block(theta, x, "mine.fc1", train=True,
-                      activation=lambda t: tt.leaky_relu(t, 0.01),
-                      update_running=update_running)
-    out = tt.add(tt.matmul(h, theta["mine.fc2.w"]), theta["mine.fc2.b"])
+    h = linear(theta, "mine.fc1", tt.add(p, q))
+    h = norm(theta, "mine.fc1", h, train=True, update_running=update_running)
+    out = linear(theta, "mine.fc2", tt.leaky_relu(h, 0.01))
     return tt.reshape(out, (out.shape[0],))
 
 

@@ -21,8 +21,8 @@ from . import rng
 from . import tensor as tt
 from .data import SiteDataset
 from .disentangle import marginal_permutation, mi_loss, mine_estimate
-from .fusion import (ROLE_SOURCE, ROLE_TARGET_LABELED, ROLE_TARGET_UNLABELED, ROLES,
-                     adversarial_ramp, classify_loss, domain_loss, domain_probs, total_loss)
+from .fusion import (LABELED_ROLES, ROLE_SOURCE, ROLES, adversarial_ramp, classify_loss,
+                     domain_loss, domain_probs, total_loss)
 from .network import (Batch, eval_class_probs, make_batch, model_forward, param_groups,
                       init_theta)
 from .optim import Adam, LrProfile, ParamStore, adam_step, is_running_stat, lr_at
@@ -200,7 +200,7 @@ def build_states(datasets: list[SiteDataset], roles: dict[str, str],
             raise ValueError(f"site {ds.site_id}: needs at least 2 samples")
         if role not in ROLES:
             raise ValueError(f"site {ds.site_id}: unknown role {role!r}")
-        if role in (ROLE_SOURCE, ROLE_TARGET_LABELED) and not ds.labeled:
+        if role in LABELED_ROLES and not ds.labeled:
             raise ValueError(f"site {ds.site_id}: role {role} needs labels")
         state = SiteState(site_id=ds.site_id, role=role, dataset=ds,
                           adam_main=Adam(names=main_names), adam_mine=Adam(names=mine_names))
@@ -238,14 +238,14 @@ class SiteObjective:
 def site_objective(theta: ParamStore, batch: Batch, *, role: str, ramp: float,
                    settings: TrainSettings, queue: dict,
                    prev_global: ParamStore | None, key: tuple) -> SiteObjective:
-    """Forward one training batch and assemble the weighted objective. Every
-    role but an unlabeled target adds the classification term."""
+    """Forward one training batch and assemble the weighted objective. A
+    labeled role adds the classification term."""
     drop_key = (batch.uids, *key)
     fw = model_forward(theta, batch, train=True, drop_key=drop_key)
     tensors = {}
     parts = {"cls": 0.0, "mi": 0.0, "cl": 0.0, "dom": 0.0}
 
-    if role != ROLE_TARGET_UNLABELED:
+    if role in LABELED_ROLES:
         if batch.labels is None:
             raise ValueError(f"role {role} needs labels for the classification term")
         tensors["cls"] = classify_loss(fw.class_probs, batch.labels)

@@ -7,8 +7,8 @@ import logging
 
 import numpy as np
 
-from . import rng
 from . import tensor as tt
+from .stfg import keyed_dropout, linear, norm
 from .tensor import Tensor
 
 logger = logging.getLogger(__name__)
@@ -22,10 +22,7 @@ ROLE_SOURCE = "source"
 ROLE_TARGET_UNLABELED = "target_unlabeled"
 ROLE_TARGET_LABELED = "target_labeled"
 ROLES = (ROLE_SOURCE, ROLE_TARGET_UNLABELED, ROLE_TARGET_LABELED)
-
-
-def _project(theta, tokens: Tensor, name: str) -> Tensor:
-    return tt.add(tt.matmul(tokens, theta[f"attn.{name}.w"]), theta[f"attn.{name}.b"])
+LABELED_ROLES = (ROLE_SOURCE, ROLE_TARGET_LABELED)  # the roles that train the classifier
 
 
 def _split_heads(x: Tensor, batch: int, seq: int) -> Tensor:
@@ -38,14 +35,14 @@ def attention(theta, tokens: Tensor) -> Tensor:
     tokens (B, S, 128) -> (B, S, 128). No mask, no attention dropout.
     """
     b, s, _ = tokens.shape
-    q = _split_heads(_project(theta, tokens, "q"), b, s)
-    k = _split_heads(_project(theta, tokens, "k"), b, s)
-    v = _split_heads(_project(theta, tokens, "v"), b, s)
+    q = _split_heads(linear(theta, "attn.q", tokens), b, s)
+    k = _split_heads(linear(theta, "attn.k", tokens), b, s)
+    v = _split_heads(linear(theta, "attn.v", tokens), b, s)
     scores = tt.scale(tt.matmul(q, tt.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(HEAD_DIM))
     weights = tt.softmax(scores, axis=-1)
     mixed = tt.matmul(weights, v)
     merged = tt.reshape(tt.transpose(mixed, (0, 2, 1, 3)), (b, s, HID_DIM))
-    return tt.add(tt.matmul(merged, theta["attn.o.w"]), theta["attn.o.b"])
+    return linear(theta, "attn.o", merged)
 
 
 def fuse(theta, f_di: Tensor, f_ds: Tensor) -> Tensor:
@@ -57,23 +54,16 @@ def fuse(theta, f_di: Tensor, f_ds: Tensor) -> Tensor:
     return tt.reshape(attention(theta, tokens), (b, 2 * HID_DIM))
 
 
-def _head(theta, x: Tensor, prefix: str, drop_rate: float, drop_key) -> Tensor:
-    h = tt.add(tt.matmul(x, theta[f"{prefix}.fc1.w"]), theta[f"{prefix}.fc1.b"])
-    h = tt.batch_norm(h, theta[f"{prefix}.bn.gamma"], theta[f"{prefix}.bn.beta"],
-                      theta[f"{prefix}.bn.running_mean"], theta[f"{prefix}.bn.running_var"],
-                      train=drop_key is not None)
-    h = tt.relu(h)
-    if drop_key is not None:
-        mask = rng.dropout_keep_masks(h.shape[1:], drop_rate, *drop_key, prefix)
-        h = tt.dropout(h, drop_rate, mask)
-    logits = tt.add(tt.matmul(h, theta[f"{prefix}.fc2.w"]), theta[f"{prefix}.fc2.b"])
-    return tt.softmax(logits, axis=1)
+def _head(theta, x: Tensor, prefix: str, drop_key) -> Tensor:
+    h = tt.relu(norm(theta, prefix, linear(theta, f"{prefix}.fc1", x), train=drop_key is not None))
+    h = keyed_dropout(h, 0.5, drop_key, prefix)
+    return tt.softmax(linear(theta, f"{prefix}.fc2", h), axis=1)
 
 
 def classifier_probs(theta, f_fused: Tensor, *, drop_key: tuple | None = None) -> Tensor:
     """Two-class probabilities from the fused feature, (B, 256) -> (B, 2).
     `drop_key` is (uids, *key) in training and None in evaluation."""
-    return _head(theta, f_fused, "clf", 0.5, drop_key)
+    return _head(theta, f_fused, "clf", drop_key)
 
 
 def domain_probs(theta, f_di: Tensor, *, drop_key: tuple | None = None,
@@ -85,7 +75,7 @@ def domain_probs(theta, f_di: Tensor, *, drop_key: tuple | None = None,
     everything upstream is pushed the other way.
     """
     x = tt.grad_reverse(f_di, reverse_scale) if reverse_scale is not None else f_di
-    return _head(theta, x, "dom", 0.5, drop_key)
+    return _head(theta, x, "dom", drop_key)
 
 
 def nll_from_probs(probs: Tensor, targets: np.ndarray) -> Tensor:

@@ -68,10 +68,6 @@ class Tensor:
             raise ShapeError(f"item() needs a 1-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        """A leaf tensor sharing this tensor's values."""
-        return Tensor(self.data)
-
     def __repr__(self):
         return f"Tensor(op={self.op!r}, shape={self.data.shape})"
 

@@ -73,18 +73,25 @@ def _utf8(raw: bytes) -> str:
 
 
 def _decode_entries(buf: bytes, off: int) -> tuple[dict[str, np.ndarray], int]:
+    """Entries in strictly increasing name order, as the encoder writes them,
+    so a repeated name cannot shadow an earlier one."""
     (count,), off = _unpack("<I", buf, off)
     entries = {}
+    prev = None
     for _ in range(count):
         (nlen,), off = _unpack("<H", buf, off)
         raw, off = _take(buf, off, nlen)
+        name = _utf8(raw)
+        if prev is not None and name <= prev:
+            raise WireError(f"entry {name!r} repeated or out of order after {prev!r}")
+        prev = name
         (rank,), off = _unpack("<B", buf, off)
         dims, off = _unpack(f"<{rank}I", buf, off)
         n_vals = math.prod(dims)
         _need(buf, off + 8 * n_vals)
         arr = np.frombuffer(buf, dtype="<f8", count=n_vals, offset=off).reshape(dims)
         off += 8 * n_vals
-        entries[_utf8(raw)] = arr.astype(np.float64)  # own, writable copy
+        entries[name] = arr.astype(np.float64)  # own, writable copy
     return entries, off
 
 
@@ -122,9 +129,15 @@ def decode_message(buf: bytes) -> Message:
     (version, round_idx, kind, n_sections), off = _unpack("<BIBB", buf, 0)
     if version != WIRE_VERSION:
         raise WireError(f"unsupported wire version {version}")
+    if kind not in (KIND_BROADCAST, KIND_UPLOAD):
+        raise WireError(f"unknown payload kind {kind}")
     msg = Message(round_idx=round_idx, kind=kind)
+    prev_tag = -1
     for _ in range(n_sections):
         (tag,), off = _unpack("<B", buf, off)
+        if tag <= prev_tag:  # the encoder writes each section once, in tag order
+            raise WireError(f"section tag {tag} repeated or out of order after {prev_tag}")
+        prev_tag = tag
         entries, off = _decode_entries(buf, off)
         if tag == SECTION_PARAMS:
             msg.params = entries

@@ -282,6 +282,7 @@ def test_manifest_config_errors_exit_2_naming_key_and_file(tmp_path, capsys, old
     ("label", r"manifest\.csv:2: label must be 0, 1 or empty"),
     ("cell", r"central_s000\.csv:3: non-finite cell"),
     ("role", r"site\.1\.role = target_labeled needs labels, but site edge has none"),
+    ("repeat", r"manifest\.csv:\d+: subject 'central_s000' of site 'central' repeats line 2"),
 ])
 def test_bad_manifest_data_exits_2_naming_where(tmp_path, capsys, case, where):
     data_dir = tmp_path / "d"
@@ -291,6 +292,11 @@ def test_bad_manifest_data_exits_2_naming_where(tmp_path, capsys, case, where):
     if case == "label":  # line 2 is the first central subject, labeled 0
         lines = manifest.read_text().splitlines()
         lines[1] = lines[1].replace(",0,", ",2,")
+        manifest.write_text("\n".join(lines) + "\n")
+    if case == "repeat":  # line 2's subject again, with the other label and another series
+        lines = manifest.read_text().splitlines()
+        subject, site = lines[1].split(",")[:2]
+        lines.append(f"{subject},{site},1,{lines[2].split(',')[3]}")
         manifest.write_text("\n".join(lines) + "\n")
     if case == "cell":
         series = data_dir / "series" / "central_s000.csv"
@@ -651,6 +657,29 @@ def test_cli_import_loads_every_benchmarked_module_and_no_scipy():
     ])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert json.loads(out.stdout) == {"modules": 13, "missing": [], "scipy": []}
+
+
+def test_every_benchmarked_span_is_a_public_function_of_its_module():
+    # a span that names no traced function leaves its per-layer metric empty;
+    # importing perfbench/run.py sets BLAS variables, so the table is read in a child
+    root = Path(__file__).resolve().parents[1]
+    code = "\n".join([
+        "import importlib, json, sys, types",
+        f"sys.path[:0] = [{str(root / 'src')!r}, {str(root / 'perfbench')!r}]",
+        "from run import PER_LAYER",
+        "bad = []",
+        "for _, _, span, _, _ in PER_LAYER:",
+        "    module, _, name = span.removesuffix('.train').removesuffix('.eval').rpartition('.')",
+        "    mod = importlib.import_module('dafed.' + module)",
+        "    fn = getattr(mod, name, None)",
+        "    if (name.startswith('_') or not isinstance(fn, types.FunctionType)",
+        "            or fn.__module__ != mod.__name__):",
+        "        bad.append(span)",
+        "print(json.dumps({'spans': len(PER_LAYER), 'bad': bad}))",
+    ])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    result = json.loads(out.stdout.splitlines()[-1])
+    assert result["spans"] > 0 and result["bad"] == []
 
 
 def test_gradcheck_passes_and_reports_worst(tmp_path, capsys):

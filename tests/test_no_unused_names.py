@@ -1,5 +1,6 @@
-"""Every top-level function, class and constant of the package is used: by
-its own module, by another module under src/, tests/ or perfbench/, or by
+"""Every top-level function, class and constant of the package, and every
+method, property and annotated field of its classes, is used: by its own
+module, by another module under src/, tests/ or perfbench/, or by
 pyproject.toml."""
 
 import ast
@@ -36,12 +37,20 @@ def _uses(tree) -> set:
 
 
 def _definitions(tree):
+    """Top-level names, then `Class.member` for the methods, properties and
+    annotated fields of each top-level class."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield node.name
+            yield node.name, node.name
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            yield from (t.id for t in targets if isinstance(t, ast.Name))
+            yield from ((t.id, t.id) for t in targets if isinstance(t, ast.Name))
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield member.name, f"{node.name}.{member.name}"
+                elif isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
+                    yield member.target.id, f"{node.name}.{member.target.id}"
 
 
 def test_every_top_level_name_in_the_package_is_referenced():
@@ -49,7 +58,7 @@ def test_every_top_level_name_in_the_package_is_referenced():
     trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in files}
     seen = set(WORD.findall((ROOT / "pyproject.toml").read_text()))
     seen = seen.union(*(_uses(tree) for tree in trees.values()))
-    unused = [f"{path.name}: {name}" for path in sorted((ROOT / "src" / "dafed").glob("*.py"))
-              for name in _definitions(trees[path])
+    unused = [f"{path.name}: {label}" for path in sorted((ROOT / "src" / "dafed").glob("*.py"))
+              for name, label in _definitions(trees[path])
               if name not in seen and not name.startswith("__")]
     assert not unused, "defined but never referenced: " + ", ".join(unused)

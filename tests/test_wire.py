@@ -1,6 +1,7 @@
 """Message and checkpoint byte formats."""
 
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -86,6 +87,38 @@ def test_corrupt_message_rejected():
     vector_scalar = wire.Message(round_idx=0, kind=wire.KIND_UPLOAD, scalars={"s": np.ones(2)})
     with pytest.raises(wire.WireError, match="non-scalar"):
         wire.decode_message(wire.encode_message(vector_scalar))
+
+
+def _rename_entry(buf: bytes, old: str, new: str) -> bytes:
+    """`buf` with its one length-prefixed entry name `old` replaced by `new`."""
+    field = struct.pack("<H", len(old)) + old.encode()
+    assert len(new) == len(old) and buf.count(field) == 1
+    return buf.replace(field, struct.pack("<H", len(new)) + new.encode())
+
+
+def test_repeated_section_unknown_kind_and_repeated_name_rejected(tmp_path):
+    # the encoder writes each section once, a known kind, and sorted unique
+    # names; a buffer that breaks any of these must not decode
+    section = bytes([wire.SECTION_PARAMS]) + wire._encode_entries({"w": np.ones(2)})
+    header = struct.pack("<BIBB", wire.WIRE_VERSION, 0, wire.KIND_UPLOAD, 2)
+    with pytest.raises(wire.WireError, match="section tag 0 repeated"):
+        wire.decode_message(header + section + section)
+
+    buf = bytearray(wire.encode_message(_sample_message()))
+    buf[5] = 9  # after the version byte and the u32 round
+    with pytest.raises(wire.WireError, match="unknown payload kind 9"):
+        wire.decode_message(bytes(buf))
+
+    two = wire.Message(round_idx=0, kind=wire.KIND_UPLOAD,
+                       params={"v": np.zeros(1), "w": np.ones(1)})
+    with pytest.raises(wire.WireError, match="'w' repeated or out of order after 'w'"):
+        wire.decode_message(_rename_entry(wire.encode_message(two), "v", "w"))
+
+    path = tmp_path / "dup.ckpt"
+    path.write_bytes(_rename_entry(_small_checkpoint(tmp_path / "ok.ckpt"), "a", "c"))
+    with pytest.raises(wire.WireError, match="'b.w' repeated or out of order after 'c'") as err:
+        wire.load_checkpoint(path)
+    assert str(path) in str(err.value)
 
 
 def test_checkpoint_round_trip(tmp_path):
