@@ -11,6 +11,7 @@ needs no gradients and is unaffected by noisy parameters.
 from __future__ import annotations
 
 import logging
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,6 +218,66 @@ def permuted_masks(masks: np.ndarray, seed, *key) -> np.ndarray:
 # the explain workflow
 
 
+def process_count(subjects: int) -> int:
+    """Processes for `subjects` subjects: the cores this process may run on,
+    divided by the BLAS threads each process starts, at most one per subject.
+
+    The BLAS thread count is the first positive integer among
+    OPENBLAS_NUM_THREADS and OMP_NUM_THREADS; without one, OpenBLAS starts
+    a thread per core, so a single process already uses every core."""
+    cores = len(os.sched_getaffinity(0))
+    blas_threads = cores
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "").strip()
+        if value.isdecimal() and int(value) > 0:
+            blas_threads = int(value)
+            break
+    return max(1, min(cores // blas_threads, subjects))
+
+
+def _send_shard(compute, k: int, conn):
+    """The body of a forked process: shard k's result, or its error, to the parent."""
+    try:
+        result = (True, compute(k))
+    except Exception as err:  # the parent re-raises it
+        result = (False, err)
+    conn.send(result)
+
+
+def _run_shards(context, compute, shards: int) -> list:
+    """[compute(0), ..., compute(shards - 1)]: shard 0 in this process, each
+    other shard in a process forked from it, so `compute` and what it reads
+    are never pickled. No process outlives the call.
+
+    Forking is safe here: explain starts no Python thread, and OpenBLAS
+    stops its own threads around a fork."""
+    workers = []
+    try:
+        for k in range(1, shards):
+            recv, send = context.Pipe(duplex=False)
+            proc = context.Process(target=_send_shard, args=(compute, k, send), daemon=True)
+            proc.start()
+            send.close()
+            workers.append((proc, recv))
+        results = [compute(0)]
+        for k, (proc, recv) in enumerate(workers, start=1):
+            try:
+                ok, value = recv.recv()
+            except EOFError:
+                proc.join()
+                raise ChildProcessError(f"explain shard {k}: its process exited with code "
+                                        f"{proc.exitcode} before sending its scores") from None
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        for proc, recv in workers:
+            proc.terminate()
+            proc.join()
+            recv.close()
+
+
 @dataclass
 class Explanation:
     """The tables of one explain run over a cohort."""
@@ -235,6 +296,7 @@ def explain_cohort(theta: ParamStore, datasets: list[SiteDataset], layer: int,
     the window maps against equal-sparsity random controls."""
     if not 1 <= layer <= N_LAYERS:
         raise ValueError(f"layer must be in 1..{N_LAYERS}, got {layer}")
+    import multiprocessing  # here, so that train and eval never load it
     from scipy import special  # noqa: F401  load it before the first forward, as set-up
 
     for ds in datasets:
@@ -249,24 +311,28 @@ def explain_cohort(theta: ParamStore, datasets: list[SiteDataset], layer: int,
         raise ConfigError(f"explain needs at least {MIN_GROUP_SUBJECTS} subjects of each "
                           f"class, the cohort has {counts.tolist()}")
 
-    subject_scores = []  # per subject, (N_LAYERS, R)
-    focus_masks, focus_graphs = [], []
-    for ds, indices in subjects:
-        graphs = [ds.samples[i] for i in indices]
-        window_scores = np.array([[m.scores for m in score_cam(theta, g, target_class)]
-                                  for g in graphs])
-        subject_scores.append(window_scores.mean(axis=0))
-        focus_masks.extend(window_scores[:, layer - 1])
-        focus_graphs.extend(graphs)
-    subject_scores = np.stack(subject_scores)
+    # the subjects in round-robin shards, one process each; every window is
+    # scored as in one process, so no output depends on the shard count
+    shards = process_count(len(subjects))
+
+    def window_scores(k):  # per subject of shard k, (windows, N_LAYERS, R)
+        return [np.array([[m.scores for m in score_cam(theta, ds.samples[i], target_class)]
+                          for i in indices]) for ds, indices in subjects[k::shards]]
+
+    per_subject = [None] * len(subjects)
+    for k, shard in enumerate(_run_shards(multiprocessing.get_context("fork"),
+                                          window_scores, shards)):
+        per_subject[k::shards] = shard
+    subject_scores = np.stack([w.mean(axis=0) for w in per_subject])  # (subjects, N_LAYERS, R)
+    focus_masks = np.concatenate([w[:, layer - 1] for w in per_subject])
+    focus_graphs = [ds.samples[i] for ds, indices in subjects for i in indices]
 
     focus = subject_scores[:, layer - 1]
     fc = np.stack([ds.features[indices].mean(axis=0) for ds, indices in subjects])
     edges = significant_edges(focus, fc, groups)
 
-    masks = np.stack(focus_masks)
-    control = permuted_masks(masks, seed, "explain")
-    clean, masked, masked_ctl = saliency_masked_scores(theta, focus_graphs, masks, control)
+    control = permuted_masks(focus_masks, seed, "explain")
+    clean, masked, masked_ctl = saliency_masked_scores(theta, focus_graphs, focus_masks, control)
     faithfulness = {
         "saliency": (average_drop(clean, masked), average_increase(clean, masked)),
         "random": (average_drop(clean, masked_ctl), average_increase(clean, masked_ctl)),

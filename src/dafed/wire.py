@@ -38,6 +38,13 @@ def _encode_entries(entries: dict[str, np.ndarray]) -> bytes:
     for name in sorted(entries):
         arr = np.ascontiguousarray(entries[name], dtype=np.float64)
         raw = name.encode("utf-8")
+        if len(raw) > 0xFFFF:
+            raise WireError(f"entry name of {len(raw)} UTF-8 bytes: at most 65535 fit")
+        if arr.ndim > 0xFF:
+            raise WireError(f"entry {name!r} has rank {arr.ndim}: at most 255 fit")
+        if max(arr.shape, default=0) > 0xFFFFFFFF:
+            raise WireError(f"entry {name!r} has shape {arr.shape}: "
+                            "at most 4294967295 fit per dimension")
         chunks.append(struct.pack("<H", len(raw)))
         chunks.append(raw)
         chunks.append(struct.pack("<B", arr.ndim))
@@ -110,6 +117,11 @@ class Message:
 
 
 def encode_message(msg: Message) -> bytes:
+    """The message's bytes; a field the decoder would refuse raises WireError."""
+    if msg.kind not in (KIND_BROADCAST, KIND_UPLOAD):
+        raise WireError(f"unknown payload kind {msg.kind}")
+    if not 0 <= msg.round_idx <= 0xFFFFFFFF:
+        raise WireError(f"round {msg.round_idx} is outside [0, 2**32)")
     sections = []
     if msg.params:
         sections.append((SECTION_PARAMS, msg.params))

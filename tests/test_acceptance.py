@@ -386,6 +386,19 @@ def test_criterion_9_faithfulness(world):
                    f"within top-10 {sorted(top)}: {ok_rank}; {elapsed:.0f}s")
 
 
+def test_attribution_finds_the_planted_rois(world):
+    # not a numbered criterion: class-1 saliency at layer 4 on the pooled
+    # cohort of all four sites puts at least 5 of the 6 planted ROIs in its
+    # top 6; chance is about 1.1 of 6
+    theta = world["trained"](0).theta
+    cfg, dsets = world["datasets"](0)
+    planted = set(cfg.signal_rois().tolist())
+    assert planted == set(range(6))
+    res = explain.explain_cohort(theta, dsets, 4, 1, windows=1, seed=0)
+    hits = len(planted & set(res.top_rois[:6].tolist()))
+    assert hits >= 5, f"{hits} planted ROIs in the top 6 {res.top_rois[:6].tolist()}"
+
+
 # ---------------------------------------------------------------------------
 # 10. command determinism
 

@@ -544,6 +544,22 @@ def test_explain_rerun_is_byte_identical(tmp_path, trained):
         assert (tmp_path / "e1" / name).read_bytes() == (tmp_path / "e2" / name).read_bytes()
 
 
+def test_explain_bytes_do_not_depend_on_the_blas_threads(tmp_path, trained):
+    # one BLAS thread per process lets explain fork a process per core; two
+    # on a 2-core host keep it in one process. OpenBLAS reads its thread
+    # count once, at load, so each count needs its own process
+    cfg, ckpt = trained
+    root = Path(__file__).resolve().parents[1]
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-m", "dafed.cli", "explain", str(ckpt), "--config",
+                        str(cfg), "--out", str(tmp_path / threads)],
+                       env=env, capture_output=True, text=True, check=True, timeout=600)
+    for name in ("saliency.csv", "edges.csv", "faithfulness.csv"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
 def _explain_tables(out):
     saliency = np.zeros((explain.N_LAYERS, 10))
     for r in csv.DictReader((out / "saliency.csv").open()):
@@ -657,6 +673,19 @@ def test_cli_import_loads_every_benchmarked_module_and_no_scipy():
     ])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert json.loads(out.stdout) == {"modules": 13, "missing": [], "scipy": []}
+
+
+def test_cli_import_loads_no_process_pool():
+    # only explain forks, and it imports multiprocessing itself
+    code = "\n".join([
+        "import json, sys",
+        f"sys.path[:0] = [{str(Path(__file__).resolve().parents[1] / 'src')!r}]",
+        "import dafed.cli",
+        "print(json.dumps(sorted(m for m in sys.modules",
+        "                        if m.split('.')[0] in ('multiprocessing', 'concurrent'))))",
+    ])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout) == []
 
 
 def test_every_benchmarked_span_is_a_public_function_of_its_module():

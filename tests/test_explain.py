@@ -1,5 +1,7 @@
 """Attribution, faithfulness metrics, ROI ranking, and edge significance."""
 
+import multiprocessing
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -347,3 +349,100 @@ def test_faithfulness_runs_one_clean_pass(monkeypatch):
     explain.explain_cohort(theta, datasets, 2, 1, windows=2, seed=0)
     # clean, saliency-masked and random-control forwards over 6 x 2 windows
     assert faithfulness_rows == [12, 12, 12]
+
+
+# ---------------------------------------------------------------------------
+# subjects scored in forked processes
+
+
+@pytest.fixture(scope="module")
+def cohort():
+    # 11 subjects, so that 2 and 3 processes get shards of unequal size
+    cfg = SynthConfig(sites=[SynthSite("s", 6, True, 0.0), SynthSite("t", 5, True, 0.3)],
+                      n_rois=10, t=22, class_sep=0.7, window=20, top_k=3)
+    return network.init_theta(10, seed=3), synth_multisite(cfg, seed=3)
+
+
+def test_explain_outputs_do_not_depend_on_the_process_count(cohort, monkeypatch):
+    theta, datasets = cohort
+    subjects = [sid for ds in datasets for sid in sorted(ds.subject_index)]
+    cam = explain.score_cam
+    results = {}
+    for processes in (1, 2, 3):
+        here = []  # subjects scored in this process
+
+        def recorded_cam(theta, graph, target_class):
+            here.append(graph.subject_id)
+            return cam(theta, graph, target_class)
+
+        monkeypatch.setattr(explain, "score_cam", recorded_cam)
+        monkeypatch.setattr(explain, "process_count", lambda n, p=processes: p)
+        results[processes] = explain.explain_cohort(theta, datasets, 2, 1, windows=2, seed=0)
+        assert multiprocessing.active_children() == []
+        # this process scores shard 0 alone; forked ones score the others
+        assert here == [sid for sid in subjects[::processes] for _ in range(2)]
+    first = results[1]
+    for res in results.values():
+        assert res.saliency.tobytes() == first.saliency.tobytes()
+        assert res.edges == first.edges
+        assert res.faithfulness == first.faithfulness
+        assert np.array_equal(res.top_rois, first.top_rois)
+
+
+@pytest.mark.parametrize("failing", [0, 1], ids=["this-process", "forked"])
+def test_a_shard_error_is_reraised_and_leaves_no_process(cohort, monkeypatch, failing):
+    # with 2 processes, subject 0 is scored here and subject 1 in the fork
+    theta, datasets = cohort
+    bad = sorted(datasets[0].subject_index)[failing]
+    cam = explain.score_cam
+
+    def failing_cam(theta, graph, target_class):
+        if graph.subject_id == bad:
+            raise ArithmeticError(f"planted failure on {bad}")
+        return cam(theta, graph, target_class)
+
+    monkeypatch.setattr(explain, "score_cam", failing_cam)
+    monkeypatch.setattr(explain, "process_count", lambda n: 2)
+    with pytest.raises(ArithmeticError, match=f"planted failure on {bad}"):
+        explain.explain_cohort(theta, datasets, 2, 1, windows=2, seed=0)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_process_that_dies_is_reported_and_leaves_no_process(cohort, monkeypatch):
+    theta, datasets = cohort
+    parent = os.getpid()
+    cam = explain.score_cam
+
+    def dying_cam(theta, graph, target_class):
+        if os.getpid() != parent:
+            os._exit(3)
+        return cam(theta, graph, target_class)
+
+    monkeypatch.setattr(explain, "score_cam", dying_cam)
+    monkeypatch.setattr(explain, "process_count", lambda n: 3)
+    with pytest.raises(ChildProcessError, match="shard 1: its process exited with code 3"):
+        explain.explain_cohort(theta, datasets, 2, 1, windows=2, seed=0)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cores, env, subjects, expected", [
+    (2, {}, 40, 1),  # OpenBLAS's default thread per core fills the host
+    (2, {"OPENBLAS_NUM_THREADS": "2"}, 40, 1),
+    (2, {"OPENBLAS_NUM_THREADS": "1"}, 40, 2),
+    (2, {"OPENBLAS_NUM_THREADS": "1"}, 1, 1),
+    (2, {"OPENBLAS_NUM_THREADS": "4"}, 40, 1),
+    (2, {"OMP_NUM_THREADS": "1"}, 40, 2),
+    (2, {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 40, 2),
+    (2, {"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 40, 2),
+    (2, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 40, 1),
+    (8, {"OPENBLAS_NUM_THREADS": "2"}, 40, 4),
+    (8, {"OPENBLAS_NUM_THREADS": "1"}, 3, 3),
+])
+def test_process_count_divides_the_cores_by_the_blas_threads(monkeypatch, cores, env,
+                                                             subjects, expected):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    assert explain.process_count(subjects) == expected

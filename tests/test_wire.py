@@ -121,6 +121,50 @@ def test_repeated_section_unknown_kind_and_repeated_name_rejected(tmp_path):
     assert str(path) in str(err.value)
 
 
+@pytest.mark.parametrize("kind", [2, 9, -1])
+def test_encode_refuses_an_unknown_kind(kind):
+    msg = wire.Message(round_idx=0, kind=kind, params={"w": np.ones(1)})
+    with pytest.raises(wire.WireError, match=f"unknown payload kind {kind}"):
+        wire.encode_message(msg)
+
+
+def test_encode_refuses_a_round_outside_u32():
+    last = wire.Message(round_idx=2 ** 32 - 1, kind=wire.KIND_UPLOAD, params={"w": np.ones(1)})
+    assert wire.decode_message(wire.encode_message(last)).round_idx == 2 ** 32 - 1
+    for round_idx in (-1, 2 ** 32):
+        last.round_idx = round_idx
+        with pytest.raises(wire.WireError, match=rf"round {round_idx} is outside \[0, 2\*\*32\)"):
+            wire.encode_message(last)
+
+
+def test_encode_refuses_a_name_longer_than_u16():
+    longest = "é" * (65535 // 2) + "x"  # 65535 UTF-8 bytes
+    msg = wire.Message(round_idx=0, kind=wire.KIND_UPLOAD, params={longest: np.ones(1)})
+    assert list(wire.decode_message(wire.encode_message(msg)).params) == [longest]
+    msg.params = {longest + "x": np.ones(1)}
+    with pytest.raises(wire.WireError, match="name of 65536 UTF-8 bytes"):
+        wire.encode_message(msg)
+
+
+def test_encode_refuses_a_rank_above_u8(monkeypatch):
+    # numpy caps an array's rank at 64, so a stand-in reports rank 256
+    class Deep:
+        ndim = 256
+        shape = (1,) * 256
+
+    monkeypatch.setattr(wire.np, "ascontiguousarray", lambda arr, dtype: Deep())
+    msg = wire.Message(round_idx=0, kind=wire.KIND_UPLOAD, params={"w": np.ones(1)})
+    with pytest.raises(wire.WireError, match="'w' has rank 256"):
+        wire.encode_message(msg)
+
+
+def test_encode_refuses_a_dimension_above_u32():
+    # an empty array may have a dimension that no u32 holds
+    msg = wire.Message(round_idx=0, kind=wire.KIND_UPLOAD, params={"w": np.zeros((0, 2 ** 32))})
+    with pytest.raises(wire.WireError, match=r"'w' has shape \(0, 4294967296\)"):
+        wire.encode_message(msg)
+
+
 def test_checkpoint_round_trip(tmp_path):
     theta = init_theta(9, seed=4)
     opt = Adam(names=("a", "b"))
