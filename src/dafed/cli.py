@@ -323,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--out", required=True)
     p_train.set_defaults(func=cmd_train)
 
-    p_eval = sub.add_parser("eval", help="cross-validated accuracy of a checkpoint")
+    p_eval = sub.add_parser("eval", help="a checkpoint's window accuracy per subject fold "
+                            "(the model is not re-trained per fold)")
     common(p_eval)
     p_eval.add_argument("checkpoint")
     p_eval.add_argument("--folds", type=int, default=None, help="override the config key folds")

@@ -339,6 +339,26 @@ def _site_step(state: SiteState, theta: ParamStore, round_idx: int,
     return total, grads, row
 
 
+def target_step(state: SiteState, broadcast: bytes, round_idx: int, total_rounds: int,
+                settings: TrainSettings, noise: NoiseSpec) -> tuple[bytes, dict]:
+    """One target site's round, from the broadcast bytes it received to the
+    upload bytes it sends, and its metrics row. Only `state` moves."""
+    msg = wire.decode_message(broadcast)
+    theta = wire.arrays_to_store(msg.params)
+    _, grads, row = _site_step(state, theta, round_idx, total_rounds, settings)
+    if settings.broadcast_grads:
+        grads = {name: g if name not in msg.grads else g + msg.grads[name]
+                 for name, g in grads.items()}
+    adam_step(theta, state.adam_main, grads, row["lr"])
+    if settings.use_rd:
+        adam_step(theta, state.adam_mine, grads, row["lr"])
+    noised = add_noise(theta, noise, state.site_id, round_idx)
+    upload = wire.encode_message(wire.Message(round_idx=round_idx, kind=wire.KIND_UPLOAD,
+                                              params=wire.store_to_arrays(noised)))
+    row["bytes_up"], row["bytes_down"] = len(upload), len(broadcast)
+    return upload, row
+
+
 def multi_site_round(theta_global: ParamStore, source: SiteState,
                      targets: list[SiteState], round_idx: int, total_rounds: int,
                      settings: TrainSettings, noise: NoiseSpec):
@@ -353,38 +373,21 @@ def multi_site_round(theta_global: ParamStore, source: SiteState,
         round_idx=round_idx, kind=wire.KIND_BROADCAST,
         params=wire.store_to_arrays(theta_global), grads=src_grads,
         scalars={"loss_total_source": src_loss}))
-    # every target receives the same bytes: decode them once, copy per target
-    msg = wire.decode_message(broadcast)
-    broadcast_model = wire.arrays_to_store(msg.params)
     rows = [src_row]
     uploads = []
-    upload_bytes_total = 0
     for state in targets:
-        theta_k = broadcast_model.copy()
-        _, grads, row = _site_step(state, theta_k, round_idx, total_rounds, settings)
-        if settings.broadcast_grads:
-            grads = {name: g if name not in msg.grads else g + msg.grads[name]
-                     for name, g in grads.items()}
-        adam_step(theta_k, state.adam_main, grads, row["lr"])
-        if settings.use_rd:
-            adam_step(theta_k, state.adam_mine, grads, row["lr"])
-        noised = add_noise(theta_k, noise, state.site_id, round_idx)
-        upload = wire.encode_message(wire.Message(
-            round_idx=round_idx, kind=wire.KIND_UPLOAD,
-            params=wire.store_to_arrays(noised)))
+        upload, row = target_step(state, broadcast, round_idx, total_rounds, settings, noise)
         received = wire.arrays_to_store(wire.decode_message(upload).params)
         _check_upload(received, round_idx, state.site_id)
         uploads.append(received)
-        row["bytes_up"] = len(upload)
-        row["bytes_down"] = len(broadcast)
-        upload_bytes_total += len(upload)
         rows.append(row)
     src_row["bytes_up"] = len(broadcast)
-    src_row["bytes_down"] = upload_bytes_total
+    src_row["bytes_down"] = sum(row["bytes_up"] for row in rows[1:])
     # every site received this broadcast; it is next round's contrastive
-    # positive, read only in evaluation mode, so the sites share it
+    # positive, read only in evaluation mode, so the sites share one decode
+    prev_global = wire.arrays_to_store(wire.decode_message(broadcast).params)
     for state in [source] + targets:
-        state.prev_global = broadcast_model
+        state.prev_global = prev_global
     return aggregate(uploads), rows
 
 

@@ -93,6 +93,8 @@ def _decode_entries(buf: bytes, off: int) -> tuple[dict[str, np.ndarray], int]:
             raise WireError(f"entry {name!r} repeated or out of order after {prev!r}")
         prev = name
         (rank,), off = _unpack("<B", buf, off)
+        if rank > 64:  # numpy's limit
+            raise WireError(f"entry {name!r} has rank {rank}: numpy holds at most 64")
         dims, off = _unpack(f"<{rank}I", buf, off)
         n_vals = math.prod(dims)
         _need(buf, off + 8 * n_vals)
@@ -195,6 +197,8 @@ def save_checkpoint(path, theta: ParamStore, round_idx: int, config_digest: byte
     """Header, config digest, round, per-site optimizer digests, parameters."""
     if len(config_digest) != 32:
         raise WireError("config digest must be 32 bytes")
+    if not 0 <= round_idx <= 0xFFFFFFFF:
+        raise WireError(f"round {round_idx} is outside [0, 2**32)")
     chunks = [CKPT_MAGIC, config_digest, struct.pack("<I", round_idx),
               struct.pack("<I", len(site_digests))]
     for site_id in sorted(site_digests):

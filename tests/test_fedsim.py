@@ -1,6 +1,7 @@
 """Federated rounds: noise, aggregation, the contrastive queue, protocol
 equivalence, determinism, and the privacy boundary."""
 
+import copy
 import hashlib
 import math
 import os
@@ -304,6 +305,67 @@ def test_aggregation_of_identical_uploads_is_noop_in_round():
                                   settings, NoiseSpec(alpha=0.0))
     for name in new_one.names():
         assert np.array_equal(new_one[name].data, new_two[name].data)
+
+
+def _two_target_world():
+    datasets = _tiny_datasets()
+    datasets.append(synth_multisite(SynthConfig(
+        sites=[SynthSite("edge2", 4, False, 0.5)], n_rois=10, t=24, class_sep=0.6,
+        window=20, top_k=3), seed=1)[0])
+    return datasets, dict(_roles(), edge2="target_unlabeled")
+
+
+def test_target_uploads_do_not_depend_on_the_target_order(monkeypatch):
+    datasets, roles = _two_target_world()
+    settings = _settings(rounds=2, alpha=0.01)
+    noise = NoiseSpec(alpha=settings.alpha, key=(settings.seed, "noise"))
+    theta = init_theta(10, settings.seed)
+    source, targets = build_states(datasets, roles, theta)
+    theta, _ = multi_site_round(theta, source, targets, 0, 2, settings, noise)
+    before = copy.deepcopy(targets)
+
+    sent = {}
+    real_encode = wire.encode_message
+
+    def capture(msg):
+        buf = real_encode(msg)
+        sent.setdefault(msg.kind, []).append(buf)
+        return buf
+
+    monkeypatch.setattr(wire, "encode_message", capture)
+    multi_site_round(theta, source, targets, 1, 2, settings, noise)
+    monkeypatch.undo()
+    [broadcast] = sent[wire.KIND_BROADCAST]
+
+    def uploads(states):
+        return {s.site_id: fedsim.target_step(copy.deepcopy(s), broadcast, 1, 2, settings,
+                                              noise)[0] for s in states}
+
+    in_order, reversed_order = uploads(before), uploads(before[::-1])
+    assert in_order == reversed_order
+    # in the round the targets share one decoded `prev_global`; their copies do not
+    assert list(in_order.values()) == sent[wire.KIND_UPLOAD]
+    assert in_order["edge"] != in_order["edge2"]
+
+
+def test_training_calls_the_benchmarked_hooks_through_the_module(monkeypatch):
+    # perfbench stamps round starts and times the noise by rebinding these attributes
+    rounds, noised = [], []
+    real_round, real_noise = fedsim.multi_site_round, fedsim.add_noise
+
+    def counted_round(*args, **kwargs):
+        rounds.append(args[3])
+        return real_round(*args, **kwargs)
+
+    def counted_noise(theta, spec, site_id, round_idx):
+        noised.append((site_id, round_idx))
+        return real_noise(theta, spec, site_id, round_idx)
+
+    monkeypatch.setattr(fedsim, "multi_site_round", counted_round)
+    monkeypatch.setattr(fedsim, "add_noise", counted_noise)
+    run_training(_settings(rounds=3, alpha=0.01), *_two_target_world())
+    assert rounds == [0, 1, 2]
+    assert noised == [(site, r) for r in range(3) for site in ("edge", "edge2")]
 
 
 def _full_sweep_gradients(loss, wrt):

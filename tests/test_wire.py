@@ -165,6 +165,47 @@ def test_encode_refuses_a_dimension_above_u32():
         wire.encode_message(msg)
 
 
+def _entry_of_rank(rank):
+    """One entry section holding a single float64 under `rank` unit dims."""
+    return (struct.pack("<IH", 1, 1) + b"w" + struct.pack(f"<B{rank}I", rank, *[1] * rank)
+            + struct.pack("<d", 1.5))
+
+
+def _message_of_rank(rank):
+    return (struct.pack("<BIBBB", wire.WIRE_VERSION, 0, wire.KIND_UPLOAD, 1,
+                        wire.SECTION_PARAMS) + _entry_of_rank(rank))
+
+
+def _checkpoint_of_rank(path, rank):
+    path.write_bytes(wire.CKPT_MAGIC + bytes(32) + struct.pack("<II", 0, 0)
+                     + _entry_of_rank(rank))
+    return path
+
+
+def test_ranks_up_to_numpys_limit_decode(tmp_path):
+    for rank in (0, 64):
+        assert wire.decode_message(_message_of_rank(rank)).params["w"].shape == (1,) * rank
+        theta, _, _, _ = wire.load_checkpoint(_checkpoint_of_rank(tmp_path / "r.ckpt", rank))
+        assert theta["w"].shape == (1,) * rank
+
+
+@pytest.mark.parametrize("rank", [65, 255])
+def test_a_rank_above_numpys_limit_is_a_wire_error(tmp_path, rank):
+    with pytest.raises(wire.WireError, match=f"'w' has rank {rank}"):
+        wire.decode_message(_message_of_rank(rank))
+    path = _checkpoint_of_rank(tmp_path / "deep.ckpt", rank)
+    with pytest.raises(wire.WireError, match=f"deep.ckpt: entry 'w' has rank {rank}"):
+        wire.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("round_idx", [-1, 2 ** 32])
+def test_save_checkpoint_refuses_a_round_outside_u32_before_writing(tmp_path, round_idx):
+    path = tmp_path / "model.ckpt"
+    with pytest.raises(wire.WireError, match=rf"round {round_idx} is outside \[0, 2\*\*32\)"):
+        wire.save_checkpoint(path, init_theta(5, seed=1), round_idx, bytes(32), {})
+    assert not path.exists()
+
+
 def test_checkpoint_round_trip(tmp_path):
     theta = init_theta(9, seed=4)
     opt = Adam(names=("a", "b"))
