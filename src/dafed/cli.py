@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 runtime failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import math
 import sys
 from collections import deque
@@ -84,16 +83,6 @@ def _load_fitting_checkpoint(path, datasets) -> ParamStore:
     return theta
 
 
-def _site_digests(source, targets) -> dict[str, bytes]:
-    out = {}
-    for state in [source] + list(targets):
-        h = hashlib.sha256()
-        h.update(wire.optimizer_digest(state.adam_main))
-        h.update(wire.optimizer_digest(state.adam_mine))
-        out[state.site_id] = h.digest()
-    return out
-
-
 # ---------------------------------------------------------------------------
 # synth
 
@@ -128,21 +117,23 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = parse_config(args.config, _overrides(args))
+    datasets = _load_datasets(cfg)
+    for ds in datasets:
+        if len(ds) < 2:  # the dependence estimator shuffles a batch of at least 2
+            raise ConfigError(f"site {ds.site_id}: {len(ds)} window(s), "
+                              "training needs at least 2")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    datasets = _load_datasets(cfg)
     settings = cfg.settings()
     digest = cfg.digest()
 
-    def on_round(round_idx, theta, states):
+    def on_round(round_idx, theta):
         if (round_idx + 1) % 10 == 0:
-            source, targets = states
             wire.save_checkpoint(out / f"checkpoint_r{round_idx + 1:04d}.ckpt", theta,
-                                 round_idx + 1, digest, _site_digests(source, targets))
+                                 round_idx + 1, digest)
 
     result = fedsim.run_training(settings, datasets, cfg.roles(), on_round=on_round)
-    wire.save_checkpoint(out / "checkpoint_final.ckpt", result.theta, settings.rounds,
-                         digest, _site_digests(result.source, result.targets))
+    wire.save_checkpoint(out / "checkpoint_final.ckpt", result.theta, settings.rounds, digest)
     with open(out / "metrics.csv", "w", newline="") as fh:
         fh.write(",".join(METRICS_HEADER) + "\n")
         for row in result.metrics:

@@ -383,11 +383,11 @@ def multi_site_round(theta_global: ParamStore, source: SiteState,
         rows.append(row)
     src_row["bytes_up"] = len(broadcast)
     src_row["bytes_down"] = sum(row["bytes_up"] for row in rows[1:])
-    # every site received this broadcast; it is next round's contrastive
-    # positive, read only in evaluation mode, so the sites share one decode
-    prev_global = wire.arrays_to_store(wire.decode_message(broadcast).params)
+    # the broadcast encodes theta_global as the source step left it, and
+    # nothing writes to theta_global after the encode; it is every site's
+    # next contrastive positive, read only in evaluation mode
     for state in [source] + targets:
-        state.prev_global = prev_global
+        state.prev_global = theta_global
     return aggregate(uploads), rows
 
 
@@ -412,14 +412,12 @@ def two_site_round(source: SiteState, target: SiteState, round_idx: int,
 class TrainResult:
     theta: ParamStore
     metrics: list[dict]
-    source: SiteState
-    targets: list[SiteState]
 
 
 def run_training(settings: TrainSettings, datasets: list[SiteDataset],
                  roles: dict[str, str], on_round=None) -> TrainResult:
-    """Full multi-site run from a fresh model; `on_round(round, theta, states)`
-    fires after every aggregation."""
+    """Full multi-site run from a fresh model; `on_round(round, theta)` fires
+    after every aggregation."""
     theta = init_theta(datasets[0].n_rois, settings.seed)
     source, targets = build_states(datasets, roles, theta)
     noise = NoiseSpec(alpha=settings.alpha, key=(settings.seed, "noise"))
@@ -429,8 +427,8 @@ def run_training(settings: TrainSettings, datasets: list[SiteDataset],
                                        settings.rounds, settings, noise)
         metrics.extend(rows)
         if on_round is not None:
-            on_round(round_idx, theta, (source, targets))
-    return TrainResult(theta=theta, metrics=metrics, source=source, targets=targets)
+            on_round(round_idx, theta)
+    return TrainResult(theta=theta, metrics=metrics)
 
 
 def train_source_only(settings: TrainSettings, dataset: SiteDataset) -> ParamStore:

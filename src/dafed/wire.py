@@ -5,6 +5,10 @@ then per section a tag byte, an entry count, and entries encoded as
 (name length u16, name bytes, rank u8, dims u32 each, float64 little-endian
 data). Everything is little-endian and iterated in sorted-name order, so the
 same content always serializes to the same bytes.
+
+Checkpoint layout: magic `FCFEDCK2`, config digest (32 bytes), round u32,
+the parameters as one entry section (count u32, then entries as above), and
+a SHA-256 over every byte before it.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ SECTION_PARAMS = 0
 SECTION_GRADS = 1
 SECTION_SCALARS = 2
 
-CKPT_MAGIC = b"FCFEDCK1"
+CKPT_MAGIC = b"FCFEDCK2"
 
 
 class WireError(ValueError):
@@ -72,11 +76,11 @@ def _take(buf: bytes, off: int, n: int) -> tuple[bytes, int]:
     return buf[off:off + n], off + n
 
 
-def _utf8(raw: bytes) -> str:
+def _utf8(raw: bytes | memoryview) -> str:
     try:
-        return raw.decode("utf-8")
+        return str(raw, "utf-8")
     except UnicodeDecodeError:
-        raise WireError(f"name is not UTF-8: {raw!r}") from None
+        raise WireError(f"name is not UTF-8: {bytes(raw)!r}") from None
 
 
 def _decode_entries(buf: bytes, off: int) -> tuple[dict[str, np.ndarray], int]:
@@ -96,6 +100,8 @@ def _decode_entries(buf: bytes, off: int) -> tuple[dict[str, np.ndarray], int]:
         if rank > 64:  # numpy's limit
             raise WireError(f"entry {name!r} has rank {rank}: numpy holds at most 64")
         dims, off = _unpack(f"<{rank}I", buf, off)
+        if 8 * math.prod(d for d in dims if d) > np.iinfo(np.intp).max:  # numpy's limit
+            raise WireError(f"entry {name!r} has shape {dims}: too large for numpy")
         n_vals = math.prod(dims)
         _need(buf, off + 8 * n_vals)
         arr = np.frombuffer(buf, dtype="<f8", count=n_vals, offset=off).reshape(dims)
@@ -180,57 +186,35 @@ def arrays_to_store(arrays: dict[str, np.ndarray]) -> ParamStore:
     return store
 
 
-def optimizer_digest(opt) -> bytes:
-    """SHA-256 over the optimizer's moments and step count."""
-    h = hashlib.sha256()
-    h.update(struct.pack("<I", opt.step))
-    for name in opt.names:
-        h.update(name.encode("utf-8"))
-        if name in opt.m:
-            h.update(np.ascontiguousarray(opt.m[name]).tobytes())
-            h.update(np.ascontiguousarray(opt.v[name]).tobytes())
-    return h.digest()
-
-
-def save_checkpoint(path, theta: ParamStore, round_idx: int, config_digest: bytes,
-                    site_digests: dict[str, bytes]):
-    """Header, config digest, round, per-site optimizer digests, parameters."""
+def save_checkpoint(path, theta: ParamStore, round_idx: int, config_digest: bytes):
+    """Magic, config digest, round, parameters, then a SHA-256 of all of them."""
     if len(config_digest) != 32:
         raise WireError("config digest must be 32 bytes")
     if not 0 <= round_idx <= 0xFFFFFFFF:
         raise WireError(f"round {round_idx} is outside [0, 2**32)")
-    chunks = [CKPT_MAGIC, config_digest, struct.pack("<I", round_idx),
-              struct.pack("<I", len(site_digests))]
-    for site_id in sorted(site_digests):
-        raw = site_id.encode("utf-8")
-        digest = site_digests[site_id]
-        if len(digest) != 32:
-            raise WireError(f"optimizer digest for {site_id} must be 32 bytes")
-        chunks.append(struct.pack("<H", len(raw)))
-        chunks.append(raw)
-        chunks.append(digest)
-    chunks.append(_encode_entries(store_to_arrays(theta)))
+    body = b"".join([CKPT_MAGIC, config_digest, struct.pack("<I", round_idx),
+                     _encode_entries(store_to_arrays(theta))])
     with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
+        fh.write(body)
+        fh.write(hashlib.sha256(body).digest())
 
 
-def load_checkpoint(path) -> tuple[ParamStore, int, bytes, dict[str, bytes]]:
-    """(parameters, round, config digest, per-site optimizer digests); any
-    malformed content raises WireError naming the path."""
+def load_checkpoint(path) -> tuple[ParamStore, int, bytes, dict]:
+    """(parameters, round, config digest, {}); malformed content or a wrong
+    SHA-256 trailer raises WireError naming the path."""
     with open(path, "rb") as fh:
         buf = fh.read()
     if buf[:8] != CKPT_MAGIC:
         raise WireError(f"{path}: not a checkpoint file")
+    body, trailer = memoryview(buf)[:-32], buf[-32:]  # a view: no 4 MB copy
     try:
-        config_digest, off = _take(buf, 8, 32)
-        (round_idx, n_sites), off = _unpack("<II", buf, off)
-        site_digests = {}
-        for _ in range(n_sites):
-            (nlen,), off = _unpack("<H", buf, off)
-            raw, off = _take(buf, off, nlen)
-            site_digests[_utf8(raw)], off = _take(buf, off, 32)
-        arrays, off = _decode_entries(buf, off)
-        _check_end(buf, off)
+        config_digest, off = _take(body, 8, 32)
+        (round_idx,), off = _unpack("<I", body, off)
+        arrays, off = _decode_entries(body, off)
+        _check_end(body, off)
+        if hashlib.sha256(body).digest() != trailer:
+            raise WireError("contents do not match their SHA-256 trailer")
     except WireError as err:
         raise WireError(f"{path}: {err}") from None
-    return arrays_to_store(arrays), round_idx, config_digest, site_digests
+    # the empty fourth value keeps the four-value unpacking in perfbench/run.py working
+    return arrays_to_store(arrays), round_idx, bytes(config_digest), {}

@@ -207,7 +207,7 @@ def test_flags_override_the_keys_they_name(tmp_path):
 def test_bad_flag_exits_2_naming_its_key(tmp_path, capsys, command, flag, value, key):
     cfg = write_cfg(tmp_path / "run.cfg")  # rois = 10
     ckpt = tmp_path / "init.ckpt"
-    wire.save_checkpoint(ckpt, network.init_theta(10, 0), 1, bytes(32), {})
+    wire.save_checkpoint(ckpt, network.init_theta(10, 0), 1, bytes(32))
     code = cli.main([command, str(ckpt), "--config", str(cfg), flag, value,
                      "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
@@ -330,7 +330,7 @@ def test_site_with_only_flat_windows_exits_2_naming_it(tmp_path):
         "data = synth", f"data = manifest\nmanifest = {tmp_path / 'manifest.csv'}")
     (tmp_path / "run.cfg").write_text(cfg)
     ckpt = tmp_path / "model.ckpt"
-    wire.save_checkpoint(ckpt, network.init_theta(10, 0), 1, bytes(32), {})
+    wire.save_checkpoint(ckpt, network.init_theta(10, 0), 1, bytes(32))
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     for argv in (["train", "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path / "t")],
                  ["eval", str(ckpt), "--config", str(tmp_path / "run.cfg"), "--folds", "2"]):
@@ -339,6 +339,18 @@ def test_site_with_only_flat_windows_exits_2_naming_it(tmp_path):
         assert out.returncode == 2
         assert "site central" in out.stderr and "flat ROI" in out.stderr
         assert "Traceback" not in out.stderr
+
+
+def test_site_with_fewer_than_2_windows_exits_2_naming_it(tmp_path, capsys):
+    # one subject of 20 time points gives each site one window of 20
+    cfg = write_cfg(tmp_path / "run.cfg")
+    cfg.write_text(cfg.read_text().replace("subjects = 4", "subjects = 1")
+                   .replace("t_points = 24", "t_points = 20"))
+    code = cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "t")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "site central: 1 window(s)" in err and "Traceback" not in err
+    assert not (tmp_path / "t").exists()
 
 
 def test_synth_window_count_matches_published_value(tmp_path, capsys):
@@ -449,11 +461,11 @@ def trained(tmp_path):
 
 def test_eval_constant_model_scores_half(tmp_path, trained, capsys):
     cfg, ckpt = trained
-    theta, round_idx, digest, digs = wire.load_checkpoint(ckpt)
+    theta, round_idx, digest, _ = wire.load_checkpoint(ckpt)
     theta["clf.fc2.w"].data[...] = 0.0
     theta["clf.fc2.b"].data[...] = 0.0
     flat = tmp_path / "flat.ckpt"
-    wire.save_checkpoint(flat, theta, round_idx, digest, digs)
+    wire.save_checkpoint(flat, theta, round_idx, digest)
     assert cli.main(["eval", str(flat), "--config", str(cfg), "--folds", "2",
                      "--out", str(tmp_path / "ev")]) == 0
     out = capsys.readouterr().out
@@ -492,7 +504,7 @@ def test_truncated_checkpoint_exits_1_naming_it(tmp_path, trained, capsys):
 def test_checkpoint_that_does_not_fit_the_config_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path / "run.cfg")  # rois = 10
     ckpt = tmp_path / "wide.ckpt"
-    wire.save_checkpoint(ckpt, network.init_theta(16, 0), 1, bytes(32), {})
+    wire.save_checkpoint(ckpt, network.init_theta(16, 0), 1, bytes(32))
     for argv in (["eval", str(ckpt), "--config", str(cfg), "--folds", "2"],
                  ["explain", str(ckpt), "--config", str(cfg), "--out", str(tmp_path / "x")]):
         assert cli.main(argv) == 2
@@ -622,7 +634,7 @@ def test_explain_with_too_few_subjects_of_a_class_exits_2(tmp_path, capsys):
 PINNED_SWITCH_OUTPUTS = {
     "use_stfg-off": {
         "t/metrics.csv": "0606e61a15a5310d46ff7f5d69ad219788754cda8a76dadfe9402a40418808c3",
-        "t/checkpoint_final.ckpt": "dc6fb2e01cef64018772165fa1d4090ccdb933c5ed4c7ffce1958d64fb47a308",
+        "t/checkpoint_final.ckpt": "f301303c0e166806813b3fdd977bb520f2fe6a76d5869607592df181543cf513",
         "e/eval.csv": "b777a65945ef9a88321e63fbdbc9e217b0f47d98642616da4f62c6b3be3e3fff",
         "x/saliency.csv": "2822f1c84d82200f518463242261555ca7dbce9385ab2c7d332922d6b40a725a",
         "x/edges.csv": "fa4a3a42abfef73d2db12ba661f7ba7c92d8ee963ec6818df1f78b907c02c4be",
@@ -630,7 +642,7 @@ PINNED_SWITCH_OUTPUTS = {
     },
     "dafed_l": {
         "t/metrics.csv": "9a1a796905cf73049670ab807eb6353f0479d9a9b65c83462596425bf8ec74b6",
-        "t/checkpoint_final.ckpt": "4834d4603801398d06b35b50ec7cdf40932b2b7638a8e70aa9d78bc70382157a",
+        "t/checkpoint_final.ckpt": "250a6e8978c985fe26c43389f8010db0a2543671b66a4dc2ccb12ce71bdf3fac",
         "e/eval.csv": "0d7201937064ee7a1b8dde58c0e8b3dcd646759434174c92a1967ec44b78b5e4",
         "x/saliency.csv": "9909959702b048750efc5c3801ffbc4b3c348b5fad09c1787564356cd40ed139",
         "x/edges.csv": "eae401089a5bca21d974c3ea649794d46006fa27fb2467725ddb13cbf3d0e3c5",

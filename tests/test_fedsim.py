@@ -348,6 +348,37 @@ def test_target_uploads_do_not_depend_on_the_target_order(monkeypatch):
     assert in_order["edge"] != in_order["edge2"]
 
 
+def test_sites_keep_the_broadcast_model_and_each_message_is_decoded_once(monkeypatch):
+    datasets, roles = _two_target_world()
+    settings = _settings(rounds=2, alpha=0.01)
+    noise = NoiseSpec(alpha=settings.alpha, key=(settings.seed, "noise"))
+    theta = init_theta(10, settings.seed)
+    source, targets = build_states(datasets, roles, theta)
+    sent, decoded = {}, []
+    real_encode, real_decode = wire.encode_message, wire.decode_message
+
+    def capture(msg):
+        buf = real_encode(msg)
+        sent.setdefault(msg.kind, []).append(buf)
+        return buf
+
+    def counted(buf):
+        decoded.append(buf)
+        return real_decode(buf)
+
+    monkeypatch.setattr(wire, "encode_message", capture)
+    monkeypatch.setattr(wire, "decode_message", counted)
+    multi_site_round(theta, source, targets, 0, 2, settings, noise)
+    # each target decodes the broadcast, the server decodes each upload
+    assert len(decoded) == 2 * len(targets)
+    [broadcast] = sent[wire.KIND_BROADCAST]
+    want = real_decode(broadcast).params
+    for state in [source] + targets:
+        assert set(state.prev_global.names()) == set(want)
+        for name, arr in want.items():
+            assert state.prev_global[name].data.tobytes() == arr.tobytes(), name
+
+
 def test_training_calls_the_benchmarked_hooks_through_the_module(monkeypatch):
     # perfbench stamps round starts and times the noise by rebinding these attributes
     rounds, noised = [], []

@@ -1,7 +1,8 @@
 """Every top-level function, class and constant of the package, and every
 method, property and annotated field of its classes, is used: by its own
-module, by another module under src/, tests/ or perfbench/, or by
-pyproject.toml."""
+module, by another module under src/ or perfbench/, by pyproject.toml, or by
+the acceptance suite, which calls the release API. A name that only a unit
+test calls counts as unused."""
 
 import ast
 import re
@@ -54,7 +55,8 @@ def _definitions(tree):
 
 
 def test_every_top_level_name_in_the_package_is_referenced():
-    files = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
+    files = sorted(p for d in ("src", "perfbench") for p in (ROOT / d).rglob("*.py"))
+    files.append(ROOT / "tests" / "test_acceptance.py")
     trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in files}
     seen = set(WORD.findall((ROOT / "pyproject.toml").read_text()))
     seen = seen.union(*(_uses(tree) for tree in trees.values()))

@@ -8,7 +8,7 @@ import pytest
 
 from dafed import wire
 from dafed.network import init_theta
-from dafed.optim import Adam, ParamStore
+from dafed.optim import ParamStore
 
 
 def _sample_message():
@@ -55,8 +55,7 @@ def _small_checkpoint(path):
     theta = ParamStore()
     theta.add("b.w", np.arange(6.0).reshape(2, 3))
     theta.add("a", np.array(0.5))
-    wire.save_checkpoint(path, theta, 3, hashlib.sha256(b"c").digest(),
-                         {"site_x": hashlib.sha256(b"s").digest()})
+    wire.save_checkpoint(path, theta, 3, hashlib.sha256(b"c").digest())
     return path.read_bytes()
 
 
@@ -87,6 +86,51 @@ def test_corrupt_message_rejected():
     vector_scalar = wire.Message(round_idx=0, kind=wire.KIND_UPLOAD, scalars={"s": np.ones(2)})
     with pytest.raises(wire.WireError, match="non-scalar"):
         wire.decode_message(wire.encode_message(vector_scalar))
+
+
+def _corruptions(buf: bytes, seed: int, n: int):
+    """`n` seeded corruptions of `buf`, cycling through a truncation, a bit
+    flip anywhere, a byte overwrite anywhere and an 8-byte insertion."""
+    g = np.random.default_rng(seed)
+    for i in range(n):
+        out = bytearray(buf)
+        at = int(g.integers(len(buf)))
+        kind = i % 4
+        if kind == 0:
+            del out[at:]
+        elif kind == 1:
+            out[at] ^= 1 << int(g.integers(8))
+        elif kind == 2:
+            out[at] = int(g.integers(256))
+        else:
+            out[at:at] = g.bytes(8)
+        yield bytes(out)
+
+
+def test_corrupt_message_decodes_or_raises_wire_error():
+    buf = wire.encode_message(_sample_message())
+    refused = 0
+    for bad in _corruptions(buf, seed=1, n=400):
+        try:
+            wire.decode_message(bad)
+        except wire.WireError:
+            refused += 1
+    assert refused >= 100  # every truncation is refused
+
+
+def test_corrupt_checkpoint_is_refused_naming_its_path(tmp_path):
+    good = _small_checkpoint(tmp_path / "good.ckpt")
+    path = tmp_path / "bad.ckpt"
+    tried = 0
+    for bad in _corruptions(good, seed=2, n=400):
+        if bad == good:
+            continue  # an overwrite with the same byte
+        tried += 1
+        path.write_bytes(bad)
+        with pytest.raises(wire.WireError) as err:
+            wire.load_checkpoint(path)
+        assert str(path) in str(err.value)
+    assert tried > 390
 
 
 def _rename_entry(buf: bytes, old: str, new: str) -> bytes:
@@ -177,8 +221,8 @@ def _message_of_rank(rank):
 
 
 def _checkpoint_of_rank(path, rank):
-    path.write_bytes(wire.CKPT_MAGIC + bytes(32) + struct.pack("<II", 0, 0)
-                     + _entry_of_rank(rank))
+    body = wire.CKPT_MAGIC + bytes(32) + struct.pack("<I", 0) + _entry_of_rank(rank)
+    path.write_bytes(body + hashlib.sha256(body).digest())
     return path
 
 
@@ -198,27 +242,43 @@ def test_a_rank_above_numpys_limit_is_a_wire_error(tmp_path, rank):
         wire.load_checkpoint(path)
 
 
+def test_an_empty_entry_whose_shape_numpy_cannot_hold_is_a_wire_error(tmp_path):
+    # no data bytes follow a zero dimension, but numpy refuses the shape
+    # when the other dimensions overflow its size
+    for dims, ok in (((0, 3), True), ((0, 2 ** 32 - 1, 2 ** 32 - 1), False)):
+        entry = (struct.pack("<IH", 1, 1) + b"w"
+                 + struct.pack(f"<B{len(dims)}I", len(dims), *dims))
+        msg = struct.pack("<BIBBB", wire.WIRE_VERSION, 0, wire.KIND_UPLOAD, 1,
+                          wire.SECTION_PARAMS) + entry
+        body = wire.CKPT_MAGIC + bytes(32) + struct.pack("<I", 0) + entry
+        path = tmp_path / "empty.ckpt"
+        path.write_bytes(body + hashlib.sha256(body).digest())
+        if ok:
+            assert wire.decode_message(msg).params["w"].shape == dims
+            assert wire.load_checkpoint(path)[0]["w"].shape == dims
+            continue
+        with pytest.raises(wire.WireError, match=r"'w' has shape \(0, 4294967295"):
+            wire.decode_message(msg)
+        with pytest.raises(wire.WireError, match=r"empty.ckpt: entry 'w' has shape"):
+            wire.load_checkpoint(path)
+
+
 @pytest.mark.parametrize("round_idx", [-1, 2 ** 32])
 def test_save_checkpoint_refuses_a_round_outside_u32_before_writing(tmp_path, round_idx):
     path = tmp_path / "model.ckpt"
     with pytest.raises(wire.WireError, match=rf"round {round_idx} is outside \[0, 2\*\*32\)"):
-        wire.save_checkpoint(path, init_theta(5, seed=1), round_idx, bytes(32), {})
+        wire.save_checkpoint(path, init_theta(5, seed=1), round_idx, bytes(32))
     assert not path.exists()
 
 
 def test_checkpoint_round_trip(tmp_path):
     theta = init_theta(9, seed=4)
-    opt = Adam(names=("a", "b"))
-    opt.m["a"] = np.ones(3)
-    opt.v["a"] = np.ones(3)
-    digests = {"site_x": wire.optimizer_digest(opt)}
     cfg_digest = hashlib.sha256(b"config").digest()
     path = tmp_path / "model.ckpt"
-    wire.save_checkpoint(path, theta, 30, cfg_digest, digests)
-    loaded, round_idx, got_digest, got_sites = wire.load_checkpoint(path)
+    wire.save_checkpoint(path, theta, 30, cfg_digest)
+    loaded, round_idx, got_digest, _ = wire.load_checkpoint(path)
     assert round_idx == 30
     assert got_digest == cfg_digest
-    assert got_sites == digests
     assert loaded.names() == theta.names()
     for name, t in theta.items():
         assert np.array_equal(loaded[name].data, t.data)
@@ -228,8 +288,8 @@ def test_checkpoint_save_is_reproducible(tmp_path):
     theta = init_theta(5, seed=1)
     cfg_digest = hashlib.sha256(b"x").digest()
     p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-    wire.save_checkpoint(p1, theta, 3, cfg_digest, {})
-    wire.save_checkpoint(p2, theta, 3, cfg_digest, {})
+    wire.save_checkpoint(p1, theta, 3, cfg_digest)
+    wire.save_checkpoint(p2, theta, 3, cfg_digest)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -238,13 +298,3 @@ def test_checkpoint_bad_magic_rejected(tmp_path):
     path.write_bytes(b"NOTACKPT" + b"\x00" * 64)
     with pytest.raises(wire.WireError, match="not a checkpoint"):
         wire.load_checkpoint(path)
-
-
-def test_optimizer_digest_tracks_state():
-    a = Adam(names=("w",))
-    b = Adam(names=("w",))
-    assert wire.optimizer_digest(a) == wire.optimizer_digest(b)
-    a.m["w"] = np.ones(2)
-    a.v["w"] = np.ones(2)
-    a.step = 3
-    assert wire.optimizer_digest(a) != wire.optimizer_digest(b)
