@@ -369,8 +369,13 @@ def read_manifest(manifest_path) -> list[tuple[Path, TimeSeries]]:
         required = {"subject_id", "site_id", "label", "path"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise IngestError(f"{manifest_path}: manifest needs columns {sorted(required)}")
-        for lineno, row in enumerate(reader, start=2):
-            raw_label = (row["label"] or "").strip()
+        for row in reader:
+            lineno = reader.line_num  # DictReader skips blank lines
+            missing = sorted(name for name in required if row[name] is None)
+            if missing:  # a short row: DictReader fills its missing cells with None
+                raise IngestError(f"{manifest_path}:{lineno}: row has no cell for "
+                                  f"{', '.join(missing)}")
+            raw_label = row["label"].strip()
             if raw_label not in ("0", "1", ""):
                 raise IngestError(f"{manifest_path}:{lineno}: label must be 0, 1 or empty, "
                                   f"got {raw_label!r}")

@@ -3,10 +3,10 @@ multi-site round with noisy uploads and averaging, the cross-round
 contrastive module, and per-site objective assembly.
 
 Each round the central labeled site computes its objective and gradient once,
-broadcasts parameters plus that gradient map, every local site trains one
-step on the combined gradient, adds Gaussian noise, and uploads; the server
-averages the uploads. Messages travel as serialized bytes so byte counts and
-the privacy scan are meaningful.
+broadcasts parameters plus (with `broadcast_grads`) that gradient map, every
+local site trains one step on the combined gradient, adds Gaussian noise, and
+uploads; the server averages the uploads. Messages travel as serialized bytes
+so byte counts and the privacy scan are meaningful.
 """
 
 from __future__ import annotations
@@ -172,7 +172,7 @@ class TrainSettings:
     use_dat: bool = True
     use_cl: bool = True
     reversal: bool = True  # gradient reversal separable from the loss weight
-    broadcast_grads: bool = True  # off: sites treat the central loss as a constant
+    broadcast_grads: bool = True  # off: the broadcast carries no central gradient
 
 
 @dataclass
@@ -180,8 +180,7 @@ class SiteState:
     site_id: str
     role: str
     dataset: SiteDataset
-    adam_main: Adam
-    adam_mine: Adam
+    adam: Adam  # every parameter the site trains, one step per round
     queue: dict = field(default_factory=dict)
     prev_global: ParamStore | None = None  # the last broadcast model
     theta: ParamStore | None = None  # the central site owns the shared model
@@ -203,7 +202,7 @@ def build_states(datasets: list[SiteDataset], roles: dict[str, str],
         if role in LABELED_ROLES and not ds.labeled:
             raise ValueError(f"site {ds.site_id}: role {role} needs labels")
         state = SiteState(site_id=ds.site_id, role=role, dataset=ds,
-                          adam_main=Adam(names=main_names), adam_mine=Adam(names=mine_names))
+                          adam=Adam(names=main_names + mine_names))
         if role == ROLE_SOURCE:
             if source is not None:
                 raise ValueError("exactly one source site per run")
@@ -318,16 +317,15 @@ def _split_grads(theta: ParamStore, obj: SiteObjective) -> dict[str, np.ndarray]
 
 def _site_step(state: SiteState, theta: ParamStore, round_idx: int,
                total_rounds: int, settings: TrainSettings):
-    """One site's round on its batch: objective value, gradient map and
-    metrics row (traffic columns zero). Only the training-mode normalization
-    statistics in `theta` move; weight updates are left to the caller."""
+    """One site's round on its batch: gradient map and metrics row (traffic
+    columns zero). Only the training-mode normalization statistics in
+    `theta` move; weight updates are left to the caller."""
     batch = select_batch(state, round_idx, settings)
     ramp = adversarial_ramp(round_idx / total_rounds, settings.gamma)
     key = (settings.seed, "drop", state.site_id, round_idx)
     obj = site_objective(theta, batch, role=state.role, ramp=ramp, settings=settings,
                          queue=state.queue, prev_global=state.prev_global, key=key)
-    total = obj.total.item()
-    _check_finite(obj.parts, total, round_idx, state.site_id)
+    _check_finite(obj.parts, obj.total.item(), round_idx, state.site_id)
     grads = _split_grads(theta, obj)
     update_queue(state.queue, batch.uids, obj.anchor, settings.queue_len)
     parts = obj.parts
@@ -336,22 +334,20 @@ def _site_step(state: SiteState, theta: ParamStore, round_idx: int,
            "L_DI": parts["dom"], "lambda_p": ramp,
            "lr": lr_at(settings.lr, round_idx, total_rounds), "acc": obj.accuracy,
            "bytes_up": 0, "bytes_down": 0, "sim_pos": obj.sim_pos}
-    return total, grads, row
+    return grads, row
 
 
 def target_step(state: SiteState, broadcast: bytes, round_idx: int, total_rounds: int,
                 settings: TrainSettings, noise: NoiseSpec) -> tuple[bytes, dict]:
     """One target site's round, from the broadcast bytes it received to the
-    upload bytes it sends, and its metrics row. Only `state` moves."""
-    msg = wire.decode_message(broadcast)
+    upload bytes it sends, and its metrics row. Only `state` moves. The
+    broadcast must be this round's; whatever gradient it carries is added."""
+    msg = wire.decode_message(broadcast, wire.KIND_BROADCAST, round_idx)
     theta = wire.arrays_to_store(msg.params)
-    _, grads, row = _site_step(state, theta, round_idx, total_rounds, settings)
-    if settings.broadcast_grads:
-        grads = {name: g if name not in msg.grads else g + msg.grads[name]
-                 for name, g in grads.items()}
-    adam_step(theta, state.adam_main, grads, row["lr"])
-    if settings.use_rd:
-        adam_step(theta, state.adam_mine, grads, row["lr"])
+    grads, row = _site_step(state, theta, round_idx, total_rounds, settings)
+    grads = {name: g if name not in msg.grads else g + msg.grads[name]
+             for name, g in grads.items()}
+    adam_step(theta, state.adam, grads, row["lr"])
     noised = add_noise(theta, noise, state.site_id, round_idx)
     upload = wire.encode_message(wire.Message(round_idx=round_idx, kind=wire.KIND_UPLOAD,
                                               params=wire.store_to_arrays(noised)))
@@ -367,17 +363,17 @@ def multi_site_round(theta_global: ParamStore, source: SiteState,
     TrainingDiverged before any averaging."""
     if not targets:
         raise ValueError("multi_site_round: needs at least one local site")
-    src_loss, src_grads, src_row = _site_step(source, theta_global, round_idx,
-                                              total_rounds, settings)
+    src_grads, src_row = _site_step(source, theta_global, round_idx, total_rounds, settings)
     broadcast = wire.encode_message(wire.Message(
         round_idx=round_idx, kind=wire.KIND_BROADCAST,
-        params=wire.store_to_arrays(theta_global), grads=src_grads,
-        scalars={"loss_total_source": src_loss}))
+        params=wire.store_to_arrays(theta_global),
+        grads=src_grads if settings.broadcast_grads else {}))
     rows = [src_row]
     uploads = []
     for state in targets:
         upload, row = target_step(state, broadcast, round_idx, total_rounds, settings, noise)
-        received = wire.arrays_to_store(wire.decode_message(upload).params)
+        received = wire.arrays_to_store(
+            wire.decode_message(upload, wire.KIND_UPLOAD, round_idx).params)
         _check_upload(received, round_idx, state.site_id)
         uploads.append(received)
         rows.append(row)
@@ -439,10 +435,10 @@ def train_source_only(settings: TrainSettings, dataset: SiteDataset) -> ParamSto
                           lr=settings.lr, batch_denom=settings.batch_denom,
                           use_rd=False, use_dat=False, use_cl=False, queue_len=0)
     state = SiteState(site_id=dataset.site_id, role=ROLE_SOURCE, dataset=dataset,
-                      adam_main=Adam(names=param_groups(theta)[0]), adam_mine=Adam(names=()))
+                      adam=Adam(names=param_groups(theta)[0]))
     for round_idx in range(local.rounds):
-        _, grads, row = _site_step(state, theta, round_idx, local.rounds, local)
-        adam_step(theta, state.adam_main, grads, row["lr"])
+        grads, row = _site_step(state, theta, round_idx, local.rounds, local)
+        adam_step(theta, state.adam, grads, row["lr"])
     return theta
 
 

@@ -99,10 +99,8 @@ def make_batch(dataset: SiteDataset, idx, domain: int) -> Batch:
 
 @dataclass
 class ForwardResult:
-    z: Tensor
     f_di: Tensor
     f_ds: Tensor
-    fused: Tensor
     class_probs: Tensor
 
 
@@ -119,9 +117,8 @@ def model_forward(theta: ParamStore, batch: Batch, *, train: bool,
         raise ValueError(f"model_forward: train={train} needs {'a' if train else 'no'} drop_key")
     z = stfg_forward(theta, Tensor(batch.x), Tensor(batch.adj_norm), drop_key=drop_key)
     f_di, f_ds = disentangle_forward(theta, z, drop_key=drop_key)
-    fused = fuse(theta, f_di, f_ds)
-    probs = classifier_probs(theta, fused, drop_key=drop_key)
-    return ForwardResult(z=z, f_di=f_di, f_ds=f_ds, fused=fused, class_probs=probs)
+    probs = classifier_probs(theta, fuse(theta, f_di, f_ds), drop_key=drop_key)
+    return ForwardResult(f_di=f_di, f_ds=f_ds, class_probs=probs)
 
 
 EVAL_CHUNK = 64  # windows per evaluation forward, which bounds its memory

@@ -1,10 +1,12 @@
 """Binary encoding for round messages and checkpoints.
 
-Message layout: version byte, round u32, payload-kind byte, section count,
-then per section a tag byte, an entry count, and entries encoded as
+Message layout: version byte, round u32, kind byte, the parameters as one
+entry section, and in a broadcast only, the gradients as a second entry
+section. An entry section is an entry count u32, then entries encoded as
 (name length u16, name bytes, rank u8, dims u32 each, float64 little-endian
 data). Everything is little-endian and iterated in sorted-name order, so the
-same content always serializes to the same bytes.
+same content always serializes to the same bytes. A receiver names the kind
+and round it expects, and any other message is refused.
 
 Checkpoint layout: magic `FCFEDCK2`, config digest (32 bytes), round u32,
 the parameters as one entry section (count u32, then entries as above), and
@@ -22,13 +24,9 @@ import numpy as np
 
 from .optim import ParamStore
 
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 KIND_BROADCAST = 0
 KIND_UPLOAD = 1
-
-SECTION_PARAMS = 0
-SECTION_GRADS = 1
-SECTION_SCALARS = 2
 
 CKPT_MAGIC = b"FCFEDCK2"
 
@@ -120,55 +118,37 @@ class Message:
     round_idx: int
     kind: int
     params: dict[str, np.ndarray] = field(default_factory=dict)
-    grads: dict[str, np.ndarray] = field(default_factory=dict)
-    scalars: dict[str, float] = field(default_factory=dict)
+    grads: dict[str, np.ndarray] = field(default_factory=dict)  # a broadcast's only
 
 
 def encode_message(msg: Message) -> bytes:
     """The message's bytes; a field the decoder would refuse raises WireError."""
     if msg.kind not in (KIND_BROADCAST, KIND_UPLOAD):
         raise WireError(f"unknown payload kind {msg.kind}")
+    if msg.kind == KIND_UPLOAD and msg.grads:
+        raise WireError("an upload carries no gradients")
     if not 0 <= msg.round_idx <= 0xFFFFFFFF:
         raise WireError(f"round {msg.round_idx} is outside [0, 2**32)")
-    sections = []
-    if msg.params:
-        sections.append((SECTION_PARAMS, msg.params))
-    if msg.grads:
-        sections.append((SECTION_GRADS, msg.grads))
-    if msg.scalars:
-        sections.append((SECTION_SCALARS, {k: np.asarray(v, dtype=np.float64)
-                                           for k, v in msg.scalars.items()}))
-    out = [struct.pack("<BIBB", WIRE_VERSION, msg.round_idx, msg.kind, len(sections))]
-    for tag, entries in sections:
-        out.append(struct.pack("<B", tag))
-        out.append(_encode_entries(entries))
+    out = [struct.pack("<BIB", WIRE_VERSION, msg.round_idx, msg.kind),
+           _encode_entries(msg.params)]
+    if msg.kind == KIND_BROADCAST:
+        out.append(_encode_entries(msg.grads))
     return b"".join(out)
 
 
-def decode_message(buf: bytes) -> Message:
-    (version, round_idx, kind, n_sections), off = _unpack("<BIBB", buf, 0)
+def decode_message(buf: bytes, kind: int, round_idx: int) -> Message:
+    """The message in `buf`; one of another kind or round raises WireError."""
+    (version, got_round, got_kind), off = _unpack("<BIB", buf, 0)
     if version != WIRE_VERSION:
         raise WireError(f"unsupported wire version {version}")
-    if kind not in (KIND_BROADCAST, KIND_UPLOAD):
-        raise WireError(f"unknown payload kind {kind}")
+    if got_kind != kind:
+        raise WireError(f"payload kind {got_kind} where kind {kind} is expected")
+    if got_round != round_idx:
+        raise WireError(f"message of round {got_round} where round {round_idx} is expected")
     msg = Message(round_idx=round_idx, kind=kind)
-    prev_tag = -1
-    for _ in range(n_sections):
-        (tag,), off = _unpack("<B", buf, off)
-        if tag <= prev_tag:  # the encoder writes each section once, in tag order
-            raise WireError(f"section tag {tag} repeated or out of order after {prev_tag}")
-        prev_tag = tag
-        entries, off = _decode_entries(buf, off)
-        if tag == SECTION_PARAMS:
-            msg.params = entries
-        elif tag == SECTION_GRADS:
-            msg.grads = entries
-        elif tag == SECTION_SCALARS:
-            if any(v.size != 1 for v in entries.values()):
-                raise WireError("scalar section holds a non-scalar entry")
-            msg.scalars = {k: float(v.reshape(())) for k, v in entries.items()}
-        else:
-            raise WireError(f"unknown section tag {tag}")
+    msg.params, off = _decode_entries(buf, off)
+    if kind == KIND_BROADCAST:
+        msg.grads, off = _decode_entries(buf, off)
     _check_end(buf, off)
     return msg
 

@@ -283,6 +283,7 @@ def test_manifest_config_errors_exit_2_naming_key_and_file(tmp_path, capsys, old
     ("cell", r"central_s000\.csv:3: non-finite cell"),
     ("role", r"site\.1\.role = target_labeled needs labels, but site edge has none"),
     ("repeat", r"manifest\.csv:\d+: subject 'central_s000' of site 'central' repeats line 2"),
+    ("short", r"manifest\.csv:11: row has no cell for path"),
 ])
 def test_bad_manifest_data_exits_2_naming_where(tmp_path, capsys, case, where):
     data_dir = tmp_path / "d"
@@ -298,6 +299,8 @@ def test_bad_manifest_data_exits_2_naming_where(tmp_path, capsys, case, where):
         subject, site = lines[1].split(",")[:2]
         lines.append(f"{subject},{site},1,{lines[2].split(',')[3]}")
         manifest.write_text("\n".join(lines) + "\n")
+    if case == "short":  # after the header, 8 subjects and a blank line: line 11
+        manifest.write_text(manifest.read_text() + "\na2,a,0\n")
     if case == "cell":
         series = data_dir / "series" / "central_s000.csv"
         lines = series.read_text().splitlines()
@@ -630,10 +633,12 @@ def test_explain_with_too_few_subjects_of_a_class_exits_2(tmp_path, capsys):
 # pinned outputs of the switches that are not the defaults
 
 # recorded before `use_stfg` moved into the loader and the class term was
-# decided by the site role alone; the same with 1 and 2 BLAS threads
+# decided by the site role alone; the same with 1 and 2 BLAS threads. The
+# metrics.csv digests were re-recorded for wire version 2, whose messages are
+# 40 bytes shorter per broadcast and 2 per upload: only bytes_up/bytes_down moved
 PINNED_SWITCH_OUTPUTS = {
     "use_stfg-off": {
-        "t/metrics.csv": "0606e61a15a5310d46ff7f5d69ad219788754cda8a76dadfe9402a40418808c3",
+        "t/metrics.csv": "731593065b9839f4b0392b381ec1d2bb362bdd3f2ddcb976909b5f9240c6d4b6",
         "t/checkpoint_final.ckpt": "f301303c0e166806813b3fdd977bb520f2fe6a76d5869607592df181543cf513",
         "e/eval.csv": "b777a65945ef9a88321e63fbdbc9e217b0f47d98642616da4f62c6b3be3e3fff",
         "x/saliency.csv": "2822f1c84d82200f518463242261555ca7dbce9385ab2c7d332922d6b40a725a",
@@ -641,7 +646,7 @@ PINNED_SWITCH_OUTPUTS = {
         "x/faithfulness.csv": "9d0bcd287ec7f72f8591c1c2c696eda66b136302741d31d612707b5132410f6a",
     },
     "dafed_l": {
-        "t/metrics.csv": "9a1a796905cf73049670ab807eb6353f0479d9a9b65c83462596425bf8ec74b6",
+        "t/metrics.csv": "ae6f1da45bda20d6dccf9154e2cc09f9cd57c13d233bedc51c59e07d2415de29",
         "t/checkpoint_final.ckpt": "250a6e8978c985fe26c43389f8010db0a2543671b66a4dc2ccb12ce71bdf3fac",
         "e/eval.csv": "0d7201937064ee7a1b8dde58c0e8b3dcd646759434174c92a1967ec44b78b5e4",
         "x/saliency.csv": "9909959702b048750efc5c3801ffbc4b3c348b5fad09c1787564356cd40ed139",

@@ -296,8 +296,7 @@ def test_aggregation_of_identical_uploads_is_noop_in_round():
     source, targets = build_states(datasets, roles, theta)
     clone = SiteState(site_id=targets[0].site_id, role=targets[0].role,
                       dataset=targets[0].dataset,
-                      adam_main=Adam(names=targets[0].adam_main.names),
-                      adam_mine=Adam(names=targets[0].adam_mine.names))
+                      adam=Adam(names=targets[0].adam.names))
     new_one, _ = multi_site_round(theta.copy(), source, [targets[0]], 0, 1,
                                   settings, NoiseSpec(alpha=0.0))
     source2, targets2 = build_states(datasets, roles, init_theta(10, settings.seed))
@@ -362,9 +361,9 @@ def test_sites_keep_the_broadcast_model_and_each_message_is_decoded_once(monkeyp
         sent.setdefault(msg.kind, []).append(buf)
         return buf
 
-    def counted(buf):
+    def counted(buf, kind, round_idx):
         decoded.append(buf)
-        return real_decode(buf)
+        return real_decode(buf, kind, round_idx)
 
     monkeypatch.setattr(wire, "encode_message", capture)
     monkeypatch.setattr(wire, "decode_message", counted)
@@ -372,11 +371,26 @@ def test_sites_keep_the_broadcast_model_and_each_message_is_decoded_once(monkeyp
     # each target decodes the broadcast, the server decodes each upload
     assert len(decoded) == 2 * len(targets)
     [broadcast] = sent[wire.KIND_BROADCAST]
-    want = real_decode(broadcast).params
+    want = real_decode(broadcast, wire.KIND_BROADCAST, 0).params
     for state in [source] + targets:
         assert set(state.prev_global.names()) == set(want)
         for name, arr in want.items():
             assert state.prev_global[name].data.tobytes() == arr.tobytes(), name
+
+
+def test_target_step_refuses_an_upload_and_an_earlier_broadcast():
+    datasets = _tiny_datasets()
+    settings = _settings(rounds=2)
+    noise = NoiseSpec(alpha=0.0)
+    theta = init_theta(10, settings.seed)
+    _, [target] = build_states(datasets, _roles(), theta)
+    broadcast = wire.encode_message(wire.Message(
+        round_idx=0, kind=wire.KIND_BROADCAST, params=wire.store_to_arrays(theta)))
+    upload, _ = fedsim.target_step(target, broadcast, 0, 2, settings, noise)
+    with pytest.raises(wire.WireError, match="payload kind 1 where kind 0 is expected"):
+        fedsim.target_step(target, upload, 0, 2, settings, noise)
+    with pytest.raises(wire.WireError, match="message of round 0 where round 1 is expected"):
+        fedsim.target_step(target, broadcast, 1, 2, settings, noise)
 
 
 def test_training_calls_the_benchmarked_hooks_through_the_module(monkeypatch):
@@ -548,12 +562,26 @@ def test_non_finite_upload_raises_with_site_and_round(monkeypatch):
     assert str(exc.value) == "non-finite upload tensor 'clf.fc2.b' at round 2, site edge"
 
 
-def test_constant_central_loss_mode_changes_updates():
-    # with gradient broadcast off, sites ignore the central gradient map
-    # and train on their local objective alone
+def test_constant_central_loss_mode_changes_updates(monkeypatch):
+    # with gradient broadcast off, the broadcast carries no central gradient
+    # map and sites train on their local objective alone
     datasets = _tiny_datasets()
+    grads_sent = []
+    real_encode = wire.encode_message
+
+    def capture(msg):
+        buf = real_encode(msg)
+        if msg.kind == wire.KIND_BROADCAST:
+            grads_sent.append(wire.decode_message(buf, msg.kind, msg.round_idx).grads)
+        return buf
+
+    monkeypatch.setattr(wire, "encode_message", capture)
     res_on = run_training(_settings(rounds=3), datasets, _roles())
+    assert len(grads_sent) == 3 and all(grads_sent)
+    grads_sent.clear()
     res_off = run_training(_settings(rounds=3, broadcast_grads=False), datasets, _roles())
+    assert grads_sent == [{}, {}, {}]
+    monkeypatch.undo()
     differs = any(not np.array_equal(res_on.theta[n].data, res_off.theta[n].data)
                   for n in res_on.theta.names())
     assert differs
@@ -606,9 +634,10 @@ def _rows_digest(rows):
 
 
 # recorded before the per-site training step was shared by the source, the
-# targets and the source-only baseline; any drift in a single bit fails here
+# targets and the source-only baseline; any drift in a single bit fails here.
+# PINNED_ROWS was re-recorded for wire version 2: only bytes_up/bytes_down moved
 PINNED_PARAMS = "875e0566e0644c43a093ab8d24d42bf8132b741964d4d98e3e62d1fba645e878"
-PINNED_ROWS = "81bc9e3235d110a10c1105f5d728b5ab0e7a5a6dffa4f1f410c15d09b2fbe6e3"
+PINNED_ROWS = "7cde8d88486f541381432ceb44d793b933059deef1f17bee04e47b8e76bfee0a"
 PINNED_SOURCE_ONLY = "8ccd6cc5306adc96baeeea3e4b19aee972dba4c7476e13bfd69982e64ca3e1cc"
 
 

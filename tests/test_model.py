@@ -468,8 +468,6 @@ def test_model_forward_shapes_and_prob_rows(theta12):
     ds = synth_multisite(SynthConfig(sites=sites, n_rois=12, t=24, window=20, top_k=4), seed=1)[0]
     batch = network.make_batch(ds, slice(0, 6), 0)
     res = network.model_forward(theta12, batch, train=False)
-    assert res.z.shape == (6, 480)
-    assert res.fused.shape == (6, 256)
     assert res.class_probs.shape == (6, 2)
     assert np.max(np.abs(res.class_probs.data.sum(axis=1) - 1.0)) <= 1e-12
 

@@ -16,19 +16,29 @@ def _sample_message():
     return wire.Message(
         round_idx=7, kind=wire.KIND_BROADCAST,
         params={"b.w": g.standard_normal((3, 4)), "a.v": g.standard_normal(5)},
-        grads={"b.w": g.standard_normal((3, 4))},
-        scalars={"loss_total_source": 1.25})
+        grads={"b.w": g.standard_normal((3, 4))})
+
+
+SAMPLE_SHA256 = "1f840a6b012e4df040ca2c9e573d466e75f69b1aa26f5c7c39854f1c8e4cf098"
+
+
+def _decode_sample(buf):
+    return wire.decode_message(buf, wire.KIND_BROADCAST, 7)
+
+
+def _raw_message(kind, round_idx, *entry_sections):
+    """A message built by hand: its header, then the given entry sections."""
+    return struct.pack("<BIB", wire.WIRE_VERSION, round_idx, kind) + b"".join(entry_sections)
 
 
 def test_message_round_trip_is_bitwise():
     msg = _sample_message()
-    out = wire.decode_message(wire.encode_message(msg))
+    out = _decode_sample(wire.encode_message(msg))
     assert out.round_idx == 7 and out.kind == wire.KIND_BROADCAST
     for name, arr in msg.params.items():
         assert np.array_equal(out.params[name], arr)
         assert out.params[name].dtype == np.float64
     assert np.array_equal(out.grads["b.w"], msg.grads["b.w"])
-    assert out.scalars == {"loss_total_source": 1.25}
 
 
 def test_encoding_is_deterministic():
@@ -37,18 +47,43 @@ def test_encoding_is_deterministic():
     assert a == b
 
 
+def test_message_bytes_are_pinned():
+    # a change to the message layout must bump WIRE_VERSION and re-pin this
+    buf = wire.encode_message(_sample_message())
+    assert hashlib.sha256(buf).hexdigest() == SAMPLE_SHA256
+
+
 def test_decoded_arrays_are_writable_copies():
     buf = wire.encode_message(_sample_message())
-    out = wire.decode_message(buf)
+    out = _decode_sample(buf)
     out.params["b.w"][0, 0] = 42.0  # must not raise
 
 
 def test_upload_kind_and_empty_sections():
     msg = wire.Message(round_idx=0, kind=wire.KIND_UPLOAD,
                        params={"w": np.array([1.0])})
-    out = wire.decode_message(wire.encode_message(msg))
+    out = wire.decode_message(wire.encode_message(msg), wire.KIND_UPLOAD, 0)
     assert out.kind == wire.KIND_UPLOAD
-    assert out.grads == {} and out.scalars == {}
+    assert out.grads == {}
+    empty = wire.Message(round_idx=0, kind=wire.KIND_BROADCAST, params={"w": np.ones(1)})
+    assert wire.decode_message(wire.encode_message(empty), wire.KIND_BROADCAST, 0).grads == {}
+
+
+def test_encode_refuses_gradients_in_an_upload():
+    msg = wire.Message(round_idx=0, kind=wire.KIND_UPLOAD, params={"w": np.ones(1)},
+                       grads={"w": np.ones(1)})
+    with pytest.raises(wire.WireError, match="an upload carries no gradients"):
+        wire.encode_message(msg)
+
+
+def test_decode_refuses_a_message_of_another_kind_or_round():
+    buf = wire.encode_message(_sample_message())
+    with pytest.raises(wire.WireError, match="payload kind 0 where kind 1 is expected"):
+        wire.decode_message(buf, wire.KIND_UPLOAD, 7)
+    for round_idx in (6, 8):
+        with pytest.raises(wire.WireError,
+                           match=f"message of round 7 where round {round_idx} is expected"):
+            wire.decode_message(buf, wire.KIND_BROADCAST, round_idx)
 
 
 def _small_checkpoint(path):
@@ -65,9 +100,9 @@ def test_truncated_message_rejected(tmp_path):
     buf = wire.encode_message(_sample_message())
     for n in range(len(buf)):
         with pytest.raises(wire.WireError):
-            wire.decode_message(buf[:n])
+            _decode_sample(buf[:n])
     with pytest.raises(wire.WireError, match="left over"):
-        wire.decode_message(buf + b"\x00")
+        _decode_sample(buf + b"\x00")
 
     ckpt = _small_checkpoint(tmp_path / "full.ckpt")
     path = tmp_path / "cut.ckpt"
@@ -82,10 +117,7 @@ def test_corrupt_message_rejected():
     buf = bytearray(wire.encode_message(_sample_message()))
     buf[bytes(buf).index(b"a.v")] = 0xff
     with pytest.raises(wire.WireError, match="UTF-8"):
-        wire.decode_message(bytes(buf))
-    vector_scalar = wire.Message(round_idx=0, kind=wire.KIND_UPLOAD, scalars={"s": np.ones(2)})
-    with pytest.raises(wire.WireError, match="non-scalar"):
-        wire.decode_message(wire.encode_message(vector_scalar))
+        _decode_sample(bytes(buf))
 
 
 def _corruptions(buf: bytes, seed: int, n: int):
@@ -112,7 +144,7 @@ def test_corrupt_message_decodes_or_raises_wire_error():
     refused = 0
     for bad in _corruptions(buf, seed=1, n=400):
         try:
-            wire.decode_message(bad)
+            _decode_sample(bad)
         except wire.WireError:
             refused += 1
     assert refused >= 100  # every truncation is refused
@@ -141,22 +173,23 @@ def _rename_entry(buf: bytes, old: str, new: str) -> bytes:
 
 
 def test_repeated_section_unknown_kind_and_repeated_name_rejected(tmp_path):
-    # the encoder writes each section once, a known kind, and sorted unique
-    # names; a buffer that breaks any of these must not decode
-    section = bytes([wire.SECTION_PARAMS]) + wire._encode_entries({"w": np.ones(2)})
-    header = struct.pack("<BIBB", wire.WIRE_VERSION, 0, wire.KIND_UPLOAD, 2)
-    with pytest.raises(wire.WireError, match="section tag 0 repeated"):
-        wire.decode_message(header + section + section)
+    # the encoder writes the sections of its kind, a known kind, and sorted
+    # unique names; a buffer that breaks any of these must not decode
+    section = wire._encode_entries({"w": np.ones(2)})
+    with pytest.raises(wire.WireError, match="left over"):
+        wire.decode_message(_raw_message(wire.KIND_UPLOAD, 0, section, section),
+                            wire.KIND_UPLOAD, 0)
 
     buf = bytearray(wire.encode_message(_sample_message()))
     buf[5] = 9  # after the version byte and the u32 round
-    with pytest.raises(wire.WireError, match="unknown payload kind 9"):
-        wire.decode_message(bytes(buf))
+    with pytest.raises(wire.WireError, match="payload kind 9 where kind 0 is expected"):
+        _decode_sample(bytes(buf))
 
     two = wire.Message(round_idx=0, kind=wire.KIND_UPLOAD,
                        params={"v": np.zeros(1), "w": np.ones(1)})
     with pytest.raises(wire.WireError, match="'w' repeated or out of order after 'w'"):
-        wire.decode_message(_rename_entry(wire.encode_message(two), "v", "w"))
+        wire.decode_message(_rename_entry(wire.encode_message(two), "v", "w"),
+                            wire.KIND_UPLOAD, 0)
 
     path = tmp_path / "dup.ckpt"
     path.write_bytes(_rename_entry(_small_checkpoint(tmp_path / "ok.ckpt"), "a", "c"))
@@ -174,7 +207,8 @@ def test_encode_refuses_an_unknown_kind(kind):
 
 def test_encode_refuses_a_round_outside_u32():
     last = wire.Message(round_idx=2 ** 32 - 1, kind=wire.KIND_UPLOAD, params={"w": np.ones(1)})
-    assert wire.decode_message(wire.encode_message(last)).round_idx == 2 ** 32 - 1
+    out = wire.decode_message(wire.encode_message(last), wire.KIND_UPLOAD, 2 ** 32 - 1)
+    assert out.round_idx == 2 ** 32 - 1
     for round_idx in (-1, 2 ** 32):
         last.round_idx = round_idx
         with pytest.raises(wire.WireError, match=rf"round {round_idx} is outside \[0, 2\*\*32\)"):
@@ -184,7 +218,8 @@ def test_encode_refuses_a_round_outside_u32():
 def test_encode_refuses_a_name_longer_than_u16():
     longest = "é" * (65535 // 2) + "x"  # 65535 UTF-8 bytes
     msg = wire.Message(round_idx=0, kind=wire.KIND_UPLOAD, params={longest: np.ones(1)})
-    assert list(wire.decode_message(wire.encode_message(msg)).params) == [longest]
+    out = wire.decode_message(wire.encode_message(msg), wire.KIND_UPLOAD, 0)
+    assert list(out.params) == [longest]
     msg.params = {longest + "x": np.ones(1)}
     with pytest.raises(wire.WireError, match="name of 65536 UTF-8 bytes"):
         wire.encode_message(msg)
@@ -215,9 +250,9 @@ def _entry_of_rank(rank):
             + struct.pack("<d", 1.5))
 
 
-def _message_of_rank(rank):
-    return (struct.pack("<BIBBB", wire.WIRE_VERSION, 0, wire.KIND_UPLOAD, 1,
-                        wire.SECTION_PARAMS) + _entry_of_rank(rank))
+def _upload_of_rank(rank):
+    raw = _raw_message(wire.KIND_UPLOAD, 0, _entry_of_rank(rank))
+    return wire.decode_message(raw, wire.KIND_UPLOAD, 0)
 
 
 def _checkpoint_of_rank(path, rank):
@@ -228,7 +263,7 @@ def _checkpoint_of_rank(path, rank):
 
 def test_ranks_up_to_numpys_limit_decode(tmp_path):
     for rank in (0, 64):
-        assert wire.decode_message(_message_of_rank(rank)).params["w"].shape == (1,) * rank
+        assert _upload_of_rank(rank).params["w"].shape == (1,) * rank
         theta, _, _, _ = wire.load_checkpoint(_checkpoint_of_rank(tmp_path / "r.ckpt", rank))
         assert theta["w"].shape == (1,) * rank
 
@@ -236,7 +271,7 @@ def test_ranks_up_to_numpys_limit_decode(tmp_path):
 @pytest.mark.parametrize("rank", [65, 255])
 def test_a_rank_above_numpys_limit_is_a_wire_error(tmp_path, rank):
     with pytest.raises(wire.WireError, match=f"'w' has rank {rank}"):
-        wire.decode_message(_message_of_rank(rank))
+        _upload_of_rank(rank)
     path = _checkpoint_of_rank(tmp_path / "deep.ckpt", rank)
     with pytest.raises(wire.WireError, match=f"deep.ckpt: entry 'w' has rank {rank}"):
         wire.load_checkpoint(path)
@@ -248,17 +283,16 @@ def test_an_empty_entry_whose_shape_numpy_cannot_hold_is_a_wire_error(tmp_path):
     for dims, ok in (((0, 3), True), ((0, 2 ** 32 - 1, 2 ** 32 - 1), False)):
         entry = (struct.pack("<IH", 1, 1) + b"w"
                  + struct.pack(f"<B{len(dims)}I", len(dims), *dims))
-        msg = struct.pack("<BIBBB", wire.WIRE_VERSION, 0, wire.KIND_UPLOAD, 1,
-                          wire.SECTION_PARAMS) + entry
+        msg = _raw_message(wire.KIND_UPLOAD, 0, entry)
         body = wire.CKPT_MAGIC + bytes(32) + struct.pack("<I", 0) + entry
         path = tmp_path / "empty.ckpt"
         path.write_bytes(body + hashlib.sha256(body).digest())
         if ok:
-            assert wire.decode_message(msg).params["w"].shape == dims
+            assert wire.decode_message(msg, wire.KIND_UPLOAD, 0).params["w"].shape == dims
             assert wire.load_checkpoint(path)[0]["w"].shape == dims
             continue
         with pytest.raises(wire.WireError, match=r"'w' has shape \(0, 4294967295"):
-            wire.decode_message(msg)
+            wire.decode_message(msg, wire.KIND_UPLOAD, 0)
         with pytest.raises(wire.WireError, match=r"empty.ckpt: entry 'w' has shape"):
             wire.load_checkpoint(path)
 
