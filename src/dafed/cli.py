@@ -151,13 +151,13 @@ def cmd_train(args) -> int:
 
 
 def subject_folds(dataset, n_folds: int) -> list[list[int]]:
-    """Subject-stratified fold assignment: subjects of each class are sorted
-    and dealt round-robin, so every subject lands in exactly one fold and
+    """Subject-stratified fold assignment: subjects of each class are dealt
+    round-robin in id order, so every subject lands in exactly one fold and
     windows never split across folds."""
     if dataset.truth is None:
         raise ConfigError(f"site {dataset.site_id}: no labels available for evaluation")
     by_class: dict[int, list[str]] = {}
-    for subject_id, rows in sorted(dataset.subject_index.items()):
+    for subject_id, rows in dataset.subject_index.items():
         by_class.setdefault(int(dataset.truth[rows[0]]), []).append(subject_id)
     for label, members in sorted(by_class.items()):
         if len(members) < n_folds:
@@ -192,7 +192,7 @@ def cmd_eval(args) -> int:
         summary.append((ds.site_id, mean, std))
         if cfg.subject_vote:
             hits = [np.bincount(preds[indices], minlength=2).argmax() == truth[indices[0]]
-                    for _, indices in sorted(ds.subject_index.items())]
+                    for indices in ds.subject_index.values()]
             vote = sum(hits) / len(hits)
             print(f"site {ds.site_id}: subject majority-vote accuracy {vote:.4f}")
     report = "\n".join(lines)

@@ -103,14 +103,12 @@ class RunConfig:
     def roles(self) -> dict[str, str]:
         return {s.site_id: s.role for s in self.site_specs}
 
-    def lr(self) -> LrProfile:
-        return LrProfile(self.lr_profile, self.lr_base, self.lr_decay, self.lr_warmup)
-
     def settings(self) -> TrainSettings:
         return TrainSettings(
             seed=self.seed, rounds=self.rounds, lambda_mi=self.lambda_mi,
             lambda_cl=self.lambda_cl, gamma=self.gamma, tau=self.tau,
-            queue_len=self.queue, alpha=self.alpha, lr=self.lr(),
+            queue_len=self.queue, alpha=self.alpha,
+            lr=LrProfile(self.lr_profile, self.lr_base, self.lr_decay, self.lr_warmup),
             batch_denom=self.batch_denom, use_rd=self.use_rd,
             use_dat=self.use_dat, use_cl=self.use_cl, reversal=self.reversal,
             broadcast_grads=self.broadcast_grads)

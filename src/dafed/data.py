@@ -23,6 +23,7 @@ logger = logging.getLogger(__name__)
 
 R_CLIP = 0.999  # correlation magnitude cap before the z-transform
 VAR_FLOOR = 1e-12
+BURN_IN = 50  # generator steps dropped before a series starts, so it starts stationary
 
 
 @dataclass
@@ -56,7 +57,6 @@ class SiteDataset:
     propagation: np.ndarray  # (n, R, R) D^-1/2 (A + I) D^-1/2 of the top-k graphs
     subject: np.ndarray  # (n,) subject ids
     window: np.ndarray  # (n,) window index within the subject's series
-    uid: np.ndarray  # (n,) "subject:window" keys of the per-window dropout streams
     labels: np.ndarray | None  # (n,) training labels, None at an unlabeled site
     truth: np.ndarray | None  # (n,) known classes, see TimeSeries.truth
 
@@ -73,11 +73,11 @@ class SiteDataset:
 
     @cached_property
     def subject_index(self) -> dict[str, list[int]]:
-        """Each subject's window rows, in row order."""
+        """Each subject's window rows, in row order, keyed in subject-id order."""
         index: dict[str, list[int]] = {}
         for i, subject_id in enumerate(self.subject.tolist()):
             index.setdefault(subject_id, []).append(i)
-        return index
+        return dict(sorted(index.items()))
 
     @cached_property
     def samples(self) -> list[FCGraph]:
@@ -183,7 +183,6 @@ def series_to_graphs(series: list[TimeSeries], window: int, stride: int, k: int)
     subject, index = np.repeat([ts.subject_id for ts in series], sizes), np.concatenate(kept_per_series)
     return SiteDataset(site_id=series[0].site_id, features=features[:rows],
                        propagation=propagation[:rows], subject=subject, window=index,
-                       uid=np.array([f"{s}:{w}" for s, w in zip(subject.tolist(), index.tolist())], dtype=str),
                        labels=None if series[0].label is None else np.repeat([ts.label for ts in series], sizes),
                        truth=None if series[0].truth is None else np.repeat([ts.truth for ts in series], sizes))
 
@@ -220,7 +219,6 @@ class SynthConfig:
     window: int = 20
     stride: int = 1
     top_k: int = 10
-    burn_in: int = 50
 
     def validate(self):
         if not self.sites:
@@ -297,10 +295,10 @@ def synth_series(cfg: SynthConfig, seed: int) -> list[TimeSeries]:
         n0 = int(round(cfg.class_balance * site.subjects))
         labels = [0 if j < n0 else 1 for j in range(site.subjects)]
         subject_ids = [f"{site.site_id}_s{j:03d}" for j in range(site.subjects)]
-        innov = np.empty((site.subjects, cfg.burn_in + t_len, cfg.n_rois))
+        innov = np.empty((site.subjects, BURN_IN + t_len, cfg.n_rois))
         for j, (label, subject_id) in enumerate(zip(labels, subject_ids)):
             z = rng.stream(seed, "subject", site.site_id, subject_id).standard_normal(
-                (cfg.burn_in + t_len, cfg.n_rois))
+                (BURN_IN + t_len, cfg.n_rois))
             innov[j] = z @ chol[label].T @ mixer.T
         x = np.empty_like(innov)
         x[:, 0] = innov[:, 0]
@@ -309,7 +307,7 @@ def synth_series(cfg: SynthConfig, seed: int) -> list[TimeSeries]:
         for j, (label, subject_id) in enumerate(zip(labels, subject_ids)):
             out.append(TimeSeries(subject_id=subject_id, site_id=site.site_id,
                                   label=label if site.labeled else None,
-                                  values=x[j, cfg.burn_in:], truth=label))
+                                  values=x[j, BURN_IN:], truth=label))
     return out
 
 
@@ -375,6 +373,9 @@ def read_manifest(manifest_path) -> list[tuple[Path, TimeSeries]]:
             if missing:  # a short row: DictReader fills its missing cells with None
                 raise IngestError(f"{manifest_path}:{lineno}: row has no cell for "
                                   f"{', '.join(missing)}")
+            for name in ("subject_id", "site_id", "path"):
+                if not row[name].strip():
+                    raise IngestError(f"{manifest_path}:{lineno}: empty {name}")
             raw_label = row["label"].strip()
             if raw_label not in ("0", "1", ""):
                 raise IngestError(f"{manifest_path}:{lineno}: label must be 0, 1 or empty, "

@@ -103,23 +103,17 @@ def average_increase(clean: np.ndarray, masked: np.ndarray) -> float:
     return float((masked > clean).mean() * 100.0)
 
 
-def roi_ranking(maps: list[SaliencyMap]) -> tuple[np.ndarray, np.ndarray]:
-    """ROIs ordered by descending mean absolute score across maps; ties keep
-    the lower index first. Returns (order, mean scores)."""
+def top_rois(maps: list[SaliencyMap], k: int = 10) -> np.ndarray:
+    """The `k` ROIs of largest mean absolute score across maps, in descending
+    order; ties keep the lower index first."""
     if not maps:
-        raise ValueError("roi_ranking: no maps")
+        raise ValueError("top_rois: no maps")
     r = maps[0].scores.shape[0]
     for m in maps:
         if m.scores.shape[0] != r:
-            raise ValueError("roi_ranking: maps disagree on ROI count")
+            raise ValueError("top_rois: maps disagree on ROI count")
     mean_scores = np.mean([m.scores for m in maps], axis=0)
-    order = np.argsort(-np.abs(mean_scores), kind="stable")
-    return order, mean_scores
-
-
-def top_rois(maps: list[SaliencyMap], k: int = 10) -> np.ndarray:
-    order, _ = roi_ranking(maps)
-    return order[:k]
+    return np.argsort(-np.abs(mean_scores), kind="stable")[:k]
 
 
 @dataclass
@@ -303,8 +297,7 @@ def explain_cohort(theta: ParamStore, datasets: list[SiteDataset], layer: int,
         if ds.truth is None:
             raise ConfigError(f"site {ds.site_id}: no labels available for explanation")
     # per subject: (dataset, indices of its first windows), class
-    subjects = [(ds, indices[:windows]) for ds in datasets
-                for _, indices in sorted(ds.subject_index.items())]
+    subjects = [(ds, indices[:windows]) for ds in datasets for indices in ds.subject_index.values()]
     groups = np.array([ds.truth[indices[0]] for ds, indices in subjects])
     counts = np.bincount(groups, minlength=2)
     if counts.min() < MIN_GROUP_SUBJECTS:

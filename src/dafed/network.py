@@ -78,7 +78,7 @@ class Batch:
     adj_norm: np.ndarray  # (B, N, N) normalized propagation matrices
     labels: np.ndarray | None = None  # (B,) training labels, None at an unlabeled site
     domains: np.ndarray | None = None  # (B,) 0 = source, 1 = target
-    uids: list[str] | None = None  # per-window dropout keys
+    uids: list[str] | None = None  # per-window dropout keys, "subject:window"
     truth: np.ndarray | None = None  # (B,) known classes, for metrics only
 
     @property
@@ -93,7 +93,8 @@ def make_batch(dataset: SiteDataset, idx, domain: int) -> Batch:
     return Batch(x=x, adj_norm=dataset.propagation[idx],
                  labels=None if dataset.labels is None else dataset.labels[idx],
                  domains=np.full(len(x), domain, dtype=np.int64),
-                 uids=dataset.uid[idx].tolist(),
+                 uids=[f"{s}:{w}" for s, w in zip(dataset.subject[idx].tolist(),
+                                                   dataset.window[idx].tolist())],
                  truth=None if dataset.truth is None else dataset.truth[idx])
 
 

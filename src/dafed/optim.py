@@ -13,6 +13,8 @@ from .tensor import Tensor, backward
 
 log = logging.getLogger(__name__)
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
+
 
 class ParamStore:
     """Ordered name -> Tensor map; iteration is always lexicographic by name."""
@@ -62,9 +64,6 @@ class Adam:
     """Adam state for a fixed subset of parameter names."""
 
     names: tuple[str, ...]
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -80,14 +79,14 @@ def adam_step(store: ParamStore, opt: Adam, grads: dict[str, np.ndarray], lr: fl
     The moments and the parameter are updated in their own buffers, in the
     operation order of
 
-        m = beta1 * m + (1 - beta1) * g
-        v = beta2 * v + (1 - beta2) * (g * g)
-        p = p - lr * (m / c1) / (sqrt(v / c2) + eps)
+        m = BETA1 * m + (1 - BETA1) * g
+        v = BETA2 * v + (1 - BETA2) * (g * g)
+        p = p - lr * (m / c1) / (sqrt(v / c2) + EPS)
     """
     opt.step += 1
     t = opt.step
-    c1 = 1.0 - opt.beta1 ** t
-    c2 = 1.0 - opt.beta2 ** t
+    c1 = 1.0 - BETA1 ** t
+    c2 = 1.0 - BETA2 ** t
     for name in opt.names:
         p = store[name]
         g = grads.get(name)
@@ -99,14 +98,14 @@ def adam_step(store: ParamStore, opt: Adam, grads: dict[str, np.ndarray], lr: fl
             opt.v[name] = np.zeros(p.shape)
         m, v = opt.m[name], opt.v[name]
         # operands in the formulas' order: with two NaNs, the first one's sign wins
-        np.multiply(opt.beta1, m, out=m)
-        m += (1.0 - opt.beta1) * g
+        np.multiply(BETA1, m, out=m)
+        m += (1.0 - BETA1) * g
         gg = g * g
-        np.multiply(opt.beta2, v, out=v)
-        v += np.multiply(1.0 - opt.beta2, gg, out=gg)
+        np.multiply(BETA2, v, out=v)
+        v += np.multiply(1.0 - BETA2, gg, out=gg)
         denom = v / c2
         np.sqrt(denom, out=denom)
-        denom += opt.eps
+        denom += EPS
         step = m / c1
         np.multiply(lr, step, out=step)
         step /= denom

@@ -19,6 +19,7 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 _RECORDING = True
+BN_EPS, BN_MOMENTUM = 1e-5, 0.9  # batch norm's variance floor and running-estimate decay
 
 
 class ShapeError(ValueError):
@@ -367,7 +368,6 @@ def dropout(a, rate: float, mask: np.ndarray) -> Tensor:
 
 
 def batch_norm(x, gamma, beta, running_mean, running_var, *, train: bool,
-               eps: float = 1e-5, momentum: float = 0.9,
                update_running: bool = True) -> Tensor:
     """Normalize over all leading axes, per feature on the last axis.
 
@@ -389,9 +389,9 @@ def batch_norm(x, gamma, beta, running_mean, running_var, *, train: bool,
         var = np.square(xhat).sum(axis=axes)
         var /= x.size // c
         if update_running:
-            running_mean.data[...] = momentum * running_mean.data + (1.0 - momentum) * mu
-            running_var.data[...] = momentum * running_var.data + (1.0 - momentum) * var
-        inv_std = 1.0 / np.sqrt(var + eps)
+            running_mean.data[...] = BN_MOMENTUM * running_mean.data + (1.0 - BN_MOMENTUM) * mu
+            running_var.data[...] = BN_MOMENTUM * running_var.data + (1.0 - BN_MOMENTUM) * var
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
         xhat *= inv_std
 
         def vjp_x(g):
@@ -413,7 +413,7 @@ def batch_norm(x, gamma, beta, running_mean, running_var, *, train: bool,
         return Tensor(out, [(x, vjp_x), (gamma, vjp_gamma), (beta, vjp_beta)], "batch_norm")
 
     # running variance can dip below zero after parameter noise; clamp at use
-    inv_std = 1.0 / np.sqrt(np.maximum(running_var.data, 0.0) + eps)
+    inv_std = 1.0 / np.sqrt(np.maximum(running_var.data, 0.0) + BN_EPS)
     xhat = x.data - running_mean.data
     xhat *= inv_std
     if not _RECORDING:

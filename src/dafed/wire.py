@@ -38,7 +38,7 @@ class WireError(ValueError):
 def _encode_entries(entries: dict[str, np.ndarray]) -> bytes:
     chunks = [struct.pack("<I", len(entries))]
     for name in sorted(entries):
-        arr = np.ascontiguousarray(entries[name], dtype=np.float64)
+        arr = np.asarray(entries[name], dtype="<f8", order="C")  # keeps a 0-d shape
         raw = name.encode("utf-8")
         if len(raw) > 0xFFFF:
             raise WireError(f"entry name of {len(raw)} UTF-8 bytes: at most 65535 fit")
@@ -52,8 +52,7 @@ def _encode_entries(entries: dict[str, np.ndarray]) -> bytes:
         chunks.append(struct.pack("<B", arr.ndim))
         for dim in arr.shape:
             chunks.append(struct.pack("<I", dim))
-        little = arr if arr.dtype.byteorder in ("<", "=", "|") else arr.astype("<f8")
-        chunks.append(little)  # joined through the buffer protocol, C order
+        chunks.append(arr)  # joined through the buffer protocol, C order
     return b"".join(chunks)
 
 

@@ -284,6 +284,8 @@ def test_manifest_config_errors_exit_2_naming_key_and_file(tmp_path, capsys, old
     ("role", r"site\.1\.role = target_labeled needs labels, but site edge has none"),
     ("repeat", r"manifest\.csv:\d+: subject 'central_s000' of site 'central' repeats line 2"),
     ("short", r"manifest\.csv:11: row has no cell for path"),
+    ("blank path", r"manifest\.csv:11: empty path"),
+    ("blank ids", r"manifest\.csv:11: empty subject_id"),
 ])
 def test_bad_manifest_data_exits_2_naming_where(tmp_path, capsys, case, where):
     data_dir = tmp_path / "d"
@@ -301,6 +303,10 @@ def test_bad_manifest_data_exits_2_naming_where(tmp_path, capsys, case, where):
         manifest.write_text("\n".join(lines) + "\n")
     if case == "short":  # after the header, 8 subjects and a blank line: line 11
         manifest.write_text(manifest.read_text() + "\na2,a,0\n")
+    if case == "blank path":
+        manifest.write_text(manifest.read_text() + "\na2,a,0,\n")
+    if case == "blank ids":
+        manifest.write_text(manifest.read_text() + "\n,,0,x.csv\n")
     if case == "cell":
         series = data_dir / "series" / "central_s000.csv"
         lines = series.read_text().splitlines()
@@ -573,6 +579,31 @@ def test_explain_bytes_do_not_depend_on_the_blas_threads(tmp_path, trained):
                        env=env, capture_output=True, text=True, check=True, timeout=600)
     for name in ("saliency.csv", "edges.csv", "faithfulness.csv"):
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
+def test_eval_and_explain_do_not_depend_on_the_manifest_order(tmp_path, capsys):
+    # the reversed manifest lists each site's subjects against their id order;
+    # after 10 rounds with both sites labeled, the two eval folds differ
+    cfg = write_cfg(tmp_path / "run.cfg", rounds=10, mode="dafed_l", target_role="target_labeled")
+    assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 0
+    ckpt = tmp_path / "t" / "checkpoint_final.ckpt"
+    data_dir = tmp_path / "d"
+    assert cli.main(["synth", "--config", str(cfg), "--out", str(data_dir)]) == 0
+    header, *rows = (data_dir / "manifest.csv").read_text().splitlines()
+    (data_dir / "reversed.csv").write_text("\n".join([header] + rows[::-1]) + "\n")
+    capsys.readouterr()
+    outputs = []
+    for manifest in ("manifest.csv", "reversed.csv"):
+        run = tmp_path / f"{manifest}.cfg"
+        run.write_text(cfg.read_text().replace(
+            "data = synth", f"data = manifest\nmanifest = {data_dir / manifest}\nsubject_vote = true"))
+        out = tmp_path / f"out_{manifest}"
+        assert cli.main(["eval", str(ckpt), "--config", str(run), "--folds", "2",
+                         "--out", str(out)]) == 0
+        assert cli.main(["explain", str(ckpt), "--config", str(run), "--out", str(out)]) == 0
+        tables = ("eval.csv", "saliency.csv", "edges.csv", "faithfulness.csv")
+        outputs.append([capsys.readouterr().out] + [(out / name).read_bytes() for name in tables])
+    assert outputs[0] == outputs[1]
 
 
 def _explain_tables(out):

@@ -250,6 +250,13 @@ def test_series_with_only_flat_windows_gives_no_graphs():
     assert data.series_to_graphs([ts], 10, 1, 2).samples == []
 
 
+def test_subject_index_is_in_id_order_whatever_the_series_order():
+    s2 = data.TimeSeries("s2", "site", 0, _random_series(22, 4, 1))
+    s1 = data.TimeSeries("s1", "site", 1, _random_series(21, 4, 2))
+    ds = data.series_to_graphs([s2, s1], 20, 1, 2)
+    assert list(ds.subject_index.items()) == [("s1", [3, 4]), ("s2", [0, 1, 2])]
+
+
 def test_graph_features_diagonal_is_clipped_transform():
     ts = data.TimeSeries("s", "a", 0, np.random.default_rng(2).standard_normal((25, 5)))
     graphs = data.series_to_graphs([ts], 20, 1, 2).samples
@@ -316,14 +323,14 @@ def _synth_series_oracle(cfg, seed):
             label = 0 if j < n0 else 1
             subject_id = f"{site.site_id}_s{j:03d}"
             z = rng.stream(seed, "subject", site.site_id, subject_id).standard_normal(
-                (cfg.burn_in + t_len, cfg.n_rois))
+                (data.BURN_IN + t_len, cfg.n_rois))
             innov = z @ chol[label].T @ mixer.T
             x = np.empty_like(innov)
             x[0] = innov[0]
             for step in range(1, innov.shape[0]):
                 x[step] = cfg.ar_coeff * x[step - 1] + innov[step]
             out.append((subject_id, site.site_id, label if site.labeled else None, label,
-                        x[cfg.burn_in:]))
+                        x[data.BURN_IN:]))
     return out
 
 

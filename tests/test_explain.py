@@ -13,7 +13,7 @@ from dafed import tensor as tt
 from dafed.data import SynthConfig, SynthSite, synth_multisite, top_k_adjacency
 from dafed.stfg import normalize_adjacency, stfg_forward
 from dafed.explain import (Edge, SaliencyMap, average_drop, average_increase,
-                           permuted_masks, roi_ranking, saliency_masked_scores,
+                           permuted_masks, saliency_masked_scores,
                            score_cam, significant_edges, top_rois)
 
 
@@ -214,9 +214,7 @@ def test_average_increase_formula():
 def test_roi_ranking_single_map_orders_by_magnitude():
     m = SaliencyMap(scores=np.array([0.1, -0.9, 0.5]), layer=1, target_class=0,
                     subject_id="s", window=0)
-    order, means = roi_ranking([m])
-    assert order.tolist() == [1, 2, 0]
-    assert np.array_equal(means, m.scores)
+    assert top_rois([m], 3).tolist() == [1, 2, 0]
 
 
 def test_roi_ranking_mean_matches_arithmetic():
@@ -224,16 +222,13 @@ def test_roi_ranking_mean_matches_arithmetic():
                     subject_id="a", window=0)
     b = SaliencyMap(scores=np.array([0.0, 3.0, 2.0]), layer=1, target_class=0,
                     subject_id="b", window=0)
-    order, means = roi_ranking([a, b])
-    assert np.array_equal(means, [0.5, 1.5, 2.0])
-    assert order.tolist() == [2, 1, 0]
+    assert top_rois([a, b], 3).tolist() == [2, 1, 0]  # means 0.5, 1.5, 2.0
 
 
 def test_roi_ranking_tie_break_is_first_index():
     a = SaliencyMap(scores=np.array([0.5, 0.5, 0.1]), layer=1, target_class=0,
                     subject_id="a", window=0)
-    order, _ = roi_ranking([a])
-    assert order.tolist() == [0, 1, 2]
+    assert top_rois([a], 3).tolist() == [0, 1, 2]
     assert top_rois([a], 2).tolist() == [0, 1]
 
 

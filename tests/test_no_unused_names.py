@@ -2,7 +2,8 @@
 method, property and annotated field of its classes, is used: by its own
 module, by another module under src/ or perfbench/, by pyproject.toml, or by
 the acceptance suite, which calls the release API. A name that only a unit
-test calls counts as unused."""
+test calls counts as unused. Likewise every dataclass field with a default
+is set by one of those files."""
 
 import ast
 import re
@@ -64,3 +65,58 @@ def test_every_top_level_name_in_the_package_is_referenced():
               for name, label in _definitions(trees[path])
               if name not in seen and not name.startswith("__")]
     assert not unused, "defined but never referenced: " + ", ".join(unused)
+
+
+def _defaulted_fields(tree):
+    """(Class, field) of each dataclass field with a plain default, and each
+    dataclass's fields in declaration order; `field(...)` values are exempt."""
+    defaulted, order = [], {}
+    for node in tree.body:
+        if not (isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.dump(d) for d in node.decorator_list)):
+            continue
+        fields = [m for m in node.body
+                  if isinstance(m, ast.AnnAssign) and isinstance(m.target, ast.Name)]
+        order[node.name] = [m.target.id for m in fields]
+        defaulted += [(node.name, m.target.id) for m in fields if m.value is not None and not (
+            isinstance(m.value, ast.Call) and getattr(m.value.func, "id", None) == "field")]
+    return defaulted, order
+
+
+def _set_fields(tree, order) -> set:
+    """(Class, field) pairs a call to the class passes by position or keyword
+    (every field under `*` or `**`), and (None, name) for each attribute
+    assignment."""
+    assigned = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            assigned.update((None, t.attr) for t in targets if isinstance(t, ast.Attribute))
+        elif isinstance(node, ast.Call):
+            func = node.func
+            cls = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if cls not in order:
+                continue
+            names = order[cls]
+            if any(isinstance(a, ast.Starred) for a in node.args) or any(
+                    k.arg is None for k in node.keywords):
+                assigned.update((cls, name) for name in names)
+            assigned.update((cls, name) for name in names[:len(node.args)])
+            assigned.update((cls, k.arg) for k in node.keywords)
+    return assigned
+
+
+def test_every_defaulted_dataclass_field_is_set_somewhere():
+    # a setting that only ever takes its default is a constant
+    files = sorted(p for d in ("src", "perfbench") for p in (ROOT / d).rglob("*.py"))
+    files.append(ROOT / "tests" / "test_acceptance.py")
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in files}
+    defaulted, order = [], {}
+    for path in sorted((ROOT / "src" / "dafed").glob("*.py")):
+        fields, classes = _defaulted_fields(trees[path])
+        defaulted += fields
+        order.update(classes)
+    assigned = set().union(*(_set_fields(tree, order) for tree in trees.values()))
+    never = [f"{cls}.{name}" for cls, name in defaulted
+             if (cls, name) not in assigned and (None, name) not in assigned]
+    assert not never, "defaulted but never set: " + ", ".join(never)

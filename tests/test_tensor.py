@@ -227,16 +227,16 @@ def test_batch_norm_eval_uses_running_stats():
     rv = tt.Tensor(np.array([4.0, 0.25]))
     x = tt.Tensor([[3.0, 0.0]])
     out = tt.batch_norm(x, tt.Tensor(np.ones(2)), tt.Tensor(np.zeros(2)),
-                        rm, rv, train=False, eps=0.0)
-    assert np.allclose(out.data, [[1.0, 2.0]])
+                        rm, rv, train=False)
+    want = [[2.0 / np.sqrt(4.0 + tt.BN_EPS), 1.0 / np.sqrt(0.25 + tt.BN_EPS)]]
+    assert np.allclose(out.data, want)
 
 
 def test_batch_norm_updates_running_stats_with_momentum():
     rm = tt.Tensor(np.zeros(1))
     rv = tt.Tensor(np.ones(1))
     x = tt.Tensor([[1.0], [3.0]])
-    tt.batch_norm(x, tt.Tensor(np.ones(1)), tt.Tensor(np.zeros(1)), rm, rv,
-                  train=True, momentum=0.9)
+    tt.batch_norm(x, tt.Tensor(np.ones(1)), tt.Tensor(np.zeros(1)), rm, rv, train=True)
     assert np.allclose(rm.data, [0.1 * 2.0])
     assert np.allclose(rv.data, [0.9 * 1.0 + 0.1 * 1.0])  # biased var of [1,3] is 1
 

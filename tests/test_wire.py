@@ -69,6 +69,16 @@ def test_upload_kind_and_empty_sections():
     assert wire.decode_message(wire.encode_message(empty), wire.KIND_BROADCAST, 0).grads == {}
 
 
+def test_a_0d_entry_keeps_its_shape(tmp_path):
+    msg = wire.Message(round_idx=0, kind=wire.KIND_UPLOAD, params={"a": np.array(0.5)})
+    buf = wire.encode_message(msg)
+    assert len(buf) == 22  # header 6, count 4, name 2 + 1, rank 1, value 8
+    assert wire.decode_message(buf, wire.KIND_UPLOAD, 0).params["a"].shape == ()
+    _small_checkpoint(tmp_path / "c.ckpt")
+    theta = wire.load_checkpoint(tmp_path / "c.ckpt")[0]
+    assert theta["a"].data.shape == () and theta["a"].item() == 0.5
+
+
 def test_encode_refuses_gradients_in_an_upload():
     msg = wire.Message(round_idx=0, kind=wire.KIND_UPLOAD, params={"w": np.ones(1)},
                        grads={"w": np.ones(1)})
@@ -231,7 +241,7 @@ def test_encode_refuses_a_rank_above_u8(monkeypatch):
         ndim = 256
         shape = (1,) * 256
 
-    monkeypatch.setattr(wire.np, "ascontiguousarray", lambda arr, dtype: Deep())
+    monkeypatch.setattr(wire.np, "asarray", lambda arr, dtype, order: Deep())
     msg = wire.Message(round_idx=0, kind=wire.KIND_UPLOAD, params={"w": np.ones(1)})
     with pytest.raises(wire.WireError, match="'w' has rank 256"):
         wire.encode_message(msg)
