@@ -128,9 +128,10 @@ def pearson_matrix(windows: np.ndarray) -> np.ndarray:
     return corr
 
 
-def fisher_z(r):
-    """atanh with the magnitude capped at R_CLIP; exactly odd in r."""
-    return np.arctanh(np.clip(r, -R_CLIP, R_CLIP))
+def fisher_z(r, out=None):
+    """atanh with the magnitude capped at R_CLIP; exactly odd in r. With
+    `out`, the values are written there and `r` is left as it is."""
+    return np.arctanh(np.clip(r, -R_CLIP, R_CLIP, out=out), out=out)
 
 
 def top_k_adjacency(fc: np.ndarray, k: int) -> np.ndarray:
@@ -175,8 +176,8 @@ def series_to_graphs(series: list[TimeSeries], window: int, stride: int, k: int)
             kept = np.flatnonzero(~flat)
             corr = pearson_matrix(windows[kept])
         end = rows + len(kept)
-        features[rows:end] = fisher_z(corr)
-        propagation[rows:end] = normalize_adjacency(top_k_adjacency(features[rows:end], k))
+        fisher_z(corr, out=features[rows:end])
+        normalize_adjacency(top_k_adjacency(features[rows:end], k), out=propagation[rows:end])
         kept_per_series.append(kept)
         rows = end
     sizes = [len(kept) for kept in kept_per_series]

@@ -11,7 +11,6 @@ needs no gradients and is unaffected by noisy parameters.
 from __future__ import annotations
 
 import logging
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +21,7 @@ from .data import FCGraph, SiteDataset
 from .network import eval_class_probs, eval_hidden
 from .optim import ParamStore
 from .stfg import GCN_WIDTHS
+from .workers import process_count, run_shards
 
 logger = logging.getLogger(__name__)
 
@@ -212,66 +212,6 @@ def permuted_masks(masks: np.ndarray, seed, *key) -> np.ndarray:
 # the explain workflow
 
 
-def process_count(subjects: int) -> int:
-    """Processes for `subjects` subjects: the cores this process may run on,
-    divided by the BLAS threads each process starts, at most one per subject.
-
-    The BLAS thread count is the first positive integer among
-    OPENBLAS_NUM_THREADS and OMP_NUM_THREADS; without one, OpenBLAS starts
-    a thread per core, so a single process already uses every core."""
-    cores = len(os.sched_getaffinity(0))
-    blas_threads = cores
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(var, "").strip()
-        if value.isdecimal() and int(value) > 0:
-            blas_threads = int(value)
-            break
-    return max(1, min(cores // blas_threads, subjects))
-
-
-def _send_shard(compute, k: int, conn):
-    """The body of a forked process: shard k's result, or its error, to the parent."""
-    try:
-        result = (True, compute(k))
-    except Exception as err:  # the parent re-raises it
-        result = (False, err)
-    conn.send(result)
-
-
-def _run_shards(context, compute, shards: int) -> list:
-    """[compute(0), ..., compute(shards - 1)]: shard 0 in this process, each
-    other shard in a process forked from it, so `compute` and what it reads
-    are never pickled. No process outlives the call.
-
-    Forking is safe here: explain starts no Python thread, and OpenBLAS
-    stops its own threads around a fork."""
-    workers = []
-    try:
-        for k in range(1, shards):
-            recv, send = context.Pipe(duplex=False)
-            proc = context.Process(target=_send_shard, args=(compute, k, send), daemon=True)
-            proc.start()
-            send.close()
-            workers.append((proc, recv))
-        results = [compute(0)]
-        for k, (proc, recv) in enumerate(workers, start=1):
-            try:
-                ok, value = recv.recv()
-            except EOFError:
-                proc.join()
-                raise ChildProcessError(f"explain shard {k}: its process exited with code "
-                                        f"{proc.exitcode} before sending its scores") from None
-            if not ok:
-                raise value
-            results.append(value)
-        return results
-    finally:
-        for proc, recv in workers:
-            proc.terminate()
-            proc.join()
-            recv.close()
-
-
 @dataclass
 class Explanation:
     """The tables of one explain run over a cohort."""
@@ -290,7 +230,6 @@ def explain_cohort(theta: ParamStore, datasets: list[SiteDataset], layer: int,
     the window maps against equal-sparsity random controls."""
     if not 1 <= layer <= N_LAYERS:
         raise ValueError(f"layer must be in 1..{N_LAYERS}, got {layer}")
-    import multiprocessing  # here, so that train and eval never load it
     from scipy import special  # noqa: F401  load it before the first forward, as set-up
 
     for ds in datasets:
@@ -313,8 +252,7 @@ def explain_cohort(theta: ParamStore, datasets: list[SiteDataset], layer: int,
                           for i in indices]) for ds, indices in subjects[k::shards]]
 
     per_subject = [None] * len(subjects)
-    for k, shard in enumerate(_run_shards(multiprocessing.get_context("fork"),
-                                          window_scores, shards)):
+    for k, shard in enumerate(run_shards(window_scores, shards)):
         per_subject[k::shards] = shard
     subject_scores = np.stack([w.mean(axis=0) for w in per_subject])  # (subjects, N_LAYERS, R)
     focus_masks = np.concatenate([w[:, layer - 1] for w in per_subject])

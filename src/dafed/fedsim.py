@@ -28,6 +28,7 @@ from .network import (Batch, eval_class_probs, make_batch, model_forward, param_
 from .optim import Adam, LrProfile, ParamStore, adam_step, is_running_stat, lr_at
 from .tensor import Tensor, backward
 from . import wire
+from .workers import Workers, process_count
 
 logger = logging.getLogger(__name__)
 
@@ -36,7 +37,11 @@ class TrainingDiverged(RuntimeError):
     def __init__(self, round_idx: int, site_id: str, what: str):
         self.round_idx = round_idx
         self.site_id = site_id
+        self.what = what
         super().__init__(f"non-finite {what} at round {round_idx}, site {site_id}")
+
+    def __reduce__(self):  # rebuilt from its fields, so that a worker can report it
+        return type(self), (self.round_idx, self.site_id, self.what)
 
 
 @dataclass
@@ -298,10 +303,14 @@ def _check_finite(parts: dict, total: float, round_idx: int, site_id: str):
             raise TrainingDiverged(round_idx, site_id, f"{name} loss")
 
 
-def _check_upload(upload: ParamStore, round_idx: int, site_id: str):
-    for name, t in upload.items():
+def _receive_upload(upload: bytes, round_idx: int, site_id: str) -> ParamStore:
+    """The parameters of a target's upload; a non-finite value raises
+    TrainingDiverged."""
+    received = wire.arrays_to_store(wire.decode_message(upload, wire.KIND_UPLOAD, round_idx).params)
+    for name, t in received.items():
         if not np.isfinite(t.data).all():
             raise TrainingDiverged(round_idx, site_id, f"upload tensor {name!r}")
+    return received
 
 
 def _split_grads(theta: ParamStore, obj: SiteObjective) -> dict[str, np.ndarray]:
@@ -355,12 +364,95 @@ def target_step(state: SiteState, broadcast: bytes, round_idx: int, total_rounds
     return upload, row
 
 
+class _TargetWorkers:
+    """A run's targets spread round robin over `processes` processes, the
+    forked workers first: target i runs in worker i % processes, or in this
+    process when that is processes - 1. So this process, which also runs the
+    source step, gets the fewest targets, and at least one.
+
+    The workers are forked at the first broadcast, and from then on each one
+    holds its targets' states. Per round a worker receives the round and the
+    broadcast bytes, and it returns metrics rows and upload bytes."""
+
+    def __init__(self, targets: list[SiteState], processes: int, total_rounds: int,
+                 settings: TrainSettings, noise: NoiseSpec):
+        self.processes = processes
+        self.shares = [targets[k::processes] for k in range(processes - 1)]
+        self.step_args = (total_rounds, settings, noise)
+        self.workers = None
+
+    def runs_here(self, i: int) -> bool:
+        return i % self.processes == self.processes - 1
+
+    def send(self, round_idx: int, broadcast: bytes):
+        if self.workers is None:
+            self.workers = Workers(self._serve, len(self.shares), "target worker")
+        for k in range(len(self.shares)):
+            self.workers.send(k, round_idx)
+            self.workers.send(k, broadcast, raw=True)
+
+    def _serve(self, k: int, conn):
+        """Worker k's rounds: its targets' rows and error (None, or the one
+        that stopped the round), then their upload bytes. The broadcast model
+        is the next round's contrastive positive, decoded here once."""
+        states = self.shares[k]
+        while True:
+            try:
+                round_idx = conn.recv()
+                broadcast = conn.recv_bytes()
+            except EOFError:  # the parent closed its end, or died
+                return
+            rows, uploads, error = [], [], None
+            for state in states:
+                try:
+                    upload, row = target_step(state, broadcast, round_idx, *self.step_args)
+                except Exception as err:  # the parent raises it in site order
+                    error = err
+                    break
+                uploads.append(upload)
+                rows.append(row)
+            try:
+                conn.send((rows, error))
+                for upload in uploads:
+                    conn.send_bytes(upload)
+            except BrokenPipeError:  # the parent died
+                return
+            if error is not None:
+                return
+            prev_global = wire.arrays_to_store(
+                wire.decode_message(broadcast, wire.KIND_BROADCAST, round_idx).params)
+            for state in states:
+                state.prev_global = prev_global
+
+    def receive(self, round_idx: int) -> dict:
+        """Per target index run in a worker, (its received upload, its row) or
+        the error that stopped it."""
+        results = {}
+        for k, states in enumerate(self.shares):
+            rows, error = self.workers.receive(k)
+            for j, row in enumerate(rows):
+                upload = self.workers.receive(k, raw=True)
+                try:
+                    results[k + j * self.processes] = (
+                        _receive_upload(upload, round_idx, states[j].site_id), row)
+                except (TrainingDiverged, wire.WireError) as err:
+                    results[k + j * self.processes] = err
+            if error is not None:
+                results[k + len(rows) * self.processes] = error
+        return results
+
+    def close(self):
+        if self.workers is not None:
+            self.workers.close()
+
+
 def multi_site_round(theta_global: ParamStore, source: SiteState,
                      targets: list[SiteState], round_idx: int, total_rounds: int,
-                     settings: TrainSettings, noise: NoiseSpec):
+                     settings: TrainSettings, noise: NoiseSpec, workers: _TargetWorkers | None = None):
     """One federated iteration; returns the next global parameters and one
-    metrics row per site. A received upload holding a non-finite value raises
-    TrainingDiverged before any averaging."""
+    metrics row per site. With `workers`, the targets it assigns to forked
+    processes run there. An error of a target step, or a received upload
+    holding a non-finite value, is raised in site order, before any averaging."""
     if not targets:
         raise ValueError("multi_site_round: needs at least one local site")
     src_grads, src_row = _site_step(source, theta_global, round_idx, total_rounds, settings)
@@ -368,20 +460,33 @@ def multi_site_round(theta_global: ParamStore, source: SiteState,
         round_idx=round_idx, kind=wire.KIND_BROADCAST,
         params=wire.store_to_arrays(theta_global),
         grads=src_grads if settings.broadcast_grads else {}))
+    if workers is not None:
+        workers.send(round_idx, broadcast)
+    results = {}
+    for i, state in enumerate(targets):
+        if workers is None or workers.runs_here(i):
+            try:
+                upload, row = target_step(state, broadcast, round_idx, total_rounds, settings, noise)
+                results[i] = (_receive_upload(upload, round_idx, state.site_id), row)
+            except Exception as err:  # raised below, after the workers' results
+                results[i] = err
+                break
+    if workers is not None:
+        results.update(workers.receive(round_idx))
     rows = [src_row]
     uploads = []
-    for state in targets:
-        upload, row = target_step(state, broadcast, round_idx, total_rounds, settings, noise)
-        received = wire.arrays_to_store(
-            wire.decode_message(upload, wire.KIND_UPLOAD, round_idx).params)
-        _check_upload(received, round_idx, state.site_id)
+    for i in range(len(targets)):  # a target after one that failed has no result
+        if isinstance(results[i], Exception):
+            raise results[i]
+        received, row = results[i]
         uploads.append(received)
         rows.append(row)
     src_row["bytes_up"] = len(broadcast)
     src_row["bytes_down"] = sum(row["bytes_up"] for row in rows[1:])
     # the broadcast encodes theta_global as the source step left it, and
-    # nothing writes to theta_global after the encode; it is every site's
-    # next contrastive positive, read only in evaluation mode
+    # nothing writes to theta_global after the encode; it is the next
+    # contrastive positive of every site in this process (a worker decodes
+    # its own), read only in evaluation mode
     for state in [source] + targets:
         state.prev_global = theta_global
     return aggregate(uploads), rows
@@ -417,13 +522,18 @@ def run_training(settings: TrainSettings, datasets: list[SiteDataset],
     theta = init_theta(datasets[0].n_rois, settings.seed)
     source, targets = build_states(datasets, roles, theta)
     noise = NoiseSpec(alpha=settings.alpha, key=(settings.seed, "noise"))
+    workers = _TargetWorkers(targets, process_count(len(targets)), settings.rounds,
+                             settings, noise)
     metrics = []
-    for round_idx in range(settings.rounds):
-        theta, rows = multi_site_round(theta, source, targets, round_idx,
-                                       settings.rounds, settings, noise)
-        metrics.extend(rows)
-        if on_round is not None:
-            on_round(round_idx, theta)
+    try:
+        for round_idx in range(settings.rounds):
+            theta, rows = multi_site_round(theta, source, targets, round_idx,
+                                           settings.rounds, settings, noise, workers)
+            metrics.extend(rows)
+            if on_round is not None:
+                on_round(round_idx, theta)
+    finally:
+        workers.close()
     return TrainResult(theta=theta, metrics=metrics)
 
 

@@ -15,8 +15,9 @@ GCN_DROPOUT = (0.0, 0.1, 0.1, 0.1)
 EMBED_DIM = 2 * sum(GCN_WIDTHS)  # mean and max pooled, all layers concatenated
 
 
-def normalize_adjacency(adj: np.ndarray) -> np.ndarray:
-    """Symmetric propagation matrices D^-1/2 (A + I) D^-1/2 of a (..., R, R) stack.
+def normalize_adjacency(adj: np.ndarray, out=None) -> np.ndarray:
+    """Symmetric propagation matrices D^-1/2 (A + I) D^-1/2 of a (..., R, R) stack,
+    written to `out` when given.
 
     Self-loops guarantee positive degrees, so the inverse square root always
     exists. Rejects a stack that holds any non-symmetric or negative matrix.
@@ -30,7 +31,7 @@ def normalize_adjacency(adj: np.ndarray) -> np.ndarray:
         raise ValueError("adjacency must be nonnegative")
     a_tilde = adj + np.eye(adj.shape[-1])
     inv_sqrt = 1.0 / np.sqrt(a_tilde.sum(axis=-1))
-    return a_tilde * (inv_sqrt[..., :, None] * inv_sqrt[..., None, :])
+    return np.multiply(a_tilde, inv_sqrt[..., :, None] * inv_sqrt[..., None, :], out=out)
 
 
 def linear(theta, prefix: str, x: Tensor) -> Tensor:

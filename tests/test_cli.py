@@ -581,6 +581,87 @@ def test_explain_bytes_do_not_depend_on_the_blas_threads(tmp_path, trained):
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
+# two more unlabeled targets, so that training has work for 2 and 3 processes
+MORE_TARGETS = "".join(f"site.{i}.id = edge{i}\nsite.{i}.role = target_unlabeled\n"
+                       f"site.{i}.shift = 0.{i + 2}\n" for i in (2, 3))
+
+
+def test_train_bytes_do_not_depend_on_the_blas_threads(tmp_path):
+    # one BLAS thread per process lets train fork a target worker per spare
+    # core; two on a 2-core host keep it in one process
+    cfg = write_cfg(tmp_path / "run.cfg", rounds=3, extra=MORE_TARGETS)
+    root = Path(__file__).resolve().parents[1]
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-m", "dafed.cli", "train", "--config", str(cfg),
+                        "--out", str(tmp_path / threads)],
+                       env=env, capture_output=True, text=True, check=True, timeout=600)
+    for name in ("metrics.csv", "checkpoint_final.ckpt"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
+@pytest.mark.parametrize("failure, message", [
+    ("diverge", "error: non-finite mi loss at round 1, site edge3"),
+    ("die", "error: target worker 1: its process exited with code 3 before it replied"),
+])
+def test_a_failing_target_worker_exits_1(tmp_path, capsys, monkeypatch, failure, message):
+    # with 2 processes, edge and edge3 train in the worker, edge2 here
+    import multiprocessing
+
+    cfg = write_cfg(tmp_path / "run.cfg", rounds=3, extra=MORE_TARGETS)
+    parent = os.getpid()
+    real_objective = fedsim.site_objective
+
+    def failing_objective(*args, key, **kwargs):
+        obj = real_objective(*args, key=key, **kwargs)
+        if key[2:] == ("edge3", 1):
+            if failure == "die" and os.getpid() != parent:
+                os._exit(3)
+            obj.parts["mi"] = float("nan")
+        return obj
+
+    monkeypatch.setattr(fedsim, "site_objective", failing_objective)
+    monkeypatch.setattr(fedsim, "process_count", lambda n: 2)
+    assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 1
+    assert capsys.readouterr().err.strip() == message
+    assert multiprocessing.active_children() == []
+
+
+def test_a_killed_train_leaves_no_worker(tmp_path):
+    cfg = write_cfg(tmp_path / "run.cfg", rounds=500, extra=MORE_TARGETS)
+    code = "\n".join([
+        "import multiprocessing, sys",
+        f"sys.path[:0] = [{str(Path(__file__).resolve().parents[1] / 'src')!r}]",
+        "from dafed import cli, fedsim",
+        "fedsim.process_count = lambda n: 2",
+        "real_round = fedsim.multi_site_round",
+        "def announced_round(*args):",
+        "    if args[3] == 1:",
+        "        print(*[p.pid for p in multiprocessing.active_children()], flush=True)",
+        "    return real_round(*args)",
+        "fedsim.multi_site_round = announced_round",
+        f"cli.main(['train', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 't')!r}])",
+    ])
+    proc = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    workers = []
+    try:
+        workers = [int(pid) for pid in proc.stdout.readline().split()]
+        assert len(workers) == 1
+        proc.kill()
+        # the worker inherited the write ends of both pipes, so they read
+        # end-of-file only once it has exited too
+        proc.communicate(timeout=10)
+    finally:
+        proc.kill()
+        for pid in workers:  # a worker that did not exit must not outlive the test
+            try:
+                os.kill(pid, 9)
+            except ProcessLookupError:
+                pass
+
+
 def test_eval_and_explain_do_not_depend_on_the_manifest_order(tmp_path, capsys):
     # the reversed manifest lists each site's subjects against their id order;
     # after 10 rounds with both sites labeled, the two eval folds differ
@@ -724,7 +805,8 @@ def test_cli_import_loads_every_benchmarked_module_and_no_scipy():
 
 
 def test_cli_import_loads_no_process_pool():
-    # only explain forks, and it imports multiprocessing itself
+    # explain and training fork, and they import multiprocessing only where
+    # they fork
     code = "\n".join([
         "import json, sys",
         f"sys.path[:0] = [{str(Path(__file__).resolve().parents[1] / 'src')!r}]",

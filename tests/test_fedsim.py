@@ -4,7 +4,9 @@ equivalence, determinism, and the privacy boundary."""
 import copy
 import hashlib
 import math
+import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -661,3 +663,92 @@ def test_training_trajectory_is_pinned_for_blas_threads(threads):
         capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
     assert "1 passed" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# targets in forked workers
+
+
+def _three_target_world():
+    sites = [SynthSite("central", 4, True, 0.0)] + [
+        SynthSite(f"edge{i}", 3, False, 0.3 + 0.1 * i) for i in range(3)]
+    datasets = synth_multisite(SynthConfig(sites=sites, n_rois=10, t=24, class_sep=0.6,
+                                           window=20, top_k=3), seed=2)
+    roles = {"central": "source", **{f"edge{i}": "target_unlabeled" for i in range(3)}}
+    return datasets, roles
+
+
+def test_training_outputs_do_not_depend_on_the_process_count(monkeypatch):
+    # with 2 processes the worker runs edge0 and edge2, with 3 each of two
+    # workers runs one target; this process always runs at least one
+    datasets, roles = _three_target_world()
+    parent = os.getpid()
+    ran_here = {}
+    real_step = fedsim.target_step
+
+    def recorded_step(state, *args):
+        if os.getpid() == parent:
+            ran_here.setdefault(processes, set()).add(state.site_id)
+        return real_step(state, *args)
+
+    monkeypatch.setattr(fedsim, "target_step", recorded_step)
+    outputs = {}
+    for processes in (1, 2, 3):
+        monkeypatch.setattr(fedsim, "process_count", lambda n, p=processes: p)
+        res = run_training(_settings(rounds=4, alpha=0.01), datasets, roles)
+        assert multiprocessing.active_children() == []
+        outputs[processes] = (_params_digest(res.theta), _rows_digest(res.metrics))
+    assert ran_here == {1: {"edge0", "edge1", "edge2"}, 2: {"edge1"}, 3: {"edge2"}}
+    assert outputs[2] == outputs[1] and outputs[3] == outputs[1]
+
+
+def test_training_diverged_survives_pickling():
+    err = pickle.loads(pickle.dumps(fedsim.TrainingDiverged(3, "edge0", "total loss")))
+    assert type(err) is fedsim.TrainingDiverged
+    assert (err.round_idx, err.site_id, str(err)) == (3, "edge0",
+                                                      "non-finite total loss at round 3, site edge0")
+
+
+@pytest.mark.parametrize("diverging", [{"edge0"}, {"edge1", "edge2"}, {"edge0", "edge1"}],
+                         ids=["worker", "here-before-worker", "worker-before-here"])
+def test_a_worker_divergence_is_raised_in_site_order(monkeypatch, diverging):
+    # with 2 processes edge0 and edge2 run in the worker, edge1 here; every
+    # process count raises the serial run's error
+    datasets, roles = _three_target_world()
+    real_objective = fedsim.site_objective
+
+    def diverging_objective(*args, key, **kwargs):
+        obj = real_objective(*args, key=key, **kwargs)
+        if key[2] in diverging and key[3] == 2:
+            obj.parts["mi"] = float("nan")
+        return obj
+
+    monkeypatch.setattr(fedsim, "site_objective", diverging_objective)
+    raised = {}
+    for processes in (1, 2, 3):
+        monkeypatch.setattr(fedsim, "process_count", lambda n, p=processes: p)
+        with pytest.raises(fedsim.TrainingDiverged) as exc:
+            run_training(_settings(rounds=4), datasets, roles)
+        assert multiprocessing.active_children() == []
+        raised[processes] = (exc.value.round_idx, exc.value.site_id, str(exc.value))
+    assert raised[1] == (2, min(diverging), f"non-finite mi loss at round 2, site {min(diverging)}")
+    assert raised[2] == raised[1] and raised[3] == raised[1]
+
+
+def test_a_non_finite_upload_from_a_worker_is_raised_with_its_site(monkeypatch):
+    datasets, roles = _three_target_world()
+    real = fedsim.add_noise
+
+    def nan_noise(theta, spec, site_id, round_idx):
+        out = real(theta, spec, site_id, round_idx)
+        if (site_id, round_idx) == ("edge2", 1):
+            out["clf.fc2.b"].data[0] = float("nan")
+        return out
+
+    monkeypatch.setattr(fedsim, "add_noise", nan_noise)
+    monkeypatch.setattr(fedsim, "process_count", lambda n: 2)
+    with pytest.raises(fedsim.TrainingDiverged,
+                       match="non-finite upload tensor 'clf.fc2.b' at round 1, site edge2"):
+        run_training(_settings(rounds=3, alpha=0.01), datasets, roles)
+    assert multiprocessing.active_children() == []
+
