@@ -2,11 +2,16 @@
 multi-site round with noisy uploads and averaging, the cross-round
 contrastive module, and per-site objective assembly.
 
-Each round the central labeled site computes its objective and gradient once,
-broadcasts parameters plus (with `broadcast_grads`) that gradient map, every
-local site trains one step on the combined gradient, adds Gaussian noise, and
-uploads; the server averages the uploads. Messages travel as serialized bytes
-so byte counts and the privacy scan are meaningful.
+Each round goes out as two messages. The model message carries the global
+parameters as the last averaging left them. Every local site runs its
+training step on it at once, holding back its batch-norm statistics. The
+central labeled site computes its objective and gradient meanwhile, and the
+central message carries its running statistics and (with `broadcast_grads`)
+that gradient map. With it, each local site folds its held statistics into
+the central ones, adds the central gradient to its own, takes its optimizer
+step, adds Gaussian noise and uploads; the server averages the uploads.
+Messages travel as serialized bytes so byte counts and the privacy scan are
+meaningful.
 """
 
 from __future__ import annotations
@@ -346,100 +351,177 @@ def _site_step(state: SiteState, theta: ParamStore, round_idx: int,
     return grads, row
 
 
-def target_step(state: SiteState, broadcast: bytes, round_idx: int, total_rounds: int,
-                settings: TrainSettings, noise: NoiseSpec) -> tuple[bytes, dict]:
-    """One target site's round, from the broadcast bytes it received to the
-    upload bytes it sends, and its metrics row. Only `state` moves. The
-    broadcast must be this round's; whatever gradient it carries is added."""
-    msg = wire.decode_message(broadcast, wire.KIND_BROADCAST, round_idx)
-    theta = wire.arrays_to_store(msg.params)
-    grads, row = _site_step(state, theta, round_idx, total_rounds, settings)
+def _train_phase(state: SiteState, model: bytes, round_idx: int, total_rounds: int,
+                 settings: TrainSettings):
+    """A target's site step on this round's model message: its own copy of
+    the model, its gradient map, its row (traffic so far: the model message)
+    and the batch statistics its batch norms held back for the finish."""
+    theta = wire.arrays_to_store(wire.decode_message(model, wire.KIND_MODEL, round_idx).params)
+    with tt.hold_batch_stats() as held:
+        grads, row = _site_step(state, theta, round_idx, total_rounds, settings)
+    row["bytes_down"] = len(model)
+    return theta, grads, row, held
+
+
+def _check_central(theta: ParamStore, msg: wire.Message):
+    """A central message holds exactly the model's running statistics, and
+    gradients of trainable tensors only, each in its tensor's shape."""
+    for name in theta.names():
+        if is_running_stat(name) and name not in msg.params:
+            raise wire.WireError(f"central message: no running statistic {name!r}")
+    for what, entries, stats in (("running statistic", msg.params, True),
+                                 ("trainable tensor", msg.grads, False)):
+        for name, arr in entries.items():
+            if name not in theta or is_running_stat(name) != stats:
+                raise wire.WireError(f"central message: {name!r} is not a {what} of the model")
+            if arr.shape != theta[name].shape:
+                raise wire.WireError(f"central message: {name!r} has shape {arr.shape}, "
+                                     f"not the model's {theta[name].shape}")
+
+
+def _finish_phase(state: SiteState, trained: tuple, central: bytes, round_idx: int,
+                  noise: NoiseSpec) -> tuple[bytes, dict]:
+    """A trained target's update once the central message is in: the central
+    running statistics with the held batch statistics folded in, in call
+    order; the central gradient, if any, added to its own; the Adam step, the
+    noise, and the upload bytes with the finished row. Only `state` moves."""
+    theta, grads, row, held = trained
+    msg = wire.decode_message(central, wire.KIND_CENTRAL, round_idx)
+    _check_central(theta, msg)
+    for name, arr in msg.params.items():
+        theta[name].data[...] = arr
+    for stats in held:
+        tt.fold_batch_stats(*stats)
     grads = {name: g if name not in msg.grads else g + msg.grads[name]
              for name, g in grads.items()}
     adam_step(theta, state.adam, grads, row["lr"])
     noised = add_noise(theta, noise, state.site_id, round_idx)
     upload = wire.encode_message(wire.Message(round_idx=round_idx, kind=wire.KIND_UPLOAD,
                                               params=wire.store_to_arrays(noised)))
-    row["bytes_up"], row["bytes_down"] = len(upload), len(broadcast)
+    row["bytes_up"] = len(upload)
+    row["bytes_down"] += len(central)
     return upload, row
+
+
+def run_targets(states: list[SiteState], model: bytes, central, round_idx: int,
+                total_rounds: int, settings: TrainSettings, noise: NoiseSpec):
+    """A share of target sites' round, from the model message they received
+    to the uploads they send: every train phase, then `central()` for the
+    central message's bytes, then every finish. Returns the upload bytes and
+    rows of the targets that finished, in order, and the error that stopped
+    the next one, or None. `central` is called after an error too, so the
+    central message is always taken."""
+    trained, error = [], None
+    for state in states:
+        try:
+            trained.append(_train_phase(state, model, round_idx, total_rounds, settings))
+        except Exception as err:  # the caller raises it in site order
+            error = err
+            break
+    central_bytes = central()
+    uploads, rows = [], []
+    for state, done in zip(states, trained):
+        try:
+            upload, row = _finish_phase(state, done, central_bytes, round_idx, noise)
+        except Exception as err:  # it comes before a failed train phase in site order
+            error = err
+            break
+        uploads.append(upload)
+        rows.append(row)
+    return uploads, rows, error
 
 
 class _TargetWorkers:
     """A run's targets spread round robin over `processes` processes, the
     forked workers first: target i runs in worker i % processes, or in this
     process when that is processes - 1. So this process, which also runs the
-    source step, gets the fewest targets, and at least one.
+    source step, gets the fewest targets, and at least one. With one process
+    nothing forks.
 
-    The workers are forked at the first broadcast, and from then on each one
-    holds its targets' states. Per round a worker receives the round and the
-    broadcast bytes, and it returns metrics rows and upload bytes."""
+    The workers are forked at the first central message, after this
+    process's first training forward, and from then on each one holds its
+    targets' states. Per round a worker receives the round and the model
+    message, runs its targets' train phases, receives the central message,
+    finishes them, and returns their rows and error, then their upload bytes."""
 
     def __init__(self, targets: list[SiteState], processes: int, total_rounds: int,
                  settings: TrainSettings, noise: NoiseSpec):
-        self.processes = processes
-        self.shares = [targets[k::processes] for k in range(processes - 1)]
+        self.shares = [targets[k::processes] for k in range(processes)]
         self.step_args = (total_rounds, settings, noise)
         self.workers = None
 
-    def runs_here(self, i: int) -> bool:
-        return i % self.processes == self.processes - 1
-
-    def send(self, round_idx: int, broadcast: bytes):
-        if self.workers is None:
-            self.workers = Workers(self._serve, len(self.shares), "target worker")
-        for k in range(len(self.shares)):
+    def _send_model(self, round_idx: int, model: bytes):
+        for k in range(len(self.shares) - 1):
             self.workers.send(k, round_idx)
-            self.workers.send(k, broadcast, raw=True)
+            self.workers.send(k, model, raw=True)
+
+    def run_round(self, round_idx: int, model: bytes, central_step) -> dict:
+        """Per target index, (its received upload, its row) or the error that
+        stopped it; a target after a failed one in its share has neither.
+        `central_step()` runs the source step and returns the central
+        message, after this process's train phases."""
+        processes = len(self.shares)
+        if self.workers is not None:
+            self._send_model(round_idx, model)
+
+        def central() -> bytes:
+            msg = central_step()
+            if self.workers is None:
+                self.workers = Workers(self._serve, processes - 1, "target worker")
+                self._send_model(round_idx, model)
+            for k in range(processes - 1):
+                self.workers.send(k, msg, raw=True)
+            return msg
+
+        here = run_targets(self.shares[-1], model, central, round_idx, *self.step_args)
+        results = {}
+        # this process's share first: its uploads decode while the workers finish
+        for k in [processes - 1, *range(processes - 1)]:
+            uploads, rows, error = here if k == processes - 1 else self._reply(k)
+            for j, (upload, row) in enumerate(zip(uploads, rows)):
+                try:
+                    results[k + j * processes] = (
+                        _receive_upload(upload, round_idx, self.shares[k][j].site_id), row)
+                except (TrainingDiverged, wire.WireError) as err:
+                    results[k + j * processes] = err
+            if error is not None:
+                results[k + len(rows) * processes] = error
+        return results
+
+    def _reply(self, k: int):
+        rows, error = self.workers.receive(k)
+        return [self.workers.receive(k, raw=True) for _ in rows], rows, error
 
     def _serve(self, k: int, conn):
-        """Worker k's rounds: its targets' rows and error (None, or the one
-        that stopped the round), then their upload bytes. The broadcast model
-        is the next round's contrastive positive, decoded here once."""
+        """Worker k's rounds. The central message is read even after a train
+        phase failed, so the parent's send of it never finds the pipe closed.
+        The model's weights with the central running statistics are the next
+        round's contrastive positive, decoded here once."""
         states = self.shares[k]
+        received = []
+
+        def central() -> bytes:
+            received[:] = [conn.recv_bytes()]
+            return received[0]
+
         while True:
             try:
                 round_idx = conn.recv()
-                broadcast = conn.recv_bytes()
-            except EOFError:  # the parent closed its end, or died
-                return
-            rows, uploads, error = [], [], None
-            for state in states:
-                try:
-                    upload, row = target_step(state, broadcast, round_idx, *self.step_args)
-                except Exception as err:  # the parent raises it in site order
-                    error = err
-                    break
-                uploads.append(upload)
-                rows.append(row)
-            try:
+                model = conn.recv_bytes()
+                uploads, rows, error = run_targets(states, model, central, round_idx,
+                                                   *self.step_args)
                 conn.send((rows, error))
                 for upload in uploads:
                     conn.send_bytes(upload)
-            except BrokenPipeError:  # the parent died
+            except (EOFError, BrokenPipeError):  # the parent closed its end, or died
                 return
             if error is not None:
                 return
-            prev_global = wire.arrays_to_store(
-                wire.decode_message(broadcast, wire.KIND_BROADCAST, round_idx).params)
+            params = wire.decode_message(model, wire.KIND_MODEL, round_idx).params
+            params.update(wire.decode_message(received[0], wire.KIND_CENTRAL, round_idx).params)
+            prev_global = wire.arrays_to_store(params)
             for state in states:
                 state.prev_global = prev_global
-
-    def receive(self, round_idx: int) -> dict:
-        """Per target index run in a worker, (its received upload, its row) or
-        the error that stopped it."""
-        results = {}
-        for k, states in enumerate(self.shares):
-            rows, error = self.workers.receive(k)
-            for j, row in enumerate(rows):
-                upload = self.workers.receive(k, raw=True)
-                try:
-                    results[k + j * self.processes] = (
-                        _receive_upload(upload, round_idx, states[j].site_id), row)
-                except (TrainingDiverged, wire.WireError) as err:
-                    results[k + j * self.processes] = err
-            if error is not None:
-                results[k + len(rows) * self.processes] = error
-        return results
 
     def close(self):
         if self.workers is not None:
@@ -451,28 +533,28 @@ def multi_site_round(theta_global: ParamStore, source: SiteState,
                      settings: TrainSettings, noise: NoiseSpec, workers: _TargetWorkers | None = None):
     """One federated iteration; returns the next global parameters and one
     metrics row per site. With `workers`, the targets it assigns to forked
-    processes run there. An error of a target step, or a received upload
-    holding a non-finite value, is raised in site order, before any averaging."""
+    processes run there. An error of the source step is raised first; then
+    an error of a target, or a received upload holding a non-finite value,
+    is raised in site order, before any averaging."""
     if not targets:
         raise ValueError("multi_site_round: needs at least one local site")
-    src_grads, src_row = _site_step(source, theta_global, round_idx, total_rounds, settings)
-    broadcast = wire.encode_message(wire.Message(
-        round_idx=round_idx, kind=wire.KIND_BROADCAST,
-        params=wire.store_to_arrays(theta_global),
-        grads=src_grads if settings.broadcast_grads else {}))
-    if workers is not None:
-        workers.send(round_idx, broadcast)
-    results = {}
-    for i, state in enumerate(targets):
-        if workers is None or workers.runs_here(i):
-            try:
-                upload, row = target_step(state, broadcast, round_idx, total_rounds, settings, noise)
-                results[i] = (_receive_upload(upload, round_idx, state.site_id), row)
-            except Exception as err:  # raised below, after the workers' results
-                results[i] = err
-                break
-    if workers is not None:
-        results.update(workers.receive(round_idx))
+    if workers is None:
+        workers = _TargetWorkers(targets, 1, total_rounds, settings, noise)
+    model = wire.encode_message(wire.Message(round_idx=round_idx, kind=wire.KIND_MODEL,
+                                             params=wire.store_to_arrays(theta_global)))
+    src_row = None
+
+    def central_step() -> bytes:
+        nonlocal src_row
+        src_grads, src_row = _site_step(source, theta_global, round_idx, total_rounds, settings)
+        central = wire.encode_message(wire.Message(
+            round_idx=round_idx, kind=wire.KIND_CENTRAL,
+            params={name: t.data for name, t in theta_global.items() if is_running_stat(name)},
+            grads=src_grads if settings.broadcast_grads else {}))
+        src_row["bytes_up"] = len(model) + len(central)
+        return central
+
+    results = workers.run_round(round_idx, model, central_step)
     rows = [src_row]
     uploads = []
     for i in range(len(targets)):  # a target after one that failed has no result
@@ -481,12 +563,11 @@ def multi_site_round(theta_global: ParamStore, source: SiteState,
         received, row = results[i]
         uploads.append(received)
         rows.append(row)
-    src_row["bytes_up"] = len(broadcast)
     src_row["bytes_down"] = sum(row["bytes_up"] for row in rows[1:])
-    # the broadcast encodes theta_global as the source step left it, and
-    # nothing writes to theta_global after the encode; it is the next
-    # contrastive positive of every site in this process (a worker decodes
-    # its own), read only in evaluation mode
+    # the source step moved only theta_global's running statistics, after the
+    # model message was encoded, and nothing writes to it after the central
+    # message; it is the next contrastive positive of every site in this
+    # process (a worker decodes its own), read only in evaluation mode
     for state in [source] + targets:
         state.prev_global = theta_global
     return aggregate(uploads), rows

@@ -19,6 +19,7 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 _RECORDING = True
+_HELD = None  # a list while training-mode batch norms hold their statistics back
 BN_EPS, BN_MOMENTUM = 1e-5, 0.9  # batch norm's variance floor and running-estimate decay
 
 
@@ -36,6 +37,27 @@ def no_grad():
         yield
     finally:
         _RECORDING = prev
+
+
+@contextlib.contextmanager
+def hold_batch_stats():
+    """Inside the context, a training-mode batch norm that would fold its
+    batch statistics into the running estimates appends (running mean,
+    running variance, batch mean, batch variance) to the yielded list
+    instead, for `fold_batch_stats` to fold later, in call order."""
+    global _HELD
+    prev = _HELD
+    _HELD = held = []
+    try:
+        yield held
+    finally:
+        _HELD = prev
+
+
+def fold_batch_stats(running_mean, running_var, mu: np.ndarray, var: np.ndarray):
+    """Fold one batch's mean and variance into the running estimates, in place."""
+    running_mean.data[...] = BN_MOMENTUM * running_mean.data + (1.0 - BN_MOMENTUM) * mu
+    running_var.data[...] = BN_MOMENTUM * running_var.data + (1.0 - BN_MOMENTUM) * var
 
 
 class Tensor:
@@ -372,8 +394,8 @@ def batch_norm(x, gamma, beta, running_mean, running_var, *, train: bool,
     """Normalize over all leading axes, per feature on the last axis.
 
     Train mode uses biased batch statistics and (optionally) folds them into
-    the running estimates in place; eval mode normalizes with the running
-    statistics.
+    the running estimates in place, or holds them back inside
+    `hold_batch_stats`; eval mode normalizes with the running statistics.
     """
     x, gamma, beta = _wrap(x), _wrap(gamma), _wrap(beta)
     c = x.shape[-1]
@@ -388,9 +410,10 @@ def batch_norm(x, gamma, beta, running_mean, running_var, *, train: bool,
         xhat = x.data - mu
         var = np.square(xhat).sum(axis=axes)
         var /= x.size // c
-        if update_running:
-            running_mean.data[...] = BN_MOMENTUM * running_mean.data + (1.0 - BN_MOMENTUM) * mu
-            running_var.data[...] = BN_MOMENTUM * running_var.data + (1.0 - BN_MOMENTUM) * var
+        if update_running and _HELD is not None:
+            _HELD.append((running_mean, running_var, mu, var))
+        elif update_running:
+            fold_batch_stats(running_mean, running_var, mu, var)
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
         xhat *= inv_std
 

@@ -1,12 +1,18 @@
 """Binary encoding for round messages and checkpoints.
 
 Message layout: version byte, round u32, kind byte, the parameters as one
-entry section, and in a broadcast only, the gradients as a second entry
-section. An entry section is an entry count u32, then entries encoded as
-(name length u16, name bytes, rank u8, dims u32 each, float64 little-endian
-data). Everything is little-endian and iterated in sorted-name order, so the
-same content always serializes to the same bytes. A receiver names the kind
-and round it expects, and any other message is refused.
+entry section, and in a central message only, the gradients as a second
+entry section. An entry section is an entry count u32, then entries encoded
+as (name length u16, name bytes, rank u8, dims u32 each, float64
+little-endian data). Everything is little-endian and iterated in sorted-name
+order, so the same content always serializes to the same bytes. A receiver
+names the kind and round it expects, and any other message is refused.
+
+Three kinds go over the wire each round. A model message (kind 2) carries
+the round's global model, every tensor with its running statistics. A
+central message (kind 0) carries the central site's running statistics
+after its step, and its gradients. An upload (kind 1) carries a site's
+updated parameters.
 
 Checkpoint layout: magic `FCFEDCK2`, config digest (32 bytes), round u32,
 the parameters as one entry section (count u32, then entries as above), and
@@ -25,8 +31,9 @@ import numpy as np
 from .optim import ParamStore
 
 WIRE_VERSION = 2
-KIND_BROADCAST = 0
+KIND_CENTRAL = 0
 KIND_UPLOAD = 1
+KIND_MODEL = 2
 
 CKPT_MAGIC = b"FCFEDCK2"
 
@@ -117,20 +124,21 @@ class Message:
     round_idx: int
     kind: int
     params: dict[str, np.ndarray] = field(default_factory=dict)
-    grads: dict[str, np.ndarray] = field(default_factory=dict)  # a broadcast's only
+    grads: dict[str, np.ndarray] = field(default_factory=dict)  # a central message's only
 
 
 def encode_message(msg: Message) -> bytes:
     """The message's bytes; a field the decoder would refuse raises WireError."""
-    if msg.kind not in (KIND_BROADCAST, KIND_UPLOAD):
+    if msg.kind not in (KIND_CENTRAL, KIND_UPLOAD, KIND_MODEL):
         raise WireError(f"unknown payload kind {msg.kind}")
-    if msg.kind == KIND_UPLOAD and msg.grads:
-        raise WireError("an upload carries no gradients")
+    if msg.kind != KIND_CENTRAL and msg.grads:
+        raise WireError(f"{'an upload' if msg.kind == KIND_UPLOAD else 'a model message'} "
+                        "carries no gradients")
     if not 0 <= msg.round_idx <= 0xFFFFFFFF:
         raise WireError(f"round {msg.round_idx} is outside [0, 2**32)")
     out = [struct.pack("<BIB", WIRE_VERSION, msg.round_idx, msg.kind),
            _encode_entries(msg.params)]
-    if msg.kind == KIND_BROADCAST:
+    if msg.kind == KIND_CENTRAL:
         out.append(_encode_entries(msg.grads))
     return b"".join(out)
 
@@ -146,7 +154,7 @@ def decode_message(buf: bytes, kind: int, round_idx: int) -> Message:
         raise WireError(f"message of round {got_round} where round {round_idx} is expected")
     msg = Message(round_idx=round_idx, kind=kind)
     msg.params, off = _decode_entries(buf, off)
-    if kind == KIND_BROADCAST:
+    if kind == KIND_CENTRAL:
         msg.grads, off = _decode_entries(buf, off)
     _check_end(buf, off)
     return msg

@@ -316,6 +316,16 @@ def _two_target_world():
     return datasets, dict(_roles(), edge2="target_unlabeled")
 
 
+def _target_step(state, model, central, round_idx, total_rounds, settings, noise):
+    """One target's round through the share function: its upload and row,
+    or its error raised."""
+    uploads, rows, error = fedsim.run_targets([state], model, lambda: central, round_idx,
+                                              total_rounds, settings, noise)
+    if error is not None:
+        raise error
+    return uploads[0], rows[0]
+
+
 def test_target_uploads_do_not_depend_on_the_target_order(monkeypatch):
     datasets, roles = _two_target_world()
     settings = _settings(rounds=2, alpha=0.01)
@@ -336,11 +346,13 @@ def test_target_uploads_do_not_depend_on_the_target_order(monkeypatch):
     monkeypatch.setattr(wire, "encode_message", capture)
     multi_site_round(theta, source, targets, 1, 2, settings, noise)
     monkeypatch.undo()
-    [broadcast] = sent[wire.KIND_BROADCAST]
+    [model], [central] = sent[wire.KIND_MODEL], sent[wire.KIND_CENTRAL]
 
     def uploads(states):
-        return {s.site_id: fedsim.target_step(copy.deepcopy(s), broadcast, 1, 2, settings,
-                                              noise)[0] for s in states}
+        copies = [copy.deepcopy(s) for s in states]
+        ups, _, error = fedsim.run_targets(copies, model, lambda: central, 1, 2, settings, noise)
+        assert error is None
+        return {s.site_id: up for s, up in zip(copies, ups)}
 
     in_order, reversed_order = uploads(before), uploads(before[::-1])
     assert in_order == reversed_order
@@ -370,10 +382,16 @@ def test_sites_keep_the_broadcast_model_and_each_message_is_decoded_once(monkeyp
     monkeypatch.setattr(wire, "encode_message", capture)
     monkeypatch.setattr(wire, "decode_message", counted)
     multi_site_round(theta, source, targets, 0, 2, settings, noise)
-    # each target decodes the broadcast, the server decodes each upload
-    assert len(decoded) == 2 * len(targets)
-    [broadcast] = sent[wire.KIND_BROADCAST]
-    want = real_decode(broadcast, wire.KIND_BROADCAST, 0).params
+    # each target decodes the model and the central message, the server
+    # decodes each upload
+    [model], [central] = sent[wire.KIND_MODEL], sent[wire.KIND_CENTRAL]
+    assert len(decoded) == 3 * len(targets)
+    assert decoded.count(model) == len(targets) and decoded.count(central) == len(targets)
+    # the aggregate's weights with the source step's running statistics
+    want = real_decode(model, wire.KIND_MODEL, 0).params
+    stats = real_decode(central, wire.KIND_CENTRAL, 0).params
+    assert set(stats) == {name for name in want if is_running_stat(name)}
+    want.update(stats)
     for state in [source] + targets:
         assert set(state.prev_global.names()) == set(want)
         for name, arr in want.items():
@@ -386,13 +404,64 @@ def test_target_step_refuses_an_upload_and_an_earlier_broadcast():
     noise = NoiseSpec(alpha=0.0)
     theta = init_theta(10, settings.seed)
     _, [target] = build_states(datasets, _roles(), theta)
-    broadcast = wire.encode_message(wire.Message(
-        round_idx=0, kind=wire.KIND_BROADCAST, params=wire.store_to_arrays(theta)))
-    upload, _ = fedsim.target_step(target, broadcast, 0, 2, settings, noise)
-    with pytest.raises(wire.WireError, match="payload kind 1 where kind 0 is expected"):
-        fedsim.target_step(target, upload, 0, 2, settings, noise)
+    model, central = _messages(theta, 0)
+    upload, _ = _target_step(target, model, central, 0, 2, settings, noise)
+    for wrong_model, kind in ((upload, 1), (central, 0)):
+        with pytest.raises(wire.WireError, match=f"payload kind {kind} where kind 2 is expected"):
+            _target_step(target, wrong_model, central, 0, 2, settings, noise)
+    with pytest.raises(wire.WireError, match="payload kind 2 where kind 0 is expected"):
+        _target_step(target, model, model, 0, 2, settings, noise)
     with pytest.raises(wire.WireError, match="message of round 0 where round 1 is expected"):
-        fedsim.target_step(target, broadcast, 1, 2, settings, noise)
+        _target_step(target, model, central, 1, 2, settings, noise)
+    with pytest.raises(wire.WireError, match="message of round 0 where round 1 is expected"):
+        _target_step(target, _messages(theta, 1)[0], central, 1, 2, settings, noise)
+
+
+def _messages(theta, round_idx, stats=None, grads=None):
+    """A model message of `theta` and a central message of its running
+    statistics (or `stats`) and `grads`."""
+    model = wire.encode_message(wire.Message(round_idx=round_idx, kind=wire.KIND_MODEL,
+                                             params=wire.store_to_arrays(theta)))
+    if stats is None:
+        stats = {n: t.data for n, t in theta.items() if is_running_stat(n)}
+    central = wire.encode_message(wire.Message(round_idx=round_idx, kind=wire.KIND_CENTRAL,
+                                               params=stats, grads=grads or {}))
+    return model, central
+
+
+def _central_cases():
+    theta = init_theta(10, 0)
+    stats = {n: t.data for n, t in theta.items() if is_running_stat(n)}
+    first = min(stats)
+    return {
+        "stray-statistic": (dict(stats, **{"x.running_mean": np.zeros(2)}), None,
+                            "'x.running_mean' is not a running statistic of the model"),
+        "weight-as-statistic": (dict(stats, **{"clf.fc2.b": np.zeros(2)}), None,
+                                "'clf.fc2.b' is not a running statistic of the model"),
+        "missing-statistic": ({n: a for n, a in stats.items() if n != first}, None,
+                              f"no running statistic '{first}'"),
+        "statistic-shape": (dict(stats, **{first: np.zeros(stats[first].size + 1)}), None,
+                            f"'{first}' has shape \\({stats[first].size + 1},\\), not the model's"),
+        "statistic-as-gradient": (stats, {first: np.zeros(stats[first].shape)},
+                                  f"'{first}' is not a trainable tensor of the model"),
+        "stray-gradient": (stats, {"x.w": np.zeros(2)},
+                           "'x.w' is not a trainable tensor of the model"),
+        "gradient-shape": (stats, {"clf.fc2.b": np.zeros((2, 1))},
+                           "'clf.fc2.b' has shape \\(2, 1\\), not the model's \\(2,\\)"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_central_cases()))
+def test_a_target_refuses_a_central_message_that_does_not_fit_the_model(case):
+    # a stray name would end in a KeyError, a wrong shape would be assigned
+    # or broadcast without an error
+    settings = _settings(rounds=2)
+    theta = init_theta(10, settings.seed)
+    _, [target] = build_states(_tiny_datasets(), _roles(), theta)
+    stats, grads, message = _central_cases()[case]
+    model, central = _messages(theta, 0, stats, grads)
+    with pytest.raises(wire.WireError, match=f"central message: {message}"):
+        _target_step(target, model, central, 0, 2, settings, NoiseSpec(alpha=0.0))
 
 
 def test_training_calls_the_benchmarked_hooks_through_the_module(monkeypatch):
@@ -410,6 +479,8 @@ def test_training_calls_the_benchmarked_hooks_through_the_module(monkeypatch):
 
     monkeypatch.setattr(fedsim, "multi_site_round", counted_round)
     monkeypatch.setattr(fedsim, "add_noise", counted_noise)
+    # a forked worker's calls would reach its own copy of `noised`
+    monkeypatch.setattr(fedsim, "process_count", lambda n: 1)
     run_training(_settings(rounds=3, alpha=0.01), *_two_target_world())
     assert rounds == [0, 1, 2]
     assert noised == [(site, r) for r in range(3) for site in ("edge", "edge2")]
@@ -565,15 +636,15 @@ def test_non_finite_upload_raises_with_site_and_round(monkeypatch):
 
 
 def test_constant_central_loss_mode_changes_updates(monkeypatch):
-    # with gradient broadcast off, the broadcast carries no central gradient
-    # map and sites train on their local objective alone
+    # with gradient broadcast off, the central message carries no central
+    # gradient map and sites train on their local objective alone
     datasets = _tiny_datasets()
     grads_sent = []
     real_encode = wire.encode_message
 
     def capture(msg):
         buf = real_encode(msg)
-        if msg.kind == wire.KIND_BROADCAST:
+        if msg.kind == wire.KIND_CENTRAL:
             grads_sent.append(wire.decode_message(buf, msg.kind, msg.round_idx).grads)
         return buf
 
@@ -637,9 +708,12 @@ def _rows_digest(rows, leave_out=()):
 
 # recorded before the per-site training step was shared by the source, the
 # targets and the source-only baseline; any drift in a single bit fails here.
-# PINNED_ROWS was re-recorded for wire version 2: only bytes_up/bytes_down moved
+# PINNED_ROWS was re-recorded for wire version 2, and again when the round's
+# broadcast split into a model and a central message (each target receives
+# 24,989 bytes more a round, which the source's bytes_up counts too): only
+# bytes_up/bytes_down moved, as PINNED_ROWS_WITHOUT_TRAFFIC shows
 PINNED_PARAMS = "875e0566e0644c43a093ab8d24d42bf8132b741964d4d98e3e62d1fba645e878"
-PINNED_ROWS = "7cde8d88486f541381432ceb44d793b933059deef1f17bee04e47b8e76bfee0a"
+PINNED_ROWS = "4b0607962033e913295ca3e77ca78b832e3fb3292c3f909304c09244283e7ed6"
 PINNED_SOURCE_ONLY = "8ccd6cc5306adc96baeeea3e4b19aee972dba4c7476e13bfd69982e64ca3e1cc"
 # the rows without their traffic columns, which a change of message layout moves
 PINNED_ROWS_WITHOUT_TRAFFIC = "756267e059d7419795b3e547daad4b7f0e98919645945d51ccc5157d20eae122"
@@ -687,14 +761,14 @@ def test_training_outputs_do_not_depend_on_the_process_count(monkeypatch):
     datasets, roles = _three_target_world()
     parent = os.getpid()
     ran_here = {}
-    real_step = fedsim.target_step
+    real_run = fedsim.run_targets
 
-    def recorded_step(state, *args):
+    def recorded_run(states, *args):
         if os.getpid() == parent:
-            ran_here.setdefault(processes, set()).add(state.site_id)
-        return real_step(state, *args)
+            ran_here.setdefault(processes, set()).update(s.site_id for s in states)
+        return real_run(states, *args)
 
-    monkeypatch.setattr(fedsim, "target_step", recorded_step)
+    monkeypatch.setattr(fedsim, "run_targets", recorded_run)
     outputs = {}
     for processes in (1, 2, 3):
         monkeypatch.setattr(fedsim, "process_count", lambda n, p=processes: p)
@@ -705,6 +779,26 @@ def test_training_outputs_do_not_depend_on_the_process_count(monkeypatch):
     assert outputs[2] == outputs[1] and outputs[3] == outputs[1]
 
 
+@pytest.mark.parametrize("processes", [2, 3])
+def test_no_worker_is_alive_at_the_first_training_forward(monkeypatch, processes):
+    # perfbench's probe mode ends the process at its first model_forward; a
+    # worker forked before it would inherit that hook and outlive the run
+    datasets, roles = _three_target_world()
+    parent, children = os.getpid(), []
+    real_forward = fedsim.model_forward
+
+    def counted_forward(*args, **kwargs):
+        if os.getpid() == parent:
+            children.append(len(multiprocessing.active_children()))
+        return real_forward(*args, **kwargs)
+
+    monkeypatch.setattr(fedsim, "model_forward", counted_forward)
+    monkeypatch.setattr(fedsim, "process_count", lambda n: processes)
+    run_training(_settings(rounds=2), datasets, roles)
+    assert children[0] == 0 and max(children) == processes - 1
+    assert multiprocessing.active_children() == []
+
+
 def test_training_diverged_survives_pickling():
     err = pickle.loads(pickle.dumps(fedsim.TrainingDiverged(3, "edge0", "total loss")))
     assert type(err) is fedsim.TrainingDiverged
@@ -712,11 +806,14 @@ def test_training_diverged_survives_pickling():
                                                       "non-finite total loss at round 3, site edge0")
 
 
-@pytest.mark.parametrize("diverging", [{"edge0"}, {"edge1", "edge2"}, {"edge0", "edge1"}],
-                         ids=["worker", "here-before-worker", "worker-before-here"])
+@pytest.mark.parametrize("diverging", [{"edge0"}, {"edge1", "edge2"}, {"edge0", "edge1"},
+                                       {"central", "edge1"}],
+                         ids=["worker", "here-before-worker", "worker-before-here",
+                              "central-and-here"])
 def test_a_worker_divergence_is_raised_in_site_order(monkeypatch, diverging):
     # with 2 processes edge0 and edge2 run in the worker, edge1 here; every
-    # process count raises the serial run's error
+    # process count raises the serial run's error, and the central site's
+    # first although this process trains edge1 before the source step
     datasets, roles = _three_target_world()
     real_objective = fedsim.site_objective
 

@@ -395,3 +395,28 @@ def test_batch_norm_train_is_bitwise(shape, seed):
         assert rv.data.tobytes() == want_rv.tobytes()
         for (_, vjp), expected in zip(out.parents, vjps(g)):
             assert vjp(g).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_held_batch_stats_fold_later_to_the_bits_of_an_in_place_fold(seed):
+    # a target site trains on one model's running statistics and folds its
+    # batch statistics into the central site's later
+    rng = np.random.default_rng(seed)
+    x, gamma, beta = rng.standard_normal((9, 7)), rng.standard_normal(7), rng.standard_normal(7)
+    (mean0, var0), (mean1, var1) = [(rng.standard_normal(7), np.abs(rng.standard_normal(7)))
+                                    for _ in range(2)]
+    rm, rv = tt.Tensor(mean0.copy()), tt.Tensor(var0.copy())
+    args = (tt.Tensor(x), tt.Tensor(gamma), tt.Tensor(beta))
+    with tt.hold_batch_stats() as held:
+        out = tt.batch_norm(*args, rm, rv, train=True)
+        tt.batch_norm(*args, rm, rv, train=True, update_running=False)
+    assert len(held) == 1 and held[0][:2] == (rm, rv)
+    assert rm.data.tobytes() == mean0.tobytes() and rv.data.tobytes() == var0.tobytes()
+    rm.data[...], rv.data[...] = mean1, var1
+    tt.fold_batch_stats(*held[0])
+    want_rm, want_rv = tt.Tensor(mean1.copy()), tt.Tensor(var1.copy())
+    want = tt.batch_norm(*args, want_rm, want_rv, train=True)  # outside the context: folds
+    assert out.data.tobytes() == want.data.tobytes()
+    assert rm.data.tobytes() == want_rm.data.tobytes()
+    assert rv.data.tobytes() == want_rv.data.tobytes()
+    assert not np.array_equal(want_rm.data, mean1)

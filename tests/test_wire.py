@@ -14,7 +14,7 @@ from dafed.optim import ParamStore
 def _sample_message():
     g = np.random.default_rng(0)
     return wire.Message(
-        round_idx=7, kind=wire.KIND_BROADCAST,
+        round_idx=7, kind=wire.KIND_CENTRAL,
         params={"b.w": g.standard_normal((3, 4)), "a.v": g.standard_normal(5)},
         grads={"b.w": g.standard_normal((3, 4))})
 
@@ -23,7 +23,7 @@ SAMPLE_SHA256 = "1f840a6b012e4df040ca2c9e573d466e75f69b1aa26f5c7c39854f1c8e4cf09
 
 
 def _decode_sample(buf):
-    return wire.decode_message(buf, wire.KIND_BROADCAST, 7)
+    return wire.decode_message(buf, wire.KIND_CENTRAL, 7)
 
 
 def _raw_message(kind, round_idx, *entry_sections):
@@ -34,7 +34,7 @@ def _raw_message(kind, round_idx, *entry_sections):
 def test_message_round_trip_is_bitwise():
     msg = _sample_message()
     out = _decode_sample(wire.encode_message(msg))
-    assert out.round_idx == 7 and out.kind == wire.KIND_BROADCAST
+    assert out.round_idx == 7 and out.kind == wire.KIND_CENTRAL
     for name, arr in msg.params.items():
         assert np.array_equal(out.params[name], arr)
         assert out.params[name].dtype == np.float64
@@ -65,8 +65,8 @@ def test_upload_kind_and_empty_sections():
     out = wire.decode_message(wire.encode_message(msg), wire.KIND_UPLOAD, 0)
     assert out.kind == wire.KIND_UPLOAD
     assert out.grads == {}
-    empty = wire.Message(round_idx=0, kind=wire.KIND_BROADCAST, params={"w": np.ones(1)})
-    assert wire.decode_message(wire.encode_message(empty), wire.KIND_BROADCAST, 0).grads == {}
+    empty = wire.Message(round_idx=0, kind=wire.KIND_CENTRAL, params={"w": np.ones(1)})
+    assert wire.decode_message(wire.encode_message(empty), wire.KIND_CENTRAL, 0).grads == {}
 
 
 def test_a_0d_entry_keeps_its_shape(tmp_path):
@@ -86,6 +86,24 @@ def test_encode_refuses_gradients_in_an_upload():
         wire.encode_message(msg)
 
 
+def test_a_model_message_holds_parameters_only():
+    theta = init_theta(6, 0)
+    msg = wire.Message(round_idx=3, kind=wire.KIND_MODEL, params=wire.store_to_arrays(theta))
+    buf = wire.encode_message(msg)
+    out = wire.decode_message(buf, wire.KIND_MODEL, 3)
+    assert out.kind == wire.KIND_MODEL and out.grads == {}
+    assert set(out.params) == set(theta.names())
+    assert all(out.params[n].tobytes() == theta[n].data.tobytes() for n in theta.names())
+    # the upload layout under another kind byte
+    upload = wire.encode_message(wire.Message(round_idx=3, kind=wire.KIND_UPLOAD, params=msg.params))
+    assert buf[5] == wire.KIND_MODEL and buf[:5] + buf[6:] == upload[:5] + upload[6:]
+    with pytest.raises(wire.WireError, match="payload kind 2 where kind 0 is expected"):
+        wire.decode_message(buf, wire.KIND_CENTRAL, 3)
+    msg.grads = {"clf.fc2.b": np.ones(2)}
+    with pytest.raises(wire.WireError, match="a model message carries no gradients"):
+        wire.encode_message(msg)
+
+
 def test_decode_refuses_a_message_of_another_kind_or_round():
     buf = wire.encode_message(_sample_message())
     with pytest.raises(wire.WireError, match="payload kind 0 where kind 1 is expected"):
@@ -93,7 +111,7 @@ def test_decode_refuses_a_message_of_another_kind_or_round():
     for round_idx in (6, 8):
         with pytest.raises(wire.WireError,
                            match=f"message of round 7 where round {round_idx} is expected"):
-            wire.decode_message(buf, wire.KIND_BROADCAST, round_idx)
+            wire.decode_message(buf, wire.KIND_CENTRAL, round_idx)
 
 
 def _small_checkpoint(path):
@@ -208,7 +226,7 @@ def test_repeated_section_unknown_kind_and_repeated_name_rejected(tmp_path):
     assert str(path) in str(err.value)
 
 
-@pytest.mark.parametrize("kind", [2, 9, -1])
+@pytest.mark.parametrize("kind", [3, 9, -1])
 def test_encode_refuses_an_unknown_kind(kind):
     msg = wire.Message(round_idx=0, kind=kind, params={"w": np.ones(1)})
     with pytest.raises(wire.WireError, match=f"unknown payload kind {kind}"):
