@@ -150,55 +150,23 @@ def cmd_train(args) -> int:
 # eval
 
 
-def subject_folds(dataset, n_folds: int) -> list[list[int]]:
-    """Subject-stratified fold assignment: subjects of each class are dealt
-    round-robin in id order, so every subject lands in exactly one fold and
-    windows never split across folds."""
-    if dataset.truth is None:
-        raise ConfigError(f"site {dataset.site_id}: no labels available for evaluation")
-    by_class: dict[int, list[str]] = {}
-    for subject_id, rows in dataset.subject_index.items():
-        by_class.setdefault(int(dataset.truth[rows[0]]), []).append(subject_id)
-    for label, members in sorted(by_class.items()):
-        if len(members) < n_folds:
-            raise ConfigError(f"site {dataset.site_id}: class {label} has "
-                              f"{len(members)} subjects, needs >= {n_folds}")
-    folds: list[list[int]] = [[] for _ in range(n_folds)]
-    for label in sorted(by_class):
-        for pos, subject_id in enumerate(by_class[label]):
-            folds[pos % n_folds].extend(dataset.subject_index[subject_id])
-    return folds
-
-
 def cmd_eval(args) -> int:
     cfg = parse_config(args.config, _overrides(args))
     datasets = _load_datasets(cfg)
     theta = _load_fitting_checkpoint(args.checkpoint, datasets)
+    sites = explain_mod.evaluate_cohort(theta, datasets, cfg.folds, subject_vote=cfg.subject_vote)
     lines = ["site,fold,n_windows,acc"]
-    summary = []
-    for ds in datasets:
-        folds = subject_folds(ds, cfg.folds)
-        preds, truth = fedsim.dataset_predictions(theta, ds)
-        correct = preds == truth
-        accs = []
-        for fold_idx, indices in enumerate(folds):
-            acc = float(correct[indices].mean())
-            accs.append(acc)
-            lines.append(f"{ds.site_id},{fold_idx},{len(indices)},{_fmt(acc)}")
-        mean = float(np.mean(accs))
-        std = float(np.std(accs))
-        lines.append(f"{ds.site_id},mean,{len(ds)},{_fmt(mean)}")
-        lines.append(f"{ds.site_id},std,{len(ds)},{_fmt(std)}")
-        summary.append((ds.site_id, mean, std))
-        if cfg.subject_vote:
-            hits = [np.bincount(preds[indices], minlength=2).argmax() == truth[indices[0]]
-                    for indices in ds.subject_index.values()]
-            vote = sum(hits) / len(hits)
-            print(f"site {ds.site_id}: subject majority-vote accuracy {vote:.4f}")
+    for site in sites:
+        if site.vote is not None:
+            print(f"site {site.site_id}: subject majority-vote accuracy {site.vote:.4f}")
+        lines += [f"{site.site_id},{k},{n},{_fmt(acc)}" for k, (n, acc) in enumerate(site.folds)]
+        lines.append(f"{site.site_id},mean,{site.windows},{_fmt(site.mean)}")
+        lines.append(f"{site.site_id},std,{site.windows},{_fmt(site.std)}")
     report = "\n".join(lines)
     print(report)
-    for site_id, mean, std in summary:
-        print(f"site {site_id}: window accuracy {mean:.4f} +/- {std:.4f} over {cfg.folds} folds")
+    for site in sites:
+        print(f"site {site.site_id}: window accuracy {site.mean:.4f} +/- {site.std:.4f} "
+              f"over {cfg.folds} folds")
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

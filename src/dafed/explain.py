@@ -1,5 +1,7 @@
 """Gradient-free attribution over the graph-convolution stack, plus the
-confidence-based faithfulness metrics and the significant-edge filter.
+confidence-based faithfulness metrics and the significant-edge filter; and
+the two read-only workflows over a trained model, `explain_cohort` and
+`evaluate_cohort`.
 
 Per channel of a layer's activation map, the node column is min-max
 normalized into a mask, the input's node-feature rows are scaled by that
@@ -18,6 +20,7 @@ import numpy as np
 from . import rng
 from .config import ConfigError
 from .data import FCGraph, SiteDataset
+from .fedsim import dataset_predictions
 from .network import eval_class_probs, eval_hidden
 from .optim import ParamStore
 from .stfg import GCN_WIDTHS
@@ -243,17 +246,15 @@ def explain_cohort(theta: ParamStore, datasets: list[SiteDataset], layer: int,
         raise ConfigError(f"explain needs at least {MIN_GROUP_SUBJECTS} subjects of each "
                           f"class, the cohort has {counts.tolist()}")
 
-    # the subjects in round-robin shards, one process each; every window is
-    # scored as in one process, so no output depends on the shard count
-    shards = process_count(len(subjects))
+    def window_scores(subject):  # (windows, N_LAYERS, R)
+        ds, indices = subject
+        return np.array([[m.scores for m in score_cam(theta, ds.samples[i], target_class)]
+                         for i in indices])
 
-    def window_scores(k):  # per subject of shard k, (windows, N_LAYERS, R)
-        return [np.array([[m.scores for m in score_cam(theta, ds.samples[i], target_class)]
-                          for i in indices]) for ds, indices in subjects[k::shards]]
-
-    per_subject = [None] * len(subjects)
-    for k, shard in enumerate(run_shards(window_scores, shards)):
-        per_subject[k::shards] = shard
+    # every window is scored as in one process, so no output depends on the
+    # process count
+    per_subject = run_shards(window_scores, subjects, process_count(len(subjects)),
+                             "explain shard")
     subject_scores = np.stack([w.mean(axis=0) for w in per_subject])  # (subjects, N_LAYERS, R)
     focus_masks = np.concatenate([w[:, layer - 1] for w in per_subject])
     focus_graphs = [ds.samples[i] for ds, indices in subjects for i in indices]
@@ -271,3 +272,63 @@ def explain_cohort(theta: ParamStore, datasets: list[SiteDataset], layer: int,
     top = top_rois([SaliencyMap(s, layer, target_class, "", 0) for s in focus], 10)
     return Explanation(saliency=subject_scores.mean(axis=0), edges=edges,
                        faithfulness=faithfulness, top_rois=top)
+
+
+# ---------------------------------------------------------------------------
+# the eval workflow
+
+
+def subject_folds(dataset: SiteDataset, n_folds: int) -> list[list[int]]:
+    """Subject-stratified fold assignment: subjects of each class are dealt
+    round-robin in id order, so every subject lands in exactly one fold and
+    windows never split across folds."""
+    if dataset.truth is None:
+        raise ConfigError(f"site {dataset.site_id}: no labels available for evaluation")
+    by_class: dict[int, list[str]] = {}
+    for subject_id, rows in dataset.subject_index.items():
+        by_class.setdefault(int(dataset.truth[rows[0]]), []).append(subject_id)
+    for label, members in sorted(by_class.items()):
+        if len(members) < n_folds:
+            raise ConfigError(f"site {dataset.site_id}: class {label} has "
+                              f"{len(members)} subjects, needs >= {n_folds}")
+    folds: list[list[int]] = [[] for _ in range(n_folds)]
+    for label in sorted(by_class):
+        for pos, subject_id in enumerate(by_class[label]):
+            folds[pos % n_folds].extend(dataset.subject_index[subject_id])
+    return folds
+
+
+@dataclass
+class SiteEvaluation:
+    """One site's window accuracy per subject fold, their mean and spread,
+    and its subject majority-vote accuracy where one was asked for."""
+    site_id: str
+    windows: int
+    folds: list[tuple[int, float]]  # (windows, accuracy) per fold
+    mean: float
+    std: float
+    vote: float | None
+
+
+def evaluate_cohort(theta: ParamStore, datasets: list[SiteDataset], n_folds: int, *,
+                    subject_vote: bool) -> list[SiteEvaluation]:
+    """Score every window of every site with the one model, per site in the
+    order given. Every site's folds are checked before any window is scored."""
+    sites = [(ds, subject_folds(ds, n_folds)) for ds in datasets]
+
+    def evaluate_site(site):
+        ds, folds = site
+        preds, truth = dataset_predictions(theta, ds)
+        correct = preds == truth
+        accs = [float(correct[indices].mean()) for indices in folds]
+        vote = None
+        if subject_vote:
+            hits = [np.bincount(preds[indices], minlength=2).argmax() == truth[indices[0]]
+                    for indices in ds.subject_index.values()]
+            vote = sum(hits) / len(hits)
+        return SiteEvaluation(ds.site_id, len(ds), [(len(f), a) for f, a in zip(folds, accs)],
+                              float(np.mean(accs)), float(np.std(accs)), vote)
+
+    # a site's windows are forwarded as in one process, so no output depends
+    # on the process count
+    return run_shards(evaluate_site, sites, process_count(len(sites)), "eval shard")

@@ -42,7 +42,9 @@ class WireError(ValueError):
     pass
 
 
-def _encode_entries(entries: dict[str, np.ndarray]) -> bytes:
+def _entry_chunks(entries: dict[str, np.ndarray]) -> list:
+    """An entry section as chunks, which the caller joins with the rest of
+    its message, so that every byte is copied once."""
     chunks = [struct.pack("<I", len(entries))]
     for name in sorted(entries):
         arr = np.asarray(entries[name], dtype="<f8", order="C")  # keeps a 0-d shape
@@ -60,7 +62,7 @@ def _encode_entries(entries: dict[str, np.ndarray]) -> bytes:
         for dim in arr.shape:
             chunks.append(struct.pack("<I", dim))
         chunks.append(arr)  # joined through the buffer protocol, C order
-    return b"".join(chunks)
+    return chunks
 
 
 def _need(buf: bytes, end: int):
@@ -137,9 +139,9 @@ def encode_message(msg: Message) -> bytes:
     if not 0 <= msg.round_idx <= 0xFFFFFFFF:
         raise WireError(f"round {msg.round_idx} is outside [0, 2**32)")
     out = [struct.pack("<BIB", WIRE_VERSION, msg.round_idx, msg.kind),
-           _encode_entries(msg.params)]
+           *_entry_chunks(msg.params)]
     if msg.kind == KIND_CENTRAL:
-        out.append(_encode_entries(msg.grads))
+        out += _entry_chunks(msg.grads)
     return b"".join(out)
 
 
@@ -180,7 +182,7 @@ def save_checkpoint(path, theta: ParamStore, round_idx: int, config_digest: byte
     if not 0 <= round_idx <= 0xFFFFFFFF:
         raise WireError(f"round {round_idx} is outside [0, 2**32)")
     body = b"".join([CKPT_MAGIC, config_digest, struct.pack("<I", round_idx),
-                     _encode_entries(store_to_arrays(theta))])
+                     *_entry_chunks(store_to_arrays(theta))])
     with open(path, "wb") as fh:
         fh.write(body)
         fh.write(hashlib.sha256(body).digest())

@@ -1,6 +1,7 @@
 """Processes forked from this one: how many the host affords, and one helper
 that starts them, reaches them over pipes and reaps them. `explain` scores
-its subject shards in them; training runs target sites in them.
+its subject shards in them, `eval` its site shards, and training runs target
+sites in them.
 
 Forking, not spawning, is the point: a forked process already holds every
 object its work reads, so nothing is pickled on the way in. It is safe here
@@ -107,24 +108,29 @@ class Workers:
             proc.join()
 
 
-def run_shards(compute, shards: int) -> list:
-    """[compute(0), ..., compute(shards - 1)]: shard 0 in this process, each
-    other shard in a process forked from it, so `compute` and what it reads
-    are never pickled. An error raised by a shard is raised here. No process
-    outlives the call."""
+def run_shards(fn, items: list, processes: int, what: str) -> list:
+    """[fn(x) for x in items], with the items dealt round robin over
+    `processes` shards: shard 0 runs in this process, each other shard in a
+    process forked from it, so `fn` and what it reads are never pickled.
+    An error raised by a shard is raised here, and a shard process that dies
+    is reported as `what k`. No process outlives the call."""
+
+    def shard(k):
+        return [fn(x) for x in items[k::processes]]
 
     def send_shard(k, conn):
         try:
-            result = (True, compute(k + 1))
+            result = (True, shard(k + 1))
         except Exception as err:  # this process re-raises it
             result = (False, err)
         conn.send(result)
 
-    with Workers(send_shard, shards - 1, "explain shard") as workers:
-        results = [compute(0)]
-        for k in range(shards - 1):
-            ok, value = workers.receive(k)
+    results = [None] * len(items)
+    with Workers(send_shard, processes - 1, what) as workers:
+        results[::processes] = shard(0)
+        for k in range(1, processes):
+            ok, value = workers.receive(k - 1)
             if not ok:
                 raise value
-            results.append(value)
+            results[k::processes] = value
     return results

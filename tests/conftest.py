@@ -1,9 +1,22 @@
 """Shared test helpers: independent finite-difference oracles, IEEE edge
-inputs for byte-equality tests, and the per-matrix propagation formula."""
+inputs for byte-equality tests, and the per-matrix propagation formula.
+
+The suite runs with one BLAS thread per process unless the environment sets
+another count. OpenBLAS reads the count once, when numpy loads, so it is set
+here, before the first `import numpy`. With one thread, training, `eval`
+and `explain` fork a process per core, as a user's one-thread run does; an
+exported count of 2 on 2 cores keeps them in one process."""
 
 from __future__ import annotations
 
-import numpy as np
+import os
+import sys
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+assert "numpy" not in sys.modules, "numpy loaded before the BLAS thread count was set"
+
+import numpy as np  # noqa: E402
 
 
 def numeric_grads(scalar_fn, arrays, h=1e-5):

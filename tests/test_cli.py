@@ -15,7 +15,7 @@ import pytest
 
 from dafed import cli, explain, fedsim, network, wire
 from dafed import tensor as tt
-from dafed.cli import subject_folds
+from dafed.explain import subject_folds
 from dafed.config import ConfigError, parse_config
 from dafed.data import SynthConfig, SynthSite, synth_multisite
 
@@ -662,6 +662,136 @@ def test_a_killed_train_leaves_no_worker(tmp_path):
                 pass
 
 
+# ---------------------------------------------------------------------------
+# eval's sites scored in forked processes
+
+SITES = ["central", "edge", "edge2", "edge3"]
+
+
+@pytest.fixture(scope="module")
+def trained4(tmp_path_factory):
+    # four sites, so that 2 and 3 processes get shards of unequal size
+    root = tmp_path_factory.mktemp("trained4")
+    cfg = write_cfg(root / "run.cfg", rounds=3, extra=MORE_TARGETS + "subject_vote = true\n")
+    assert cli.main(["train", "--config", str(cfg), "--out", str(root / "t")]) == 0
+    return cfg, root / "t" / "checkpoint_final.ckpt"
+
+
+def _eval(cfg, ckpt, *extra):
+    return cli.main(["eval", str(ckpt), "--config", str(cfg), "--folds", "2", *extra])
+
+
+def test_eval_outputs_do_not_depend_on_the_process_count(trained4, tmp_path, capsys,
+                                                         monkeypatch):
+    import multiprocessing
+
+    cfg, ckpt = trained4
+    predict = explain.dataset_predictions
+    outputs = {}
+    for processes in (1, 2, 3):
+        here = []  # sites scored in this process
+
+        def recorded_predictions(theta, ds):
+            here.append(ds.site_id)
+            return predict(theta, ds)
+
+        monkeypatch.setattr(explain, "dataset_predictions", recorded_predictions)
+        monkeypatch.setattr(explain, "process_count", lambda n, p=processes: p)
+        out = tmp_path / str(processes)
+        assert _eval(cfg, ckpt, "--out", str(out)) == 0
+        outputs[processes] = (capsys.readouterr().out, (out / "eval.csv").read_bytes())
+        assert multiprocessing.active_children() == []
+        # this process scores shard 0 alone; forked ones score the others
+        assert here == SITES[::processes]
+    assert outputs[1][0].count("majority-vote") == len(SITES)
+    assert outputs[2] == outputs[1] and outputs[3] == outputs[1]
+
+
+@pytest.mark.parametrize("failing", ["central", "edge"], ids=["this-process", "forked"])
+def test_an_eval_shard_error_exits_1_and_leaves_no_process(trained4, capsys, monkeypatch,
+                                                           failing):
+    # with 2 processes, central and edge2 are scored here, edge and edge3 in the fork
+    import multiprocessing
+
+    cfg, ckpt = trained4
+    predict = explain.dataset_predictions
+
+    def failing_predictions(theta, ds):
+        if ds.site_id == failing:
+            raise ValueError(f"planted failure at {failing}")
+        return predict(theta, ds)
+
+    monkeypatch.setattr(explain, "dataset_predictions", failing_predictions)
+    monkeypatch.setattr(explain, "process_count", lambda n: 2)
+    assert _eval(cfg, ckpt) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: planted failure at {failing}\n"
+    assert captured.out == ""  # not even the vote of a site scored before the error
+    assert multiprocessing.active_children() == []
+
+
+def test_an_eval_shard_process_that_dies_exits_1(trained4, capsys, monkeypatch):
+    import multiprocessing
+
+    cfg, ckpt = trained4
+    parent = os.getpid()
+    predict = explain.dataset_predictions
+
+    def dying_predictions(theta, ds):
+        if os.getpid() != parent:
+            os._exit(3)
+        return predict(theta, ds)
+
+    monkeypatch.setattr(explain, "dataset_predictions", dying_predictions)
+    monkeypatch.setattr(explain, "process_count", lambda n: 3)
+    assert _eval(cfg, ckpt) == 1
+    assert capsys.readouterr().err == ("error: eval shard 1: its process exited with code 3 "
+                                       "before it replied\n")
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("problem", ["folds", "labels"])
+def test_an_eval_fold_error_exits_2_before_any_process_forks(trained4, tmp_path, capsys,
+                                                             monkeypatch, problem):
+    cfg, ckpt = trained4
+    if problem == "folds":  # 4 subjects per site, 2 of each class
+        args, message = ("--folds", "3"), "site central: class 0 has 2 subjects, needs >= 3"
+    else:  # the manifest withholds the labels of the unlabeled targets
+        data_dir = tmp_path / "d"
+        assert cli.main(["synth", "--config", str(cfg), "--out", str(data_dir)]) == 0
+        cfg = tmp_path / "manifest.cfg"
+        cfg.write_text(trained4[0].read_text().replace(
+            "data = synth", f"data = manifest\nmanifest = {data_dir / 'manifest.csv'}"))
+        args, message = ("--folds", "2"), "site edge: no labels available for evaluation"
+    capsys.readouterr()
+
+    def no_shards(*args):
+        raise AssertionError("sites were scored")
+
+    monkeypatch.setattr(explain, "run_shards", no_shards)
+    monkeypatch.setattr(explain, "process_count", lambda n: 2)
+    assert cli.main(["eval", str(ckpt), "--config", str(cfg), *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+def test_eval_bytes_do_not_depend_on_the_blas_threads(trained4, tmp_path):
+    # one BLAS thread per process lets eval fork a process per core; two on
+    # a 2-core host keep it in one process
+    cfg, ckpt = trained4
+    root = Path(__file__).resolve().parents[1]
+    stdout = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+        stdout[threads] = subprocess.run(
+            [sys.executable, "-m", "dafed.cli", "eval", str(ckpt), "--config", str(cfg),
+             "--folds", "2", "--out", str(tmp_path / threads)],
+            env=env, capture_output=True, text=True, check=True, timeout=600).stdout
+    assert stdout["1"] == stdout["2"]
+    assert (tmp_path / "1" / "eval.csv").read_bytes() == (tmp_path / "2" / "eval.csv").read_bytes()
+
+
 def test_eval_and_explain_do_not_depend_on_the_manifest_order(tmp_path, capsys):
     # the reversed manifest lists each site's subjects against their id order;
     # after 10 rounds with both sites labeled, the two eval folds differ
@@ -808,8 +938,8 @@ def test_cli_import_loads_every_benchmarked_module_and_no_scipy():
 
 
 def test_cli_import_loads_no_process_pool():
-    # explain and training fork, and they import multiprocessing only where
-    # they fork
+    # explain, eval and training fork, and they import multiprocessing only
+    # where they fork
     code = "\n".join([
         "import json, sys",
         f"sys.path[:0] = [{str(Path(__file__).resolve().parents[1] / 'src')!r}]",

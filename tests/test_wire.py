@@ -203,7 +203,7 @@ def _rename_entry(buf: bytes, old: str, new: str) -> bytes:
 def test_repeated_section_unknown_kind_and_repeated_name_rejected(tmp_path):
     # the encoder writes the sections of its kind, a known kind, and sorted
     # unique names; a buffer that breaks any of these must not decode
-    section = wire._encode_entries({"w": np.ones(2)})
+    section = b"".join(wire._entry_chunks({"w": np.ones(2)}))
     with pytest.raises(wire.WireError, match="left over"):
         wire.decode_message(_raw_message(wire.KIND_UPLOAD, 0, section, section),
                             wire.KIND_UPLOAD, 0)
