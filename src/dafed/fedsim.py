@@ -16,6 +16,8 @@ meaningful.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import logging
 from collections import deque
 from dataclasses import dataclass, field
@@ -33,7 +35,7 @@ from .network import (Batch, eval_class_probs, make_batch, model_forward, param_
 from .optim import Adam, LrProfile, ParamStore, adam_step, is_running_stat, lr_at
 from .tensor import Tensor, backward
 from . import wire
-from .workers import Workers, process_count
+from .workers import Workers, in_item_order, process_count, until_error
 
 logger = logging.getLogger(__name__)
 
@@ -411,24 +413,13 @@ def run_targets(states: list[SiteState], model: bytes, central, round_idx: int,
     rows of the targets that finished, in order, and the error that stopped
     the next one, or None. `central` is called after an error too, so the
     central message is always taken."""
-    trained, error = [], None
-    for state in states:
-        try:
-            trained.append(_train_phase(state, model, round_idx, total_rounds, settings))
-        except Exception as err:  # the caller raises it in site order
-            error = err
-            break
+    trained, error = until_error(
+        lambda state: _train_phase(state, model, round_idx, total_rounds, settings), states)
     central_bytes = central()
-    uploads, rows = [], []
-    for state, done in zip(states, trained):
-        try:
-            upload, row = _finish_phase(state, done, central_bytes, round_idx, noise)
-        except Exception as err:  # it comes before a failed train phase in site order
-            error = err
-            break
-        uploads.append(upload)
-        rows.append(row)
-    return uploads, rows, error
+    finished, finish_error = until_error(
+        lambda done: _finish_phase(*done, central_bytes, round_idx, noise), zip(states, trained))
+    # a failed finish comes before a failed train phase in site order
+    return [upload for upload, _ in finished], [row for _, row in finished], finish_error or error
 
 
 class _TargetWorkers:
@@ -438,11 +429,11 @@ class _TargetWorkers:
     source step, gets the fewest targets, and at least one. With one process
     nothing forks.
 
-    The workers are forked at the first central message, after this
-    process's first training forward, and from then on each one holds its
-    targets' states. Per round a worker receives the round and the model
-    message, runs its targets' train phases, receives the central message,
-    finishes them, and returns their rows and error, then their upload bytes."""
+    The workers are forked at the central message of the first round this
+    object runs, after this process's training forward, and from then on
+    each one holds its targets' states and counts rounds from that round.
+    Per round a worker receives the model message and then the central
+    message, and returns its targets' rows and error, then their uploads."""
 
     def __init__(self, targets: list[SiteState], processes: int, total_rounds: int,
                  settings: TrainSettings, noise: NoiseSpec):
@@ -450,53 +441,49 @@ class _TargetWorkers:
         self.step_args = (total_rounds, settings, noise)
         self.workers = None
 
-    def _send_model(self, round_idx: int, model: bytes):
-        for k in range(len(self.shares) - 1):
-            self.workers.send(k, round_idx)
-            self.workers.send(k, model, raw=True)
-
-    def run_round(self, round_idx: int, model: bytes, central_step) -> dict:
-        """Per target index, (its received upload, its row) or the error that
-        stopped it; a target after a failed one in its share has neither.
-        `central_step()` runs the source step and returns the central
-        message, after this process's train phases."""
-        processes = len(self.shares)
+    def run_round(self, round_idx: int, model: bytes, central_step) -> list:
+        """Per target, in target order, its received upload and its row; the
+        error of the first target that failed, in a phase or in the check of
+        its upload, is raised instead. `central_step()` runs the source step
+        and returns the central message, after this process's train phases."""
+        forked = range(len(self.shares) - 1)
         if self.workers is not None:
-            self._send_model(round_idx, model)
+            for k in forked:
+                self.workers.send(k, model)
 
         def central() -> bytes:
             msg = central_step()
             if self.workers is None:
-                self.workers = Workers(self._serve, processes - 1, "target worker")
-                self._send_model(round_idx, model)
-            for k in range(processes - 1):
-                self.workers.send(k, msg, raw=True)
+                self.workers = Workers(functools.partial(self._serve, round_idx), len(forked),
+                                       "target worker")
+                for k in forked:
+                    self.workers.send(k, model)
+            for k in forked:
+                self.workers.send(k, msg)
             return msg
 
-        here = run_targets(self.shares[-1], model, central, round_idx, *self.step_args)
-        results = {}
+        def check_uploads(share, uploads, rows, error):
+            done, bad = until_error(
+                lambda sent: (_receive_upload(sent[1], round_idx, sent[0].site_id), sent[2]),
+                zip(share, uploads, rows))
+            return done, bad or error  # a bad upload comes before the share's error
+
         # this process's share first: its uploads decode while the workers finish
-        for k in [processes - 1, *range(processes - 1)]:
-            uploads, rows, error = here if k == processes - 1 else self._reply(k)
-            for j, (upload, row) in enumerate(zip(uploads, rows)):
-                try:
-                    results[k + j * processes] = (
-                        _receive_upload(upload, round_idx, self.shares[k][j].site_id), row)
-                except (TrainingDiverged, wire.WireError) as err:
-                    results[k + j * processes] = err
-            if error is not None:
-                results[k + len(rows) * processes] = error
-        return results
+        here = check_uploads(self.shares[-1], *run_targets(self.shares[-1], model, central,
+                                                           round_idx, *self.step_args))
+        shares = []
+        for k in forked:
+            rows, error = self.workers.receive(k)
+            uploads = [self.workers.receive(k, raw=True) for _ in rows]
+            shares.append(check_uploads(self.shares[k], uploads, rows, error))
+        return in_item_order(shares + [here])
 
-    def _reply(self, k: int):
-        rows, error = self.workers.receive(k)
-        return [self.workers.receive(k, raw=True) for _ in rows], rows, error
-
-    def _serve(self, k: int, conn):
-        """Worker k's rounds. The central message is read even after a train
-        phase failed, so the parent's send of it never finds the pipe closed.
-        The model's weights with the central running statistics are the next
-        round's contrastive positive, decoded here once."""
+    def _serve(self, first_round: int, k: int, conn):
+        """Worker k's rounds, counted from the one it was forked in. The
+        central message is read even after a train phase failed, so the
+        parent's send of it never finds the pipe closed. The model's weights
+        with the central running statistics are the next round's contrastive
+        positive, decoded here once."""
         states = self.shares[k]
         received = []
 
@@ -504,9 +491,8 @@ class _TargetWorkers:
             received[:] = [conn.recv_bytes()]
             return received[0]
 
-        while True:
+        for round_idx in itertools.count(first_round):
             try:
-                round_idx = conn.recv()
                 model = conn.recv_bytes()
                 uploads, rows, error = run_targets(states, model, central, round_idx,
                                                    *self.step_args)
@@ -554,15 +540,8 @@ def multi_site_round(theta_global: ParamStore, source: SiteState,
         src_row["bytes_up"] = len(model) + len(central)
         return central
 
-    results = workers.run_round(round_idx, model, central_step)
-    rows = [src_row]
-    uploads = []
-    for i in range(len(targets)):  # a target after one that failed has no result
-        if isinstance(results[i], Exception):
-            raise results[i]
-        received, row = results[i]
-        uploads.append(received)
-        rows.append(row)
+    received = workers.run_round(round_idx, model, central_step)
+    rows = [src_row] + [row for _, row in received]
     src_row["bytes_down"] = sum(row["bytes_up"] for row in rows[1:])
     # the source step moved only theta_global's running statistics, after the
     # model message was encoded, and nothing writes to it after the central
@@ -570,7 +549,7 @@ def multi_site_round(theta_global: ParamStore, source: SiteState,
     # process (a worker decodes its own), read only in evaluation mode
     for state in [source] + targets:
         state.prev_global = theta_global
-    return aggregate(uploads), rows
+    return aggregate([upload for upload, _ in received]), rows
 
 
 def two_site_round(source: SiteState, target: SiteState, round_idx: int,

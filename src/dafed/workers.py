@@ -1,7 +1,9 @@
-"""Processes forked from this one: how many the host affords, and one helper
-that starts them, reaches them over pipes and reaps them. `explain` scores
-its subject shards in them, `eval` its site shards, and training runs target
-sites in them.
+"""Processes forked from this one: how many the host affords, one helper
+that starts them, reaches them over pipes and reaps them, and one rule for
+what they return. `explain` deals its subjects over them round robin, `eval`
+its sites and training its target sites. Each shard runs its items until one
+raises (`until_error`), and `in_item_order` merges the shards in item order
+and raises the first failing item's error, as one process would.
 
 Forking, not spawning, is the point: a forked process already holds every
 object its work reads, so nothing is pickled on the way in. It is safe here
@@ -12,6 +14,7 @@ so a run that forks nothing never loads it.
 
 from __future__ import annotations
 
+import itertools
 import os
 
 
@@ -82,13 +85,10 @@ class Workers:
         return ChildProcessError(f"{self.what} {k + 1}: its process exited with code "
                                  f"{proc.exitcode} before it replied")
 
-    def send(self, k: int, obj, raw: bool = False):
-        """Pickle `obj` to worker k, or with `raw`, send the bytes `obj` as they are."""
+    def send(self, k: int, data: bytes):
+        """Send the bytes `data` to worker k, as they are."""
         try:
-            if raw:
-                self.conns[k].send_bytes(obj)
-            else:
-                self.conns[k].send(obj)
+            self.conns[k].send_bytes(data)
         except (BrokenPipeError, ConnectionResetError):
             raise self._lost(k) from None
 
@@ -108,29 +108,44 @@ class Workers:
             proc.join()
 
 
+def until_error(fn, items) -> tuple[list, Exception | None]:
+    """[fn(x) for x in items] up to the first call that raises: the results
+    before it, and its error, or None when every call returned."""
+    done = []
+    for x in items:
+        try:
+            done.append(fn(x))
+        except Exception as err:  # in_item_order raises it in item order
+            return done, err
+    return done, None
+
+
+def in_item_order(shards: list) -> list:
+    """The results of items dealt round robin over the shards, in item order,
+    from each shard's `until_error` pair; the error of the first item that
+    failed is raised instead."""
+    processes = len(shards)
+    results = []
+    for i in itertools.count():
+        done, error = shards[i % processes]
+        if i // processes < len(done):
+            results.append(done[i // processes])
+        elif error is None:  # shard i % processes ran all its items, so item i does not exist
+            return results
+        else:
+            raise error
+
+
 def run_shards(fn, items: list, processes: int, what: str) -> list:
     """[fn(x) for x in items], with the items dealt round robin over
     `processes` shards: shard 0 runs in this process, each other shard in a
     process forked from it, so `fn` and what it reads are never pickled.
-    An error raised by a shard is raised here, and a shard process that dies
-    is reported as `what k`. No process outlives the call."""
-
-    def shard(k):
-        return [fn(x) for x in items[k::processes]]
+    The error of the first item that failed is raised here, and a shard
+    process that dies is reported as `what k`. No process outlives the call."""
 
     def send_shard(k, conn):
-        try:
-            result = (True, shard(k + 1))
-        except Exception as err:  # this process re-raises it
-            result = (False, err)
-        conn.send(result)
+        conn.send(until_error(fn, items[k + 1::processes]))
 
-    results = [None] * len(items)
     with Workers(send_shard, processes - 1, what) as workers:
-        results[::processes] = shard(0)
-        for k in range(1, processes):
-            ok, value = workers.receive(k - 1)
-            if not ok:
-                raise value
-            results[k::processes] = value
-    return results
+        here = until_error(fn, items[::processes])
+        return in_item_order([here] + [workers.receive(k) for k in range(processes - 1)])

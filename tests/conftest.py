@@ -17,6 +17,17 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
 assert "numpy" not in sys.modules, "numpy loaded before the BLAS thread count was set"
 
 import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+
+@pytest.fixture(autouse=True)
+def no_forked_process_is_left():
+    """Every test reaps the processes it forked. A test process that has not
+    loaded `multiprocessing` forked none, and this check does not load it."""
+    yield
+    multiprocessing = sys.modules.get("multiprocessing")
+    if multiprocessing is not None:
+        assert multiprocessing.active_children() == []
 
 
 def numeric_grads(scalar_fn, arrays, h=1e-5):

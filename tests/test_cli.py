@@ -730,6 +730,25 @@ def test_an_eval_shard_error_exits_1_and_leaves_no_process(trained4, capsys, mon
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("processes", [1, 2, 3])
+def test_eval_reports_the_first_failing_sites_error_at_any_process_count(
+        trained4, capsys, monkeypatch, processes):
+    # edge and edge2 both fail: with 2 processes edge2 is scored here and
+    # edge in the fork, with 3 each in a fork of its own
+    cfg, ckpt = trained4
+    predict = explain.dataset_predictions
+
+    def failing_predictions(theta, ds):
+        if ds.site_id in ("edge", "edge2"):
+            raise ValueError(f"planted failure at {ds.site_id}")
+        return predict(theta, ds)
+
+    monkeypatch.setattr(explain, "dataset_predictions", failing_predictions)
+    monkeypatch.setattr(explain, "process_count", lambda n: processes)
+    assert _eval(cfg, ckpt) == 1
+    assert capsys.readouterr().err == "error: planted failure at edge\n"
+
+
 def test_an_eval_shard_process_that_dies_exits_1(trained4, capsys, monkeypatch):
     import multiprocessing
 

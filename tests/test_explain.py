@@ -403,6 +403,27 @@ def test_a_shard_error_is_reraised_and_leaves_no_process(cohort, monkeypatch, fa
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("processes", [1, 2, 3])
+def test_explain_raises_the_first_failing_subjects_error_at_any_process_count(
+        cohort, monkeypatch, processes):
+    # subjects 1 and 2 both fail: with 2 processes subject 2 is scored here
+    # and subject 1 in the fork, with 3 each in a fork of its own
+    theta, datasets = cohort
+    bad = [sid for ds in datasets for sid in sorted(ds.subject_index)][1:3]
+    cam = explain.score_cam
+
+    def failing_cam(theta, graph, target_class):
+        if graph.subject_id in bad:
+            raise ArithmeticError(f"planted failure on {graph.subject_id}")
+        return cam(theta, graph, target_class)
+
+    monkeypatch.setattr(explain, "score_cam", failing_cam)
+    monkeypatch.setattr(explain, "process_count", lambda n: processes)
+    with pytest.raises(ArithmeticError) as exc:
+        explain.explain_cohort(theta, datasets, 2, 1, windows=2, seed=0)
+    assert str(exc.value) == f"planted failure on {bad[0]}"
+
+
 def test_a_process_that_dies_is_reported_and_leaves_no_process(cohort, monkeypatch):
     theta, datasets = cohort
     parent = os.getpid()

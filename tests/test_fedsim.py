@@ -25,6 +25,7 @@ from dafed.fedsim import (NoiseSpec, SiteState, TrainSettings, add_noise, aggreg
 from dafed.network import init_theta, param_groups
 from dafed.optim import Adam, LrProfile, ParamStore, is_running_stat
 from dafed.tensor import Tensor
+from dafed.workers import Workers
 
 
 def _store(**arrays):
@@ -797,6 +798,45 @@ def test_no_worker_is_alive_at_the_first_training_forward(monkeypatch, processes
     run_training(_settings(rounds=2), datasets, roles)
     assert children[0] == 0 and max(children) == processes - 1
     assert multiprocessing.active_children() == []
+
+
+def test_a_worker_forked_after_round_0_counts_rounds_from_there(monkeypatch):
+    # rounds 0 and 1 run in one process, rounds 2 to 4 with one worker for
+    # edge0 and edge2, as a resumed run would fork it; per round the worker
+    # is sent the model message and the central message, and nothing else
+    datasets, roles = _three_target_world()
+    settings = _settings(rounds=5, alpha=0.01)
+    monkeypatch.setattr(fedsim, "process_count", lambda n: 1)
+    serial = run_training(settings, datasets, roles)
+
+    noise = NoiseSpec(alpha=settings.alpha, key=(settings.seed, "noise"))
+    theta = init_theta(10, settings.seed)
+    source, targets = build_states(datasets, roles, theta)
+    sent, metrics, forked = [], [], None
+    real_send = Workers.send
+
+    def recorded_send(self, k, data):
+        sent.append((k, data))
+        return real_send(self, k, data)
+
+    monkeypatch.setattr(Workers, "send", recorded_send)
+    try:
+        for round_idx in range(5):
+            if round_idx == 2:
+                forked = fedsim._TargetWorkers(targets, 2, 5, settings, noise)
+            sent.clear()
+            theta, rows = multi_site_round(theta, source, targets, round_idx, 5, settings,
+                                           noise, forked)
+            metrics.extend(rows)
+            assert [k for k, _ in sent] == ([] if forked is None else [0, 0])
+            for (_, data), kind in zip(sent, (wire.KIND_MODEL, wire.KIND_CENTRAL)):
+                assert type(data) is bytes
+                wire.decode_message(data, kind, round_idx)  # refuses another kind or round
+    finally:
+        if forked is not None:
+            forked.close()
+    assert _params_digest(theta) == _params_digest(serial.theta)
+    assert _rows_digest(metrics) == _rows_digest(serial.metrics)
 
 
 def test_training_diverged_survives_pickling():
