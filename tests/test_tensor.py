@@ -1,6 +1,8 @@
 """Primitive-level checks: forward examples, shape errors, and analytic
 gradients against the central-difference oracle."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -395,6 +397,74 @@ def test_batch_norm_train_is_bitwise(shape, seed):
         assert rv.data.tobytes() == want_rv.tobytes()
         for (_, vjp), expected in zip(out.parents, vjps(g)):
             assert vjp(g).tobytes() == expected.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf and NaN inputs
+@pytest.mark.parametrize("seed", range(3))
+def test_batch_norm_train_is_bitwise_with_and_without_the_tape(seed):
+    shape, c = (4, 5, 7), 7
+    x, gamma, beta, rmean, rvar, g = [edge_array(s, seed + i)
+                                      for i, s in enumerate((shape, c, c, c, c, shape))]
+    want, want_rm, want_rv, vjps = _old_bn_train(x, gamma, beta, rmean, rvar)
+    outs = []
+    for recording in (True, False):
+        rm, rv = tt.Tensor(rmean.copy()), tt.Tensor(rvar.copy())
+        with contextlib.nullcontext() if recording else tt.no_grad():
+            out = tt.batch_norm(tt.Tensor(x), tt.Tensor(gamma), tt.Tensor(beta), rm, rv, train=True)
+        assert out.data.tobytes() == want.tobytes()
+        assert rm.data.tobytes() == want_rm.tobytes()
+        assert rv.data.tobytes() == want_rv.tobytes()
+        outs.append(out)
+    assert outs[1].parents == ()
+    assert [vjp(g).tobytes() for _, vjp in outs[0].parents] == [v.tobytes() for v in vjps(g)]
+    assert x.tobytes() == edge_array(shape, seed).tobytes()  # input untouched
+
+
+def _old_leaky_relu(x, slope=0.01):
+    mask = x > 0
+    return np.where(mask, x, slope * x), lambda g: [g * np.where(mask, 1.0, slope)]
+
+
+def _old_clip(x, lo=-1.0, hi=1.0):
+    inside = (x > lo) & (x < hi)
+    return np.clip(x, lo, hi), lambda g: [g * inside]
+
+
+def _old_cosine(a, b):
+    na, nb = np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1)
+    denom = na * nb
+    bad = denom == 0.0
+    safe = np.where(bad, 1.0, denom)
+    sim = np.where(bad, 0.0, (a * b).sum(axis=1) / safe)
+
+    def vjps(g):
+        g = np.where(bad, 0.0, g)[:, None]
+        return [g * (b / safe[:, None] - sim[:, None] * a / np.where(bad, 1.0, na * na)[:, None]),
+                g * (a / safe[:, None] - sim[:, None] * b / np.where(bad, 1.0, nb * nb)[:, None])]
+
+    return sim, vjps
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf and NaN inputs
+@pytest.mark.parametrize("build,old,shapes", [
+    (lambda a: tt.leaky_relu(a, 0.01), _old_leaky_relu, [(6, 5, 7)]),
+    (lambda a: tt.clip(a, -1.0, 1.0), _old_clip, [(6, 5, 7)]),
+    (tt.cosine_similarity, _old_cosine, [(9, 7), (9, 7)]),
+], ids=["leaky_relu", "clip", "cosine_similarity"])
+@pytest.mark.parametrize("seed", range(4))
+def test_op_is_bitwise_with_and_without_the_tape(build, old, shapes, seed):
+    arrays = [edge_array(s, seed + i) for i, s in enumerate(shapes)]
+    arrays[0][0] = 0.0  # a zero row for cosine_similarity
+    if len(arrays) > 1:
+        arrays[1][1] = -0.0
+    want, vjps = old(*[a.copy() for a in arrays])
+    with tt.no_grad():
+        fast = build(*[tt.Tensor(a) for a in arrays])
+    recorded = build(*[tt.Tensor(a) for a in arrays])
+    assert fast.parents == () and len(recorded.parents) == len(arrays)
+    assert fast.data.tobytes() == recorded.data.tobytes() == want.tobytes()
+    g = edge_array(want.shape, seed + 10)
+    assert [vjp(g).tobytes() for _, vjp in recorded.parents] == [v.tobytes() for v in vjps(g)]
 
 
 @pytest.mark.parametrize("seed", range(3))
