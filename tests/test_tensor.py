@@ -1,7 +1,9 @@
 """Primitive-level checks: forward examples, shape errors, and analytic
 gradients against the central-difference oracle."""
 
+import ast
 import contextlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -490,3 +492,22 @@ def test_held_batch_stats_fold_later_to_the_bits_of_an_in_place_fold(seed):
     assert rm.data.tobytes() == want_rm.data.tobytes()
     assert rv.data.tobytes() == want_rv.data.tobytes()
     assert not np.array_equal(want_rm.data, mean1)
+
+
+def test_only_the_tape_switches_read_the_recording_flag():
+    """One path per op: `_RECORDING` is read only by `no_grad`, which sets
+    it, by `Tensor.__init__`, which drops the parents off the tape, and by
+    `batch_norm`, whose output overwrites its normalized input off the tape."""
+    tree = ast.parse(Path(tt.__file__).read_text())
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    defs.update((f"{cls.name}.{node.name}", node) for cls in tree.body
+                if isinstance(cls, ast.ClassDef) for node in cls.body
+                if isinstance(node, ast.FunctionDef))
+
+    def reads(node):
+        return sum(isinstance(n, ast.Name) and n.id == "_RECORDING" and isinstance(n.ctx, ast.Load)
+                   for n in ast.walk(node))
+
+    readers = {name for name, node in defs.items() if reads(node)}
+    assert readers <= {"Tensor.__init__", "no_grad", "batch_norm"}
+    assert reads(tree) == sum(reads(defs[name]) for name in readers)  # none outside a function
