@@ -35,7 +35,7 @@ from .network import (Batch, eval_class_probs, make_batch, model_forward, param_
 from .optim import Adam, LrProfile, ParamStore, adam_step, is_running_stat, lr_at
 from .tensor import Tensor, backward
 from . import wire
-from .workers import Workers, in_item_order, process_count, until_error
+from .workers import Workers, in_item_order, process_count, send_outcome, until_error
 
 logger = logging.getLogger(__name__)
 
@@ -496,7 +496,7 @@ class _TargetWorkers:
                 model = conn.recv_bytes()
                 uploads, rows, error = run_targets(states, model, central, round_idx,
                                                    *self.step_args)
-                conn.send((rows, error))
+                send_outcome(conn, f"target worker {k + 1}", (rows, error))
                 for upload in uploads:
                     conn.send_bytes(upload)
             except (EOFError, BrokenPipeError):  # the parent closed its end, or died

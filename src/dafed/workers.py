@@ -3,7 +3,9 @@ that starts them, reaches them over pipes and reaps them, and one rule for
 what they return. `explain` deals its subjects over them round robin, `eval`
 its sites and training its target sites. Each shard runs its items until one
 raises (`until_error`), and `in_item_order` merges the shards in item order
-and raises the first failing item's error, as one process would.
+and raises the first failing item's error, as one process would. A forked
+process sends that pair with `send_outcome`, which turns an error that
+cannot cross the pipe into a ChildProcessError naming it.
 
 Forking, not spawning, is the point: a forked process already holds every
 object its work reads, so nothing is pickled on the way in. It is safe here
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import pickle
 
 
 def process_count(items: int) -> int:
@@ -108,6 +111,19 @@ class Workers:
             proc.join()
 
 
+def send_outcome(conn, name: str, outcome: tuple[list, Exception | None]):
+    """Send an `until_error` pair from the forked process `name` over `conn`.
+    An error that does not survive a pickle round trip is sent as a
+    ChildProcessError naming the process, the error's type and its message."""
+    done, error = outcome
+    if error is not None:
+        try:
+            pickle.loads(pickle.dumps(error))
+        except Exception:
+            error = ChildProcessError(f"{name}: {type(error).__name__}: {error}")
+    conn.send((done, error))
+
+
 def until_error(fn, items) -> tuple[list, Exception | None]:
     """[fn(x) for x in items] up to the first call that raises: the results
     before it, and its error, or None when every call returned."""
@@ -144,7 +160,7 @@ def run_shards(fn, items: list, processes: int, what: str) -> list:
     process that dies is reported as `what k`. No process outlives the call."""
 
     def send_shard(k, conn):
-        conn.send(until_error(fn, items[k + 1::processes]))
+        send_outcome(conn, f"{what} {k + 1}", until_error(fn, items[k + 1::processes]))
 
     with Workers(send_shard, processes - 1, what) as workers:
         here = until_error(fn, items[::processes])

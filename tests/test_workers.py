@@ -37,3 +37,33 @@ def test_run_shards_raises_the_first_failing_items_error(processes):
                       "shard") == [0, 1, 4, 25, 36]
     with pytest.raises(ValueError, match="^planted failure at item 3$"):
         run_shards(_square_unless_planted, list(range(7)), processes, "shard")
+
+
+class _HoldsALambda(Exception):
+    def __init__(self):
+        super().__init__("holds a lambda")
+        self.callback = lambda: None
+
+
+class _NeedsTwoArguments(Exception):
+    def __init__(self, what, where):
+        super().__init__(f"{what} at {where}")
+
+
+@pytest.mark.parametrize("error,message", [
+    (_HoldsALambda, "_HoldsALambda: holds a lambda"),
+    (lambda: _NeedsTwoArguments("planted", "item 1"), "_NeedsTwoArguments: planted at item 1"),
+], ids=["unpicklable", "unpickles-to-TypeError"])
+def test_an_error_that_does_not_pickle_comes_back_named(error, message, capfd):
+    # item 1 fails in the forked shard; its error cannot cross the pipe as it is
+    def fn(x):
+        if x == 1:
+            raise error()
+        return x
+
+    with pytest.raises(ChildProcessError) as exc:
+        run_shards(fn, [0, 1, 2, 3], 2, "shard")
+    assert str(exc.value) == f"shard 1: {message}"
+    assert capfd.readouterr().err == ""  # and no pickling traceback from the shard
+    with pytest.raises(type(error())):  # in one process, the error as it was raised
+        run_shards(fn, [0, 1, 2, 3], 1, "shard")
