@@ -38,6 +38,13 @@ def _fmt(value) -> str:
     return repr(value)
 
 
+def _write_csv(path, header: list[str], rows):
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+
 def _load_datasets(cfg: RunConfig) -> list[data_mod.SiteDataset]:
     """The configured sites in config order. With `use_stfg` off every
     window's propagation is the identity, so no layer aggregates neighbors.
@@ -101,12 +108,8 @@ def cmd_synth(args) -> int:
         with open(out / rel, "w", newline="") as fh:
             for row in ts.values:
                 fh.write(",".join(repr(float(v)) for v in row) + "\n")
-        label = "" if ts.label is None else str(ts.label)
-        rows.append((ts.subject_id, ts.site_id, label, str(rel)))
-    with open(out / "manifest.csv", "w", newline="") as fh:
-        fh.write("subject_id,site_id,label,path\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        rows.append((ts.subject_id, ts.site_id, "" if ts.label is None else ts.label, str(rel)))
+    _write_csv(out / "manifest.csv", ["subject_id", "site_id", "label", "path"], rows)
     print(f"wrote {len(rows)} subjects across {len(cfg.site_specs)} sites to {out}")
     return 0
 
@@ -134,10 +137,8 @@ def cmd_train(args) -> int:
 
     result = fedsim.run_training(settings, datasets, cfg.roles(), on_round=on_round)
     wire.save_checkpoint(out / "checkpoint_final.ckpt", result.theta, settings.rounds, digest)
-    with open(out / "metrics.csv", "w", newline="") as fh:
-        fh.write(",".join(METRICS_HEADER) + "\n")
-        for row in result.metrics:
-            fh.write(",".join(_fmt(row[col]) for col in METRICS_HEADER) + "\n")
+    _write_csv(out / "metrics.csv", METRICS_HEADER,
+               ([row[col] for col in METRICS_HEADER] for row in result.metrics))
     for ds in datasets:
         subjects = len(ds.subject_index)
         print(f"site {ds.site_id}: {len(ds)} windows "
@@ -187,19 +188,14 @@ def cmd_explain(args) -> int:
                                         windows=cfg.explain_windows, seed=cfg.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "saliency.csv", "w", newline="") as fh:
-        fh.write("roi_index,layer,class,mean_score\n")
-        for l, pooled in enumerate(result.saliency, start=1):
-            for roi, score in enumerate(pooled):
-                fh.write(f"{roi},{l},{target_class},{_fmt(score)}\n")
-    with open(out / "edges.csv", "w", newline="") as fh:
-        fh.write("roi_a,roi_b,correlation,p_value\n")
-        for e in result.edges:
-            fh.write(f"{e.roi_a},{e.roi_b},{_fmt(e.correlation)},{_fmt(e.p_value)}\n")
-    with open(out / "faithfulness.csv", "w", newline="") as fh:
-        fh.write("layer,class,mask,average_drop,average_increase\n")
-        for mask, (drop, inc) in result.faithfulness.items():
-            fh.write(f"{layer},{target_class},{mask},{_fmt(drop)},{_fmt(inc)}\n")
+    _write_csv(out / "saliency.csv", ["roi_index", "layer", "class", "mean_score"],
+               ((roi, l, target_class, score) for l, pooled in enumerate(result.saliency, start=1)
+                for roi, score in enumerate(pooled)))
+    _write_csv(out / "edges.csv", ["roi_a", "roi_b", "correlation", "p_value"],
+               ((e.roi_a, e.roi_b, e.correlation, e.p_value) for e in result.edges))
+    _write_csv(out / "faithfulness.csv", ["layer", "class", "mask", "average_drop", "average_increase"],
+               ((layer, target_class, mask, drop, inc)
+                for mask, (drop, inc) in result.faithfulness.items()))
     (drop, inc), (drop_ctl, inc_ctl) = result.faithfulness["saliency"], result.faithfulness["random"]
     print(f"layer {layer} class {target_class}: "
           f"average drop {drop:.2f}% (random control {drop_ctl:.2f}%), "
