@@ -254,8 +254,7 @@ def mean(a, axis=None) -> Tensor:
 
 
 def amax(a, axis: int) -> Tensor:
-    """Max along one axis: the first maximal element, which also takes the
-    whole gradient."""
+    """Max along one axis; ties route the gradient to the first maximal index."""
     a = _wrap(a)
     if a.shape[axis] == 0:
         raise ShapeError(f"amax: empty axis {axis} in shape {a.shape}")
@@ -270,7 +269,8 @@ def amax(a, axis: int) -> Tensor:
         out[ties] = tied[np.arange(tied.shape[0]), np.argmax(tied, axis=-1)]
 
     def vjp(g):
-        # argmax before np.zeros: the other order ran 2.5x slower on a (72, 32, 128) input
+        # argmax before np.zeros: the other order ran 2.5x slower on a (72, 32, 128)
+        # input (Xeon, numpy 2.4, one BLAS thread)
         arg = np.expand_dims(np.argmax(a.data, axis=axis), axis)
         full = np.zeros(a.shape)
         np.put_along_axis(full, arg, np.expand_dims(g, axis), axis=axis)

@@ -119,7 +119,7 @@ def send_outcome(conn, name: str, outcome: tuple[list, Exception | None]):
     if error is not None:
         try:
             pickle.loads(pickle.dumps(error))
-        except Exception:
+        except Exception:  # unpickling calls the error's class, which may raise anything
             error = ChildProcessError(f"{name}: {type(error).__name__}: {error}")
     conn.send((done, error))
 
