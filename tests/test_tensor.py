@@ -455,18 +455,20 @@ def _old_cosine(a, b):
 ], ids=["leaky_relu", "clip", "cosine_similarity"])
 @pytest.mark.parametrize("seed", range(4))
 def test_op_is_bitwise_with_and_without_the_tape(build, old, shapes, seed):
-    arrays = [edge_array(s, seed + i) for i, s in enumerate(shapes)]
-    arrays[0][0] = 0.0  # a zero row for cosine_similarity
-    if len(arrays) > 1:
-        arrays[1][1] = -0.0
-    want, vjps = old(*[a.copy() for a in arrays])
-    with tt.no_grad():
-        fast = build(*[tt.Tensor(a) for a in arrays])
-    recorded = build(*[tt.Tensor(a) for a in arrays])
-    assert fast.parents == () and len(recorded.parents) == len(arrays)
-    assert fast.data.tobytes() == recorded.data.tobytes() == want.tobytes()
-    g = edge_array(want.shape, seed + 10)
-    assert [vjp(g).tobytes() for _, vjp in recorded.parents] == [v.tobytes() for v in vjps(g)]
+    rng = np.random.default_rng(seed)
+    # edge values, and plain values, whose norms are finite
+    for arrays in ([edge_array(s, seed + i) for i, s in enumerate(shapes)],
+                   [rng.standard_normal(s) for s in shapes]):
+        if build is tt.cosine_similarity:  # zero-norm rows
+            arrays[0][0], arrays[1][1] = 0.0, -0.0
+        want, vjps = old(*arrays)
+        with tt.no_grad():
+            untaped = build(*[tt.Tensor(a) for a in arrays])
+        recorded = build(*[tt.Tensor(a) for a in arrays])
+        assert untaped.parents == () and len(recorded.parents) == len(arrays)
+        assert untaped.data.tobytes() == recorded.data.tobytes() == want.tobytes()
+        g = edge_array(want.shape, seed + 10)
+        assert [vjp(g).tobytes() for _, vjp in recorded.parents] == [v.tobytes() for v in vjps(g)]
 
 
 @pytest.mark.parametrize("seed", range(3))
