@@ -156,6 +156,40 @@ def test_build_graph_tie_break_is_first_index():
     assert adj[3, 0] == 0.3 and adj[3, 2] == 0.0
 
 
+def _top_k_by_stable_sort(fc, k):
+    """The top-k rule written as a full stable sort of each row by -|z|: the
+    k first entries of the sorted row, so ties keep their lowest indices."""
+    strength = np.abs(fc)
+    r = fc.shape[-1]
+    strength[..., np.arange(r), np.arange(r)] = -np.inf
+    top = np.argsort(-strength, axis=-1, kind="stable")[..., :k]
+    adj = np.zeros_like(strength)
+    np.put_along_axis(adj, top, np.take_along_axis(strength, top, axis=-1), axis=-1)
+    return np.maximum(adj, np.swapaxes(adj, -1, -2))
+
+
+@pytest.mark.parametrize("r", [2, 3, 7, 16])
+@pytest.mark.parametrize("seed", range(3))
+def test_top_k_adjacency_matches_the_stable_sort_rule(r, seed):
+    g = np.random.default_rng(seed)
+    ints = g.integers(-3, 4, size=(5, r, r)).astype(np.float64)
+    plain = g.standard_normal((5, r, r))
+    rows = np.repeat(g.integers(0, 3, size=(4, r, 1)).astype(np.float64), r, axis=-1)
+    stacks = {
+        "integer": ints + np.swapaxes(ints, -1, -2),  # ties are common
+        "negated integer": -(ints + np.swapaxes(ints, -1, -2)),  # -0.0 ties +0.0 in |z|
+        "plain": plain + np.swapaxes(plain, -1, -2),
+        "all equal": np.full((2, r, r), 0.25 * (seed + 1)),
+        "equal rows": np.minimum(rows, np.swapaxes(rows, -1, -2)),
+    }
+    for name, fc in stacks.items():
+        for k in range(1, r):  # k = 1 to k = R - 1
+            got = data.top_k_adjacency(fc, k)
+            want = _top_k_by_stable_sort(fc, k)
+            assert got.tobytes() == want.tobytes(), (name, k)
+            assert data.top_k_adjacency(fc[0], k).tobytes() == want[0].tobytes(), (name, k)
+
+
 def test_build_graph_k_out_of_range():
     fc = _sym(4, 0)
     with pytest.raises(ValueError):
