@@ -463,20 +463,23 @@ def gradients(loss: Tensor, wrt: Iterable[Tensor]) -> list[np.ndarray]:
 
     Adjoints are only formed on paths from the loss to a requested tensor: a
     VJP into a parent that reaches none of `wrt` (a constant input, or a
-    parameter nobody asked for) is never called. Every requested gradient
-    sums the same terms in the same order as a full sweep would.
+    parameter nobody asked for) is never called. An adjoint lives until its
+    node has passed it on to its parents; only the requested tensors'
+    adjoints are kept and returned. Every requested gradient sums the same
+    terms in the same order as a full sweep would.
     """
     if loss.size != 1:
         raise ShapeError(f"backward: loss must be a 1-element tensor, got shape {loss.shape}")
     wrt = list(wrt)
     order = _topo_order(loss)
-    live = {id(t) for t in wrt}
+    wanted = {id(t) for t in wrt}
+    live = set(wanted)
     for node in order:  # parents come before their children
         if any(id(parent) in live for parent, _ in node.parents):
             live.add(id(node))
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(order):
-        g = grads.get(id(node))
+    for node in reversed(order):  # every child has added its share by now
+        g = grads.get(id(node)) if id(node) in wanted else grads.pop(id(node), None)
         if g is None:
             continue
         for parent, vjp in node.parents:

@@ -3,6 +3,7 @@ gradients against the central-difference oracle."""
 
 import ast
 import contextlib
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -120,6 +121,59 @@ def test_diamond_graph_accumulates_once_per_node():
     sq = tt.mul(x, x)
     g = tt.gradients(tt.tsum(tt.add(sq, sq)), [x])[0]
     assert np.allclose(g, [12.0], atol=0)
+
+
+def _gradients_keeping_every_adjoint(loss, wrt):
+    """The reverse sweep that holds every node's adjoint to the end, the
+    reference for the sweep that drops each adjoint once it is passed on."""
+    grads = {id(loss): np.ones_like(loss.data)}
+    for node in reversed(tt._topo_order(loss)):
+        g = grads.get(id(node))
+        if g is None:
+            continue
+        for parent, vjp in node.parents:
+            pg = vjp(g)
+            acc = grads.get(id(parent))
+            grads[id(parent)] = pg if acc is None else acc + pg
+    return [grads[id(t)] for t in wrt]
+
+
+def _chain(x, n):
+    """n elementwise ops on x, each a new array of x's size."""
+    c = tt.Tensor(np.full(x.shape, 0.75))
+    steps = (lambda y: tt.scale(y, 0.9), lambda y: tt.add(y, c), lambda y: tt.mul(y, c),
+             lambda y: tt.leaky_relu(y, 0.1), lambda y: tt.clip(y, -3.0, 3.0))
+    y = x
+    for i in range(n):
+        y = steps[i % len(steps)](y)
+    return y
+
+
+def test_backward_memory_does_not_grow_with_the_chain():
+    # the tape holds each node's data; backward should hold only the
+    # adjoints still to be passed on, so its peak is a few arrays at any depth
+    x = tt.Tensor(np.random.default_rng(0).standard_normal(100_000))
+    loss = tt.tsum(_chain(x, 20))
+    tracemalloc.start()
+    try:
+        tt.gradients(loss, [x])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * x.data.nbytes
+
+
+def test_requested_intermediate_gets_its_full_adjoint():
+    # h feeds three children, and x reaches the loss only through h; both
+    # adjoints must be the bits of the sweep that keeps every adjoint
+    g = np.random.default_rng(1)
+    x = tt.Tensor(g.standard_normal((6, 5)))
+    w = tt.Tensor(g.standard_normal((5, 4)))
+    h = tt.leaky_relu(tt.matmul(x, w), 0.1)
+    loss = tt.tsum(tt.add(tt.mul(h, h), tt.add(tt.exp(tt.scale(h, 0.5)), _chain(h, 7))))
+    got = tt.gradients(loss, [h, x, w])
+    want = _gradients_keeping_every_adjoint(loss, [h, x, w])
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 RNG = np.random.default_rng(12345)
