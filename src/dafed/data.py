@@ -147,9 +147,13 @@ def top_k_adjacency(fc: np.ndarray, k: int) -> np.ndarray:
     strength = np.abs(fc)
     diag = np.arange(r)
     strength[..., diag, diag] = -np.inf
-    top = np.argsort(-strength, axis=-1, kind="stable")[..., :k]
-    adj = np.zeros_like(strength)
-    np.put_along_axis(adj, top, np.take_along_axis(strength, top, axis=-1), axis=-1)
+    # a row keeps every value above its k-th largest and, of the values equal
+    # to it, the lowest-index ones: the first k of a stable descending sort
+    kth = np.partition(strength, r - k, axis=-1)[..., r - k, None]
+    above = strength > kth
+    tied = strength == kth
+    keep = above | (tied & (np.cumsum(tied, axis=-1) <= k - above.sum(axis=-1, keepdims=True)))
+    adj = np.where(keep, strength, 0.0)
     return np.maximum(adj, np.swapaxes(adj, -1, -2))
 
 
