@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .data import SynthConfig, SynthSite
+from .data import SynthConfig, SynthSite, read_utf8
 from .fedsim import TrainSettings
 from .fusion import LABELED_ROLES, ROLE_SOURCE, ROLE_TARGET_LABELED, ROLES
 from .optim import LrProfile
@@ -162,7 +162,7 @@ def _parse(key: str, raw: str, kind: type):
 def _read_pairs(path: Path) -> dict[str, str]:
     pairs = {}
     try:
-        text = path.read_text(encoding="utf-8")
+        text = read_utf8(path, ConfigError)
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -219,6 +219,8 @@ def parse_config(path, overrides: dict | None = None) -> RunConfig:
             raise ConfigError(f"site.{i}.role is required")
         if role not in ROLES:
             raise ConfigError(f"site.{i}.role: expected one of {ROLES}, got {role!r}")
+        if raw.get("id") == "":
+            raise ConfigError(f"site.{i}.id must not be empty")
         numbers = {name: _parse(f"site.{i}.{name}", raw[name], kind)
                    for name, kind in (("shift", float), ("subjects", int), ("t_points", int))
                    if name in raw}

@@ -8,6 +8,7 @@ either the multi-site synthetic generator or user CSVs listed in a manifest.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
 from dataclasses import dataclass
@@ -334,10 +335,21 @@ class IngestError(ValueError):
     pass
 
 
+def read_utf8(path: Path, error: type[ValueError] = IngestError) -> str:
+    """A text file decoded as UTF-8; a byte that is not UTF-8 raises `error`
+    naming the file and the line it is on."""
+    raw = path.read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line = raw.count(b"\n", 0, err.start) + 1
+        raise error(f"{path}:{line}: not UTF-8 text") from None
+
+
 def _read_series_csv(path: Path) -> np.ndarray:
     rows = []
     width = None
-    with open(path, newline="") as fh:
+    with io.StringIO(read_utf8(path), newline="") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -367,7 +379,7 @@ def read_manifest(manifest_path) -> list[tuple[Path, TimeSeries]]:
     base = manifest_path.parent
     series = []
     first_line = {}  # (site_id, subject_id) -> manifest line
-    with open(manifest_path, newline="") as fh:
+    with io.StringIO(read_utf8(manifest_path), newline="") as fh:
         reader = csv.DictReader(fh)
         required = {"subject_id", "site_id", "label", "path"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):

@@ -131,6 +131,16 @@ def test_config_requires_one_source(tmp_path):
         parse_config(cfg)
 
 
+def test_empty_site_id_exits_2_naming_the_key(tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "run.cfg")
+    cfg.write_text(cfg.read_text().replace("site.1.id = edge", "site.1.id = "))
+    code = cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "site.1.id" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_config_defaults_and_overrides(tmp_path):
     cfg = write_cfg(tmp_path / "run.cfg")
     parsed = parse_config(cfg)
@@ -319,6 +329,25 @@ def test_bad_manifest_data_exits_2_naming_where(tmp_path, capsys, case, where):
     err = capsys.readouterr().err
     assert code == 2
     assert re.search(where, err) and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["config", "manifest", "series"])
+def test_non_utf8_input_exits_2_naming_file_and_line(tmp_path, capsys, kind):
+    data_dir = tmp_path / "d"
+    assert cli.main(["synth", "--config", str(write_cfg(tmp_path / "run.cfg")),
+                     "--out", str(data_dir)]) == 0
+    cfg = write_cfg(tmp_path / "mrun.cfg")
+    cfg.write_text(cfg.read_text().replace(
+        "data = synth", f"data = manifest\nmanifest = {data_dir / 'manifest.csv'}"))
+    bad = {"config": cfg, "manifest": data_dir / "manifest.csv",
+           "series": data_dir / "series" / "central_s000.csv"}[kind]
+    lines = bad.read_bytes().split(b"\n")
+    lines[3] += " # café".encode("latin-1") if kind == "config" else b"\xe9"
+    bad.write_bytes(b"\n".join(lines))
+    code = cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "t")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"error: {bad}:4: not UTF-8 text" in err and "Traceback" not in err
 
 
 def test_site_with_only_flat_windows_exits_2_naming_it(tmp_path):
