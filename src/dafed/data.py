@@ -337,12 +337,13 @@ class IngestError(ValueError):
 
 def read_utf8(path: Path, error: type[ValueError] = IngestError) -> str:
     """A text file decoded as UTF-8; a byte that is not UTF-8 raises `error`
-    naming the file and the line it is on."""
+    naming the file and the line it is on (lines end in \\n, \\r\\n or \\r)."""
     raw = path.read_bytes()
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as err:
-        line = raw.count(b"\n", 0, err.start) + 1
+        head = raw[:err.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         raise error(f"{path}:{line}: not UTF-8 text") from None
 
 

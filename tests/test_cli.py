@@ -331,8 +331,9 @@ def test_bad_manifest_data_exits_2_naming_where(tmp_path, capsys, case, where):
     assert re.search(where, err) and "Traceback" not in err
 
 
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
 @pytest.mark.parametrize("kind", ["config", "manifest", "series"])
-def test_non_utf8_input_exits_2_naming_file_and_line(tmp_path, capsys, kind):
+def test_non_utf8_input_exits_2_naming_file_and_line(tmp_path, capsys, kind, newline):
     data_dir = tmp_path / "d"
     assert cli.main(["synth", "--config", str(write_cfg(tmp_path / "run.cfg")),
                      "--out", str(data_dir)]) == 0
@@ -341,9 +342,9 @@ def test_non_utf8_input_exits_2_naming_file_and_line(tmp_path, capsys, kind):
         "data = synth", f"data = manifest\nmanifest = {data_dir / 'manifest.csv'}"))
     bad = {"config": cfg, "manifest": data_dir / "manifest.csv",
            "series": data_dir / "series" / "central_s000.csv"}[kind]
-    lines = bad.read_bytes().split(b"\n")
+    lines = bad.read_bytes().splitlines()
     lines[3] += " # café".encode("latin-1") if kind == "config" else b"\xe9"
-    bad.write_bytes(b"\n".join(lines))
+    bad.write_bytes(newline.join(lines) + newline)
     code = cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "t")])
     err = capsys.readouterr().err
     assert code == 2
