@@ -316,6 +316,9 @@ def main(argv=None) -> int:
     except MemoryError:
         print(f"error: out of memory during {args.command}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 def entry():

@@ -409,17 +409,17 @@ def run_targets(states: list[SiteState], model: bytes, central, round_idx: int,
                 total_rounds: int, settings: TrainSettings, noise: NoiseSpec):
     """A share of target sites' round, from the model message they received
     to the uploads they send: every train phase, then `central()` for the
-    central message's bytes, then every finish. Returns the upload bytes and
-    rows of the targets that finished, in order, and the error that stopped
-    the next one, or None. `central` is called after an error too, so the
-    central message is always taken."""
+    central message's bytes, then every finish. Returns an `until_error`
+    pair: the (upload bytes, row) of each target that finished, in order,
+    and the error that stopped the next one, or None. `central` is called
+    after an error too, so the central message is always taken."""
     trained, error = until_error(
         lambda state: _train_phase(state, model, round_idx, total_rounds, settings), states)
     central_bytes = central()
     finished, finish_error = until_error(
         lambda done: _finish_phase(*done, central_bytes, round_idx, noise), zip(states, trained))
     # a failed finish comes before a failed train phase in site order
-    return [upload for upload, _ in finished], [row for _, row in finished], finish_error or error
+    return finished, finish_error or error
 
 
 class _TargetWorkers:
@@ -433,7 +433,7 @@ class _TargetWorkers:
     object runs, after this process's training forward, and from then on
     each one holds its targets' states and counts rounds from that round.
     Per round a worker receives the model message and then the central
-    message, and returns its targets' rows and error, then their uploads."""
+    message, and replies once with its targets' `run_targets` pair."""
 
     def __init__(self, targets: list[SiteState], processes: int, total_rounds: int,
                  settings: TrainSettings, noise: NoiseSpec):
@@ -462,20 +462,17 @@ class _TargetWorkers:
                 self.workers.send(k, msg)
             return msg
 
-        def check_uploads(share, uploads, rows, error):
+        def check_uploads(share, outcome):
+            finished, error = outcome
             done, bad = until_error(
-                lambda sent: (_receive_upload(sent[1], round_idx, sent[0].site_id), sent[2]),
-                zip(share, uploads, rows))
+                lambda sent: (_receive_upload(sent[1], round_idx, sent[0]), sent[2]),
+                [(state.site_id, upload, row) for state, (upload, row) in zip(share, finished)])
             return done, bad or error  # a bad upload comes before the share's error
 
         # this process's share first: its uploads decode while the workers finish
-        here = check_uploads(self.shares[-1], *run_targets(self.shares[-1], model, central,
-                                                           round_idx, *self.step_args))
-        shares = []
-        for k in forked:
-            rows, error = self.workers.receive(k)
-            uploads = [self.workers.receive(k, raw=True) for _ in rows]
-            shares.append(check_uploads(self.shares[k], uploads, rows, error))
+        here = check_uploads(self.shares[-1], run_targets(self.shares[-1], model, central,
+                                                          round_idx, *self.step_args))
+        shares = [check_uploads(self.shares[k], self.workers.receive(k)) for k in forked]
         return in_item_order(shares + [here])
 
     def _serve(self, first_round: int, k: int, conn):
@@ -494,11 +491,8 @@ class _TargetWorkers:
         for round_idx in itertools.count(first_round):
             try:
                 model = conn.recv_bytes()
-                uploads, rows, error = run_targets(states, model, central, round_idx,
-                                                   *self.step_args)
-                send_outcome(conn, f"target worker {k + 1}", (rows, error))
-                for upload in uploads:
-                    conn.send_bytes(upload)
+                finished, error = run_targets(states, model, central, round_idx, *self.step_args)
+                send_outcome(conn, f"target worker {k + 1}", (finished, error))
             except (EOFError, BrokenPipeError):  # the parent closed its end, or died
                 return
             if error is not None:

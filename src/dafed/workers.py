@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import os
 import pickle
+import signal
 
 
 def process_count(items: int) -> int:
@@ -39,8 +40,10 @@ def process_count(items: int) -> int:
 
 
 def _enter(body, k: int, conn, inherited):
-    """The start of forked process k: drop the parent's ends of every pipe,
+    """The start of forked process k: ignore Ctrl-C, since the parent ends
+    and reaps its forked processes, and drop the parent's ends of every pipe,
     so that each one reads end-of-file once the parent's copy closes."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     for other in inherited:
         other.close()
     body(k, conn)
@@ -95,11 +98,11 @@ class Workers:
         except (BrokenPipeError, ConnectionResetError):
             raise self._lost(k) from None
 
-    def receive(self, k: int, raw: bool = False):
-        """The next object worker k sent, or with `raw`, its next bytes; a
-        worker that exited raises ChildProcessError."""
+    def receive(self, k: int):
+        """The next `send_outcome` pair worker k sent, unpickled; a worker
+        that exited raises ChildProcessError."""
         try:
-            return self.conns[k].recv_bytes() if raw else self.conns[k].recv()
+            return self.conns[k].recv()
         except (EOFError, ConnectionResetError):
             raise self._lost(k) from None
 

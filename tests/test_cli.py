@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -658,9 +659,11 @@ def test_a_failing_target_worker_exits_1(tmp_path, capsys, monkeypatch, failure,
     assert multiprocessing.active_children() == []
 
 
-def test_a_killed_train_leaves_no_worker(tmp_path):
+def _announced_train(tmp_path) -> str:
+    """A script that trains 500 rounds with one target worker and prints the
+    worker's pid as round 1 starts."""
     cfg = write_cfg(tmp_path / "run.cfg", rounds=500, extra=MORE_TARGETS)
-    code = "\n".join([
+    return "\n".join([
         "import multiprocessing, sys",
         f"sys.path[:0] = [{str(Path(__file__).resolve().parents[1] / 'src')!r}]",
         "from dafed import cli, fedsim",
@@ -671,10 +674,14 @@ def test_a_killed_train_leaves_no_worker(tmp_path):
         "        print(*[p.pid for p in multiprocessing.active_children()], flush=True)",
         "    return real_round(*args)",
         "fedsim.multi_site_round = announced_round",
-        f"cli.main(['train', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 't')!r}])",
+        f"sys.exit(cli.main(['train', '--config', {str(cfg)!r},",
+        f"                   '--out', {str(tmp_path / 't')!r}]))",
     ])
-    proc = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE, text=True)
+
+
+def test_a_killed_train_leaves_no_worker(tmp_path):
+    proc = subprocess.Popen([sys.executable, "-c", _announced_train(tmp_path)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     workers = []
     try:
         workers = [int(pid) for pid in proc.stdout.readline().split()]
@@ -688,6 +695,32 @@ def test_a_killed_train_leaves_no_worker(tmp_path):
         for pid in workers:  # a worker that did not exit must not outlive the test
             try:
                 os.kill(pid, 9)
+            except ProcessLookupError:
+                pass
+
+
+def test_an_interrupted_train_exits_130_and_leaves_no_worker(tmp_path):
+    # Ctrl-C reaches every process in the terminal's group: the worker
+    # ignores it, and the training process reaps the worker and says so once
+    proc = subprocess.Popen([sys.executable, "-c", _announced_train(tmp_path)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            start_new_session=True)
+    workers = []
+    try:
+        workers = [int(pid) for pid in proc.stdout.readline().split()]
+        assert len(workers) == 1
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=30)
+        assert (proc.returncode, err) == (130, "error: interrupted\n")
+        for pid in workers:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+    finally:
+        proc.kill()
+        proc.communicate()
+        for pid in workers:  # a worker that did not exit must not outlive the test
+            try:
+                os.kill(pid, signal.SIGKILL)
             except ProcessLookupError:
                 pass
 

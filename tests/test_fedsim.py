@@ -320,11 +320,11 @@ def _two_target_world():
 def _target_step(state, model, central, round_idx, total_rounds, settings, noise):
     """One target's round through the share function: its upload and row,
     or its error raised."""
-    uploads, rows, error = fedsim.run_targets([state], model, lambda: central, round_idx,
-                                              total_rounds, settings, noise)
+    finished, error = fedsim.run_targets([state], model, lambda: central, round_idx,
+                                         total_rounds, settings, noise)
     if error is not None:
         raise error
-    return uploads[0], rows[0]
+    return finished[0]
 
 
 def test_target_uploads_do_not_depend_on_the_target_order(monkeypatch):
@@ -351,9 +351,9 @@ def test_target_uploads_do_not_depend_on_the_target_order(monkeypatch):
 
     def uploads(states):
         copies = [copy.deepcopy(s) for s in states]
-        ups, _, error = fedsim.run_targets(copies, model, lambda: central, 1, 2, settings, noise)
+        finished, error = fedsim.run_targets(copies, model, lambda: central, 1, 2, settings, noise)
         assert error is None
-        return {s.site_id: up for s, up in zip(copies, ups)}
+        return {s.site_id: up for s, (up, _) in zip(copies, finished)}
 
     in_order, reversed_order = uploads(before), uploads(before[::-1])
     assert in_order == reversed_order
@@ -803,7 +803,8 @@ def test_no_worker_is_alive_at_the_first_training_forward(monkeypatch, processes
 def test_a_worker_forked_after_round_0_counts_rounds_from_there(monkeypatch):
     # rounds 0 and 1 run in one process, rounds 2 to 4 with one worker for
     # edge0 and edge2, as a resumed run would fork it; per round the worker
-    # is sent the model message and the central message, and nothing else
+    # is sent the model message and the central message, and nothing else,
+    # and replies once with its targets' (upload, row) pairs and no error
     datasets, roles = _three_target_world()
     settings = _settings(rounds=5, alpha=0.01)
     monkeypatch.setattr(fedsim, "process_count", lambda n: 1)
@@ -812,19 +813,25 @@ def test_a_worker_forked_after_round_0_counts_rounds_from_there(monkeypatch):
     noise = NoiseSpec(alpha=settings.alpha, key=(settings.seed, "noise"))
     theta = init_theta(10, settings.seed)
     source, targets = build_states(datasets, roles, theta)
-    sent, metrics, forked = [], [], None
-    real_send = Workers.send
+    sent, received, metrics, forked = [], [], [], None
+    real_send, real_receive = Workers.send, Workers.receive
 
     def recorded_send(self, k, data):
         sent.append((k, data))
         return real_send(self, k, data)
 
+    def recorded_receive(self, k):
+        received.append((k, real_receive(self, k)))
+        return received[-1][1]
+
     monkeypatch.setattr(Workers, "send", recorded_send)
+    monkeypatch.setattr(Workers, "receive", recorded_receive)
     try:
         for round_idx in range(5):
             if round_idx == 2:
                 forked = fedsim._TargetWorkers(targets, 2, 5, settings, noise)
             sent.clear()
+            received.clear()
             theta, rows = multi_site_round(theta, source, targets, round_idx, 5, settings,
                                            noise, forked)
             metrics.extend(rows)
@@ -832,6 +839,10 @@ def test_a_worker_forked_after_round_0_counts_rounds_from_there(monkeypatch):
             for (_, data), kind in zip(sent, (wire.KIND_MODEL, wire.KIND_CENTRAL)):
                 assert type(data) is bytes
                 wire.decode_message(data, kind, round_idx)  # refuses another kind or round
+            assert [k for k, _ in received] == ([] if forked is None else [0])
+            for _, (done, error) in received:
+                assert error is None and len(done) == 2
+                assert all(type(upload) is bytes and type(row) is dict for upload, row in done)
     finally:
         if forked is not None:
             forked.close()

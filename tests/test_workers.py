@@ -2,6 +2,8 @@
 item order, and the error of the first failing item is raised, as in one
 process."""
 
+import signal
+
 import pytest
 
 from dafed.workers import in_item_order, run_shards, until_error
@@ -37,6 +39,15 @@ def test_run_shards_raises_the_first_failing_items_error(processes):
                       "shard") == [0, 1, 4, 25, 36]
     with pytest.raises(ValueError, match="^planted failure at item 3$"):
         run_shards(_square_unless_planted, list(range(7)), processes, "shard")
+
+
+def test_a_forked_shard_ignores_ctrl_c_and_this_process_keeps_its_handler():
+    # the parent ends and reaps its forked processes on Ctrl-C, so they need
+    # not handle it, and a traceback from each would follow the parent's line
+    before = signal.getsignal(signal.SIGINT)
+    handlers = run_shards(lambda _: signal.getsignal(signal.SIGINT), [0, 1], 2, "shard")
+    assert handlers == [before, signal.SIG_IGN]
+    assert signal.getsignal(signal.SIGINT) is before
 
 
 class _HoldsALambda(Exception):
