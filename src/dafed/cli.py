@@ -38,11 +38,13 @@ def _fmt(value) -> str:
     return repr(value)
 
 
+def _csv_lines(rows) -> str:
+    return "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
+
+
 def _write_csv(path, header: list[str], rows):
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write(_csv_lines([header, *rows]))
 
 
 def _load_datasets(cfg: RunConfig) -> list[data_mod.SiteDataset]:
@@ -57,10 +59,12 @@ def _load_datasets(cfg: RunConfig) -> list[data_mod.SiteDataset]:
     known = {ds.site_id for ds in datasets}
     missing = set(roles) - known
     if missing:
-        raise ConfigError(f"config names sites absent from the data: {sorted(missing)}")
+        raise ConfigError(f"config names sites absent from {cfg.manifest_path()}: "
+                          f"{sorted(missing)}")
     extra = known - set(roles)
     if extra:
-        raise ConfigError(f"data contains sites without a configured role: {sorted(extra)}")
+        raise ConfigError(f"{cfg.manifest_path()} has sites without a configured "
+                          f"site.N.id: {sorted(extra)}")
     if not cfg.use_stfg:
         datasets = [replace(ds, propagation=np.broadcast_to(np.eye(ds.n_rois), ds.propagation.shape))
                     for ds in datasets]
@@ -130,15 +134,19 @@ def cmd_train(args) -> int:
     settings = cfg.settings()
     digest = cfg.digest()
 
-    def on_round(round_idx, theta):
-        if (round_idx + 1) % 10 == 0:
-            wire.save_checkpoint(out / f"checkpoint_r{round_idx + 1:04d}.ckpt", theta,
-                                 round_idx + 1, digest)
+    # each round's rows reach the file as the round ends, so a run that
+    # stops keeps the rows of every round it finished
+    with open(out / "metrics.csv", "w", newline="") as metrics:
+        def on_round(round_idx, theta, rows):
+            metrics.write(_csv_lines([row[col] for col in METRICS_HEADER] for row in rows))
+            metrics.flush()
+            if (round_idx + 1) % 10 == 0:
+                wire.save_checkpoint(out / f"checkpoint_r{round_idx + 1:04d}.ckpt", theta,
+                                     round_idx + 1, digest)
 
-    result = fedsim.run_training(settings, datasets, cfg.roles(), on_round=on_round)
+        metrics.write(_csv_lines([METRICS_HEADER]))
+        result = fedsim.run_training(settings, datasets, cfg.roles(), on_round=on_round)
     wire.save_checkpoint(out / "checkpoint_final.ckpt", result.theta, settings.rounds, digest)
-    _write_csv(out / "metrics.csv", METRICS_HEADER,
-               ([row[col] for col in METRICS_HEADER] for row in result.metrics))
     for ds in datasets:
         subjects = len(ds.subject_index)
         print(f"site {ds.site_id}: {len(ds)} windows "
@@ -237,7 +245,7 @@ def build_gradcheck_toy(seed: int = 0):
 def cmd_gradcheck(args) -> int:
     cfg = parse_config(args.config, _overrides(args))
     objective, theta = build_gradcheck_toy(cfg.seed)
-    result = grad_check(objective, theta, h=1e-5, max_coords_per_param=3, seed=cfg.seed)
+    result = grad_check(objective, theta, seed=cfg.seed)
     status = "pass" if (result.ok and result.max_rel_error < 1e-4) else "FAIL"
     print(f"gradient check: max relative error {result.max_rel_error:.3e} "
           f"at parameter {result.worst_name!r} (index {result.worst_index}, "

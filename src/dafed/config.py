@@ -169,9 +169,9 @@ def _read_pairs(path: Path) -> dict[str, str]:
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
-        if "=" not in body:
+        key, sep, raw = (part.strip() for part in body.partition("="))
+        if not (sep and key):
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-        key, raw = (part.strip() for part in body.split("=", 1))
         if key in pairs:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         pairs[key] = raw
@@ -238,10 +238,12 @@ def _validate(cfg: RunConfig):
         raise ConfigError("at least one site.N.role entry is required")
     roles = [s.role for s in cfg.site_specs]
     if roles.count(ROLE_SOURCE) != 1:
-        raise ConfigError(f"exactly one source site required, found {roles.count(ROLE_SOURCE)}")
+        raise ConfigError(f"exactly one site.N.role must be source, "
+                          f"found {roles.count(ROLE_SOURCE)}")
     ids = [s.site_id for s in cfg.site_specs]
-    if len(set(ids)) != len(ids):
-        raise ConfigError("site ids must be unique")
+    for i, site_id in enumerate(ids):
+        if site_id in ids[:i]:
+            raise ConfigError(f"site.{i}.id repeats site.{ids.index(site_id)}.id = {site_id}")
     if cfg.mode == "dafed_u" and ROLE_TARGET_LABELED in roles:
         raise ConfigError("target_labeled roles need mode = dafed_l")
     if cfg.data == "manifest":
@@ -265,6 +267,12 @@ def _validate(cfg: RunConfig):
                            else ("t_points", cfg.t_points))
             if cfg.window > length:
                 raise ConfigError(f"window = {cfg.window} is longer than {key} = {length}")
+            key, count = ((f"site.{i}.subjects", s.subjects) if s.subjects is not None
+                          else ("subjects", cfg.subjects))
+            if count < 1:
+                raise ConfigError(f"{key} must be >= 1, got {count}")
+            if s.shift < 0:
+                raise ConfigError(f"site.{i}.shift must be >= 0, got {s.shift}")
     if cfg.lr_base <= 0:
         raise ConfigError(f"lr_base must be positive, got {cfg.lr_base}")
     if not 0 < cfg.lr_decay <= 1:

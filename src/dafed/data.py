@@ -394,6 +394,8 @@ def read_manifest(manifest_path) -> list[tuple[Path, TimeSeries]]:
             for name in ("subject_id", "site_id", "path"):
                 if not row[name].strip():
                     raise IngestError(f"{manifest_path}:{lineno}: empty {name}")
+            if "\0" in row["path"]:  # no file can have this name; open() raises ValueError
+                raise IngestError(f"{manifest_path}:{lineno}: NUL byte in path")
             raw_label = row["label"].strip()
             if raw_label not in ("0", "1", ""):
                 raise IngestError(f"{manifest_path}:{lineno}: label must be 0, 1 or empty, "
@@ -436,12 +438,15 @@ def ingest_csv(manifest_path, window: int, stride: int, k: int) -> list[SiteData
         group = by_site[site_id]
         widths = {ts.values.shape[1] for ts in group}
         if len(widths) > 1:
-            raise IngestError(f"site {site_id}: inconsistent ROI counts {sorted(widths)}")
+            raise IngestError(f"{manifest_path}: site {site_id}: inconsistent ROI counts "
+                              f"{sorted(widths)}")
         labeled_flags = {ts.label is not None for ts in group}
         if len(labeled_flags) > 1:
-            raise IngestError(f"site {site_id}: mixes labeled and unlabeled subjects")
+            raise IngestError(f"{manifest_path}: site {site_id}: mixes labeled and "
+                              "unlabeled subjects")
         dataset = series_to_graphs(group, window, stride, k)
         if not len(dataset):
-            raise IngestError(f"site {site_id}: no usable window, every window has a flat ROI")
+            raise IngestError(f"{manifest_path}: site {site_id}: no usable window, "
+                              "every window has a flat ROI")
         datasets.append(dataset)
     return datasets

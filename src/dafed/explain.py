@@ -30,6 +30,9 @@ logger = logging.getLogger(__name__)
 
 N_LAYERS = len(GCN_WIDTHS)
 MIN_GROUP_SUBJECTS = 3  # per class, for the edge correlations' test
+EDGE_ROIS = 10  # the highest-scoring ROIs among which edges are searched
+EDGE_P_MAX = 0.05  # largest two-tailed p an edge may have and be kept
+EDGE_COUNT = 10  # most edges returned
 
 
 @dataclass
@@ -127,16 +130,14 @@ class Edge:
     p_value: float
 
 
-def significant_edges(scores: np.ndarray, fc: np.ndarray, groups: np.ndarray,
-                      *, n_rois_kept: int = 10, p_max: float = 0.05,
-                      n_edges: int = 10) -> list[Edge]:
-    """Group-discriminative connections among the highest-scoring ROIs.
+def significant_edges(scores: np.ndarray, fc: np.ndarray, groups: np.ndarray) -> list[Edge]:
+    """Group-discriminative connections among the `EDGE_ROIS` top-scoring ROIs.
 
     `scores` is (subjects, R) saliency, `fc` is (subjects, R, R) per-subject
     connectivity, `groups` binary labels. Each candidate edge's connectivity
-    is correlated with the group label; edges with two-tailed p above the
-    threshold (strictly) are dropped and the strongest `n_edges` by absolute
-    correlation are kept. Constant edges are excluded and logged.
+    is correlated with the group label; edges with two-tailed p above
+    `EDGE_P_MAX` (strictly) are dropped and the strongest `EDGE_COUNT` by
+    absolute correlation are kept. Constant edges are excluded and logged.
     """
     from scipy import special  # imported here so that train and eval never load scipy
 
@@ -152,7 +153,7 @@ def significant_edges(scores: np.ndarray, fc: np.ndarray, groups: np.ndarray,
                          f"got {counts.tolist()}")
 
     mean_abs = np.abs(scores).mean(axis=0)
-    kept = np.argsort(-mean_abs, kind="stable")[:n_rois_kept]
+    kept = np.argsort(-mean_abs, kind="stable")[:EDGE_ROIS]
     y = groups.astype(np.float64)
     y_centered = y - y.mean()
     y_ss = float((y_centered ** 2).sum())
@@ -173,10 +174,10 @@ def significant_edges(scores: np.ndarray, fc: np.ndarray, groups: np.ndarray,
             else:
                 t = r * np.sqrt((n - 2) / (1.0 - r * r))
                 p = float(2.0 * special.stdtr(n - 2, -abs(t)))
-            if p <= p_max:
+            if p <= EDGE_P_MAX:
                 edges.append(Edge(roi_a=a, roi_b=b, correlation=r, p_value=p))
     edges.sort(key=lambda e: (-abs(e.correlation), e.roi_a, e.roi_b))
-    return edges[:n_edges]
+    return edges[:EDGE_COUNT]
 
 
 # ---------------------------------------------------------------------------

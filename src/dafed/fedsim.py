@@ -87,7 +87,8 @@ def add_noise(theta: ParamStore, spec: NoiseSpec, *extra_key) -> ParamStore:
 
 def aggregate(uploads: list[ParamStore]) -> ParamStore:
     """Unweighted elementwise mean of parameter sets (running statistics
-    included). Identical uploads are a fixed point, exactly."""
+    included): one formula, `base + Σ(upᵢ − base)/k` on the first upload,
+    for any k ≥ 1. Identical uploads are a fixed point (−0.0 becomes +0.0)."""
     if not uploads:
         raise ValueError("aggregate: no uploads")
     names = uploads[0].names()
@@ -103,9 +104,6 @@ def aggregate(uploads: list[ParamStore]) -> ParamStore:
     scratch = np.empty(max((uploads[0][name].size for name in names), default=0))
     for name in names:
         base = uploads[0][name].data
-        if k == 1:
-            out.add(name, base.copy())
-            continue
         diff = scratch[:base.size].reshape(base.shape)
         delta = np.zeros_like(base)
         for up in uploads[1:]:
@@ -130,9 +128,6 @@ def contrastive_loss(anchor: Tensor, positive: np.ndarray,
     """
     if tau <= 0:
         raise ValueError(f"temperature must be positive, got {tau}")
-    n = anchor.shape[0]
-    if n == 0:
-        return Tensor(0.0)
     counts = [len(negs) for negs in negatives]
     terms = []
     for j in sorted(set(counts)):
@@ -147,7 +142,7 @@ def contrastive_loss(anchor: Tensor, positive: np.ndarray,
         peak = tt.amax(mat, axis=1)
         lse = tt.add(tt.log(tt.tsum(tt.exp(tt.sub(mat, tt.reshape(peak, (g, 1)))), axis=1)), peak)
         terms.append(tt.sub(lse, tt.scale(sims[0], 1.0 / tau)))
-    return tt.mean(tt.concat(terms, axis=0)) if len(terms) > 1 else tt.mean(terms[0])
+    return tt.mean(tt.concat(terms, axis=0))
 
 
 def update_queue(queue: dict, uids: list[str], snapshot: np.ndarray, capacity: int):
@@ -156,12 +151,7 @@ def update_queue(queue: dict, uids: list[str], snapshot: np.ndarray, capacity: i
     if capacity < 0:
         raise ValueError("queue capacity must be >= 0")
     for i, uid in enumerate(uids):
-        dq = queue.get(uid)
-        if dq is None or dq.maxlen != capacity:
-            dq = deque(dq or (), maxlen=capacity)
-            queue[uid] = dq
-        if capacity:
-            dq.append(snapshot[i].copy())
+        queue.setdefault(uid, deque(maxlen=capacity)).append(snapshot[i].copy())
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +288,7 @@ def site_objective(theta: ParamStore, batch: Batch, *, role: str, ramp: float,
         pred = np.argmax(fw.class_probs.data, axis=1)
         accuracy = float((pred == batch.truth).mean())
     return SiteObjective(total=total, estimator_objective=estimator_objective,
-                         parts=parts, anchor=fw.f_di.data.copy(), accuracy=accuracy,
+                         parts=parts, anchor=fw.f_di.data, accuracy=accuracy,
                          sim_pos=sim_pos)
 
 
@@ -412,7 +402,10 @@ def run_targets(states: list[SiteState], model: bytes, central, round_idx: int,
     central message's bytes, then every finish. Returns an `until_error`
     pair: the (upload bytes, row) of each target that finished, in order,
     and the error that stopped the next one, or None. `central` is called
-    after an error too, so the central message is always taken."""
+    after an error too, so the central message is always taken. It is a
+    call, not a split into a train call and a finish call, so that every
+    trained target's decoded model and gradient map are freed here, before
+    the caller waits on the workers."""
     trained, error = until_error(
         lambda state: _train_phase(state, model, round_idx, total_rounds, settings), states)
     central_bytes = central()
@@ -571,8 +564,8 @@ class TrainResult:
 
 def run_training(settings: TrainSettings, datasets: list[SiteDataset],
                  roles: dict[str, str], on_round=None) -> TrainResult:
-    """Full multi-site run from a fresh model; `on_round(round, theta)` fires
-    after every aggregation."""
+    """Full multi-site run from a fresh model; `on_round(round, theta, rows)`
+    fires after every aggregation with that round's metrics rows."""
     theta = init_theta(datasets[0].n_rois, settings.seed)
     source, targets = build_states(datasets, roles, theta)
     noise = NoiseSpec(alpha=settings.alpha, key=(settings.seed, "noise"))
@@ -585,7 +578,7 @@ def run_training(settings: TrainSettings, datasets: list[SiteDataset],
                                            settings.rounds, settings, noise, workers)
             metrics.extend(rows)
             if on_round is not None:
-                on_round(round_idx, theta)
+                on_round(round_idx, theta, rows)
     finally:
         workers.close()
     return TrainResult(theta=theta, metrics=metrics)

@@ -3,15 +3,11 @@ domain head behind gradient reversal, and total-loss assembly."""
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
 
 from . import tensor as tt
 from .stfg import keyed_dropout, linear, norm
 from .tensor import Tensor
-
-logger = logging.getLogger(__name__)
 
 HID_DIM = 128
 N_HEADS = 8
@@ -105,13 +101,8 @@ def domain_loss(probs: Tensor, domains: np.ndarray) -> Tensor:
 
 
 def adversarial_ramp(progress: float, gamma: float = 10.0) -> float:
-    """Smooth 0-to-1 schedule for the domain-loss weight: 2/(1+e^(-g*p)) - 1.
-
-    Progress outside [0, 1] is clamped (and logged).
-    """
-    if progress < 0.0 or progress > 1.0:
-        logger.warning("adversarial_ramp: progress %.4f clamped into [0, 1]", progress)
-        progress = min(max(progress, 0.0), 1.0)
+    """Smooth 0-to-1 schedule for the domain-loss weight: 2/(1+e^(-g*p)) - 1,
+    where `progress` is the round index over the run's rounds, in [0, 1)."""
     return 2.0 / (1.0 + np.exp(-gamma * progress)) - 1.0
 
 

@@ -14,6 +14,8 @@ from .tensor import Tensor, backward
 log = logging.getLogger(__name__)
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
+GRAD_CHECK_STEP = 1e-5  # central-difference half step
+GRAD_CHECK_COORDS = 3  # coordinates probed per parameter tensor, drawn by seed
 
 
 class ParamStore:
@@ -163,9 +165,9 @@ class GradCheckResult:
         return not self.nan_failures and np.isfinite(self.max_rel_error)
 
 
-def grad_check(fn, store: ParamStore, h: float = 1e-5,
-               max_coords_per_param: int | None = None, seed: int = 0) -> GradCheckResult:
-    """Compare analytic gradients of `fn(store)` against central differences.
+def grad_check(fn, store: ParamStore, seed: int = 0) -> GradCheckResult:
+    """Compare analytic gradients of `fn(store)` against central differences
+    of half step `GRAD_CHECK_STEP` at `GRAD_CHECK_COORDS` seeded coordinates per tensor.
 
     `fn` must return a scalar Tensor and be deterministic given the store
     contents (all randomness from fixed streams). The store is restored to
@@ -173,8 +175,6 @@ def grad_check(fn, store: ParamStore, h: float = 1e-5,
     `fn` do not leak between evaluations. Relative error per coordinate is
     |analytic - numeric| / max(1, |numeric|).
     """
-    if h <= 0:
-        raise ValueError("grad_check: h must be positive")
     snapshot = {name: t.data.copy() for name, t in store.items()}
 
     def restore():
@@ -191,20 +191,20 @@ def grad_check(fn, store: ParamStore, h: float = 1e-5,
     for name in store.names():
         flat = store[name].data.reshape(-1)
         size = flat.size
-        if max_coords_per_param is None or size <= max_coords_per_param:
+        if size <= GRAD_CHECK_COORDS:
             coords = range(size)
         else:
-            coords = sorted(rng.stream("gradcheck", seed, name).choice(size, max_coords_per_param, replace=False))
+            coords = sorted(rng.stream("gradcheck", seed, name).choice(size, GRAD_CHECK_COORDS, replace=False))
         a_flat = analytic[name].reshape(-1)
         for i in coords:
             orig = flat[i]
-            flat[i] = orig + h
+            flat[i] = orig + GRAD_CHECK_STEP
             f_plus = fn(store).item()
             restore()
-            flat[i] = orig - h
+            flat[i] = orig - GRAD_CHECK_STEP
             f_minus = fn(store).item()
             restore()
-            numeric = (f_plus - f_minus) / (2.0 * h)
+            numeric = (f_plus - f_minus) / (2.0 * GRAD_CHECK_STEP)
             n_checked += 1
             if not np.isfinite(numeric):
                 failures.append((name, int(i)))

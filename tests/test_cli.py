@@ -109,6 +109,13 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     ("", "site.1.subjects = abc", "site.1.subjects"),
     ("", "site.1.t_points = 2.5", "site.1.t_points"),
     ("site.1.shift = 0.3", "site.1.shift = abc", "site.1.shift"),
+    # range and site-set errors name the full key too
+    ("site.1.shift = 0.3", "site.1.shift = -1", "site.1.shift"),
+    ("", "site.1.subjects = -2", "site.1.subjects"),
+    ("subjects = 4", "subjects = 0", "error: subjects must"),
+    ("site.1.id = edge", "site.1.id = central", "site.1.id"),
+    ("site.1.role = target_unlabeled", "site.1.role = source", "site.N.role"),
+    ("", " = 5", "run.cfg:24: expected 'key = value'"),  # no key: name the line
 ])
 def test_bad_value_exits_2_naming_the_key(tmp_path, capsys, old, new, key):
     cfg = write_cfg(tmp_path / "run.cfg")
@@ -297,6 +304,9 @@ def test_manifest_config_errors_exit_2_naming_key_and_file(tmp_path, capsys, old
     ("short", r"manifest\.csv:11: row has no cell for path"),
     ("blank path", r"manifest\.csv:11: empty path"),
     ("blank ids", r"manifest\.csv:11: empty subject_id"),
+    ("nul path", r"manifest\.csv:2: NUL byte in path"),
+    ("unnamed site", r"manifest\.csv has sites without a configured site\.N\.id: \['other'\]"),
+    ("mixed labels", r"manifest\.csv: site edge: mixes labeled and unlabeled subjects"),
 ])
 def test_bad_manifest_data_exits_2_naming_where(tmp_path, capsys, case, where):
     data_dir = tmp_path / "d"
@@ -318,6 +328,12 @@ def test_bad_manifest_data_exits_2_naming_where(tmp_path, capsys, case, where):
         manifest.write_text(manifest.read_text() + "\na2,a,0,\n")
     if case == "blank ids":
         manifest.write_text(manifest.read_text() + "\n,,0,x.csv\n")
+    if case == "nul path":  # in line 2's path
+        manifest.write_text(manifest.read_text().replace("series/", "ser\0ies/", 1))
+    if case in ("unnamed site", "mixed labels"):  # line 2's labeled subject again, at another site
+        line = manifest.read_text().splitlines()[1]
+        site = "other" if case == "unnamed site" else "edge"
+        manifest.write_text(manifest.read_text() + line.replace(",central,", f",{site},") + "\n")
     if case == "cell":
         series = data_dir / "series" / "central_s000.csv"
         lines = series.read_text().splitlines()
@@ -659,19 +675,20 @@ def test_a_failing_target_worker_exits_1(tmp_path, capsys, monkeypatch, failure,
     assert multiprocessing.active_children() == []
 
 
-def _announced_train(tmp_path) -> str:
-    """A script that trains 500 rounds with one target worker and prints the
-    worker's pid as round 1 starts."""
-    cfg = write_cfg(tmp_path / "run.cfg", rounds=500, extra=MORE_TARGETS)
+def _announced_train(tmp_path, rounds=500, at_round=1, hold=False) -> str:
+    """A script that trains with one target worker and prints the worker's
+    pid as round `at_round` starts; with `hold` it then sleeps there."""
+    cfg = write_cfg(tmp_path / "run.cfg", rounds=rounds, extra=MORE_TARGETS)
     return "\n".join([
-        "import multiprocessing, sys",
+        "import multiprocessing, sys, time",
         f"sys.path[:0] = [{str(Path(__file__).resolve().parents[1] / 'src')!r}]",
         "from dafed import cli, fedsim",
         "fedsim.process_count = lambda n: 2",
         "real_round = fedsim.multi_site_round",
         "def announced_round(*args):",
-        "    if args[3] == 1:",
+        f"    if args[3] == {at_round}:",
         "        print(*[p.pid for p in multiprocessing.active_children()], flush=True)",
+        f"        time.sleep({600 if hold else 0})",
         "    return real_round(*args)",
         "fedsim.multi_site_round = announced_round",
         f"sys.exit(cli.main(['train', '--config', {str(cfg)!r},",
@@ -699,10 +716,11 @@ def test_a_killed_train_leaves_no_worker(tmp_path):
                 pass
 
 
-def test_an_interrupted_train_exits_130_and_leaves_no_worker(tmp_path):
-    # Ctrl-C reaches every process in the terminal's group: the worker
-    # ignores it, and the training process reaps the worker and says so once
-    proc = subprocess.Popen([sys.executable, "-c", _announced_train(tmp_path)],
+def _interrupt_when_announced(script: str):
+    """Run `script`, send Ctrl-C to its process group once it prints its
+    worker's pid, and check that it exits 130 saying so once, with the
+    worker gone."""
+    proc = subprocess.Popen([sys.executable, "-c", script],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
                             start_new_session=True)
     workers = []
@@ -723,6 +741,25 @@ def test_an_interrupted_train_exits_130_and_leaves_no_worker(tmp_path):
                 os.kill(pid, signal.SIGKILL)
             except ProcessLookupError:
                 pass
+
+
+def test_an_interrupted_train_exits_130_and_leaves_no_worker(tmp_path):
+    # Ctrl-C reaches every process in the terminal's group: the worker
+    # ignores it, and the training process reaps the worker and says so once
+    _interrupt_when_announced(_announced_train(tmp_path))
+
+
+def test_an_interrupted_train_keeps_the_rows_of_its_finished_rounds(tmp_path):
+    # Ctrl-C while round 3 waits to start: rounds 0-2 have ended, so their
+    # rows are in the file, byte for byte as an uninterrupted run writes them
+    _interrupt_when_announced(_announced_train(tmp_path, rounds=5, at_round=3, hold=True))
+    kept = (tmp_path / "t" / "metrics.csv").read_bytes()
+    assert cli.main(["train", "--config", str(tmp_path / "run.cfg"),
+                     "--out", str(tmp_path / "full")]) == 0
+    full = (tmp_path / "full" / "metrics.csv").read_bytes()
+    assert full.startswith(kept)
+    assert [row["round"] for row in read_metrics(tmp_path / "t" / "metrics.csv")] == \
+        [str(r) for r in range(3) for _ in range(4)]
 
 
 # ---------------------------------------------------------------------------

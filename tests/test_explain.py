@@ -240,7 +240,7 @@ def test_significant_edges_match_t_distribution_oracle():
     fc = (fc + fc.transpose(0, 2, 1)) / 2
     fc[:, 0, 1] = fc[:, 1, 0] = groups * 2.0 + g.standard_normal(n) * 0.3
     scores = np.abs(g.standard_normal((n, 4)))
-    edges = significant_edges(scores, fc, groups, n_rois_kept=4, n_edges=10)
+    edges = significant_edges(scores, fc, groups)
     assert edges, "the planted edge must survive"
     found = {(e.roi_a, e.roi_b): e for e in edges}
     assert (0, 1) in found
@@ -250,15 +250,16 @@ def test_significant_edges_match_t_distribution_oracle():
         assert e.p_value == pytest.approx(p_oracle, abs=1e-9)
 
 
-def test_significant_edges_p_matches_t_survival_function():
+def test_significant_edges_p_matches_t_survival_function(monkeypatch):
+    monkeypatch.setattr(explain, "EDGE_P_MAX", 1.0)  # keep all 15 edges of 6 ROIs
+    monkeypatch.setattr(explain, "EDGE_COUNT", 15)
     g = np.random.default_rng(11)
     for n in (6, 10, 14, 40):
         groups = np.array([0, 1] * (n // 2))
         fc = g.standard_normal((n, 6, 6))
         fc = (fc + fc.transpose(0, 2, 1)) / 2
         fc[:, 0, 1] = fc[:, 1, 0] = groups * 1.5 + g.standard_normal(n)
-        edges = significant_edges(np.ones((n, 6)), fc, groups, n_rois_kept=6,
-                                  p_max=1.0, n_edges=15)
+        edges = significant_edges(np.ones((n, 6)), fc, groups)
         assert len(edges) == 15
         for e in edges:
             t = e.correlation * np.sqrt((n - 2) / (1.0 - e.correlation ** 2))
@@ -280,7 +281,7 @@ def test_significant_edges_boundary_p_is_retained():
     fc[:, 0, 2] = fc[:, 2, 0] = g.standard_normal(n)
     fc[:, 1, 2] = fc[:, 2, 1] = g.standard_normal(n)
     scores = np.ones((n, 3))
-    got = significant_edges(scores, fc, groups, n_rois_kept=3, n_edges=10)
+    got = significant_edges(scores, fc, groups)
     for e in got:
         assert e.p_value <= 0.05
 
@@ -289,7 +290,7 @@ def test_significant_edges_constant_fc_is_empty():
     groups = np.array([0] * 4 + [1] * 4)
     fc = np.ones((8, 3, 3))
     scores = np.ones((8, 3))
-    assert significant_edges(scores, fc, groups, n_rois_kept=3) == []
+    assert significant_edges(scores, fc, groups) == []
 
 
 def test_significant_edges_needs_three_per_group():

@@ -114,6 +114,15 @@ def test_aggregate_identical_is_exact_fixed_point():
         assert np.array_equal(out[name].data, t.data)
 
 
+def test_aggregate_of_one_upload_is_a_byte_equal_copy():
+    theta = init_theta(8, 0)
+    out = aggregate([theta])
+    assert out.names() == theta.names()
+    for name, t in theta.items():
+        assert out[name].data is not t.data
+        assert out[name].data.tobytes() == t.data.tobytes()
+
+
 def test_aggregate_opposites_cancel():
     a = _store(w=np.array([1.0, -2.0, 0.5]))
     b = _store(w=np.array([-1.0, 2.0, -0.5]))

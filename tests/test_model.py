@@ -379,11 +379,6 @@ def test_adversarial_ramp_values():
     assert all(b > a for a, b in zip(grid, grid[1:]))
 
 
-def test_adversarial_ramp_clamps_out_of_range():
-    assert fusion.adversarial_ramp(1.7, 10.0) == fusion.adversarial_ramp(1.0, 10.0)
-    assert fusion.adversarial_ramp(-0.2, 10.0) == 0.0
-
-
 def test_total_loss_assembly():
     zero = fusion.total_loss({}, lambda_mi=1.0, lambda_cl=0.1, ramp=0.5)
     assert zero.item() == 0.0
