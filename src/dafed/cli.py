@@ -315,7 +315,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, IngestError, FileNotFoundError) as err:
+    except (ConfigError, IngestError, FileNotFoundError, IsADirectoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (TrainingDiverged, ValueError, wire.WireError, OSError) as err:

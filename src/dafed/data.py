@@ -410,7 +410,10 @@ def read_manifest(manifest_path) -> list[tuple[Path, TimeSeries]]:
             path = Path(row["path"])
             if not path.is_absolute():
                 path = base / path
-            values = _read_series_csv(path)
+            try:
+                values = _read_series_csv(path)
+            except OSError as err:
+                raise IngestError(f"{manifest_path}:{lineno}: cannot read {path}: {err.strerror}") from None
             series.append((path, TimeSeries(subject_id=row["subject_id"], site_id=row["site_id"],
                                             label=label, values=values, truth=label)))
     return series

@@ -28,14 +28,14 @@ def disentangle_forward(theta, z: Tensor, *,
     return f_di, f_ds
 
 
-def mine_score(theta, p: Tensor, q: Tensor, *, update_running: bool) -> Tensor:
+def mine_score(theta, p: Tensor, q: Tensor) -> Tensor:
     """Training-mode statistics-network score of a (p, q) pair batch -> (B,).
 
     The network input is 128-wide while the pair is 2x128, so the pair
     enters as the elementwise sum.
     """
     h = linear(theta, "mine.fc1", tt.add(p, q))
-    h = norm(theta, "mine.fc1", h, train=True, update_running=update_running)
+    h = norm(theta, "mine.fc1", h, train=True)
     out = linear(theta, "mine.fc2", tt.leaky_relu(h, 0.01))
     return tt.reshape(out, (out.shape[0],))
 
@@ -56,7 +56,7 @@ def mine_estimate(theta, f_di: Tensor, f_ds: Tensor, perm: np.ndarray) -> Tensor
     """Dependence estimate between the two components on one training batch.
 
     Joint pairs align rows; marginal pairs re-pair the specific component by
-    `perm`, and only the joint pass moves the running statistics. Batches
+    `perm`, in a `hold_batch_stats` whose statistics are dropped. Batches
     below 2 are rejected because the marginal shuffle is undefined.
     """
     n = f_di.shape[0]
@@ -65,8 +65,9 @@ def mine_estimate(theta, f_di: Tensor, f_ds: Tensor, perm: np.ndarray) -> Tensor
     perm = np.asarray(perm, dtype=np.intp)
     if sorted(perm.tolist()) != list(range(n)):
         raise ValueError("perm must be a permutation of the batch indices")
-    joint = mine_score(theta, f_di, f_ds, update_running=True)
-    marginal = mine_score(theta, f_di, tt.take_rows(f_ds, perm), update_running=False)
+    joint = mine_score(theta, f_di, f_ds)
+    with tt.hold_batch_stats():
+        marginal = mine_score(theta, f_di, tt.take_rows(f_ds, perm))
     return dv_estimate(joint, marginal)
 
 

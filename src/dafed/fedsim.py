@@ -5,11 +5,12 @@ contrastive module, and per-site objective assembly.
 Each round goes out as two messages. The model message carries the global
 parameters as the last averaging left them. Every local site runs its
 training step on it at once, holding back its batch-norm statistics. The
-central labeled site computes its objective and gradient meanwhile, and the
-central message carries its running statistics and (with `broadcast_grads`)
-that gradient map. With it, each local site folds its held statistics into
-the central ones, adds the central gradient to its own, takes its optimizer
-step, adds Gaussian noise and uploads; the server averages the uploads.
+central labeled site computes its objective and gradient meanwhile and
+folds its own, and the central message carries its running statistics and
+(with `broadcast_grads`) that gradient map. With it, each local site folds
+its held statistics into the central ones, adds the central gradient to its
+own, takes its optimizer step, adds Gaussian noise and uploads; the server
+averages the uploads.
 Messages travel as serialized bytes so byte counts and the privacy scan are
 meaningful.
 """
@@ -323,14 +324,16 @@ def _split_grads(theta: ParamStore, obj: SiteObjective) -> dict[str, np.ndarray]
 
 def _site_step(state: SiteState, theta: ParamStore, round_idx: int,
                total_rounds: int, settings: TrainSettings):
-    """One site's round on its batch: gradient map and metrics row (traffic
-    columns zero). Only the training-mode normalization statistics in
-    `theta` move; weight updates are left to the caller."""
+    """One site's round on its batch: gradient map, metrics row (traffic
+    columns zero) and the batch statistics of its training-mode batch norms,
+    in call order. `theta` is only read: folding those statistics and
+    updating the weights are left to the caller."""
     batch = select_batch(state, round_idx, settings)
     ramp = adversarial_ramp(round_idx / total_rounds, settings.gamma)
     key = (settings.seed, "drop", state.site_id, round_idx)
-    obj = site_objective(theta, batch, role=state.role, ramp=ramp, settings=settings,
-                         queue=state.queue, prev_global=state.prev_global, key=key)
+    with tt.hold_batch_stats() as held:
+        obj = site_objective(theta, batch, role=state.role, ramp=ramp, settings=settings,
+                             queue=state.queue, prev_global=state.prev_global, key=key)
     _check_finite(obj.parts, obj.total.item(), round_idx, state.site_id)
     grads = _split_grads(theta, obj)
     update_queue(state.queue, batch.uids, obj.anchor, settings.queue_len)
@@ -340,17 +343,16 @@ def _site_step(state: SiteState, theta: ParamStore, round_idx: int,
            "L_DI": parts["dom"], "lambda_p": ramp,
            "lr": lr_at(settings.lr, round_idx, total_rounds), "acc": obj.accuracy,
            "bytes_up": 0, "bytes_down": 0, "sim_pos": obj.sim_pos}
-    return grads, row
+    return grads, row, held
 
 
 def _train_phase(state: SiteState, model: bytes, round_idx: int, total_rounds: int,
                  settings: TrainSettings):
     """A target's site step on this round's model message: its own copy of
     the model, its gradient map, its row (traffic so far: the model message)
-    and the batch statistics its batch norms held back for the finish."""
+    and its batch statistics, which the finish folds into the central ones."""
     theta = wire.arrays_to_store(wire.decode_message(model, wire.KIND_MODEL, round_idx).params)
-    with tt.hold_batch_stats() as held:
-        grads, row = _site_step(state, theta, round_idx, total_rounds, settings)
+    grads, row, held = _site_step(state, theta, round_idx, total_rounds, settings)
     row["bytes_down"] = len(model)
     return theta, grads, row, held
 
@@ -382,8 +384,7 @@ def _finish_phase(state: SiteState, trained: tuple, central: bytes, round_idx: i
     _check_central(theta, msg)
     for name, arr in msg.params.items():
         theta[name].data[...] = arr
-    for stats in held:
-        tt.fold_batch_stats(*stats)
+    tt.fold_batch_stats(held)
     grads = {name: g if name not in msg.grads else g + msg.grads[name]
              for name, g in grads.items()}
     adam_step(theta, state.adam, grads, row["lr"])
@@ -519,7 +520,8 @@ def multi_site_round(theta_global: ParamStore, source: SiteState,
 
     def central_step() -> bytes:
         nonlocal src_row
-        src_grads, src_row = _site_step(source, theta_global, round_idx, total_rounds, settings)
+        src_grads, src_row, held = _site_step(source, theta_global, round_idx, total_rounds, settings)
+        tt.fold_batch_stats(held)
         central = wire.encode_message(wire.Message(
             round_idx=round_idx, kind=wire.KIND_CENTRAL,
             params={name: t.data for name, t in theta_global.items() if is_running_stat(name)},
@@ -530,10 +532,10 @@ def multi_site_round(theta_global: ParamStore, source: SiteState,
     received = workers.run_round(round_idx, model, central_step)
     rows = [src_row] + [row for _, row in received]
     src_row["bytes_down"] = sum(row["bytes_up"] for row in rows[1:])
-    # the source step moved only theta_global's running statistics, after the
-    # model message was encoded, and nothing writes to it after the central
-    # message; it is the next contrastive positive of every site in this
-    # process (a worker decodes its own), read only in evaluation mode
+    # only the fold in central_step wrote theta_global, its running statistics,
+    # after the model message was encoded, and nothing writes to it after the
+    # central message; it is the next contrastive positive of every site in
+    # this process (a worker decodes its own), read only in evaluation mode
     for state in [source] + targets:
         state.prev_global = theta_global
     return aggregate([upload for upload, _ in received]), rows
@@ -594,7 +596,8 @@ def train_source_only(settings: TrainSettings, dataset: SiteDataset) -> ParamSto
     state = SiteState(site_id=dataset.site_id, role=ROLE_SOURCE, dataset=dataset,
                       adam=Adam(names=param_groups(theta)[0]))
     for round_idx in range(local.rounds):
-        grads, row = _site_step(state, theta, round_idx, local.rounds, local)
+        grads, row, held = _site_step(state, theta, round_idx, local.rounds, local)
+        tt.fold_batch_stats(held)
         adam_step(theta, state.adam, grads, row["lr"])
     return theta
 

@@ -39,12 +39,12 @@ def linear(theta, prefix: str, x: Tensor) -> Tensor:
     return tt.add(tt.matmul(x, theta[f"{prefix}.w"]), theta[f"{prefix}.b"])
 
 
-def norm(theta, prefix: str, h: Tensor, *, train: bool, update_running: bool = True) -> Tensor:
+def norm(theta, prefix: str, h: Tensor, *, train: bool) -> Tensor:
     """Batch norm with the parameters under `{prefix}.bn`: batch statistics
     in training, running statistics in evaluation."""
     return tt.batch_norm(h, theta[f"{prefix}.bn.gamma"], theta[f"{prefix}.bn.beta"],
                          theta[f"{prefix}.bn.running_mean"], theta[f"{prefix}.bn.running_var"],
-                         train=train, update_running=update_running)
+                         train=train)
 
 
 def keyed_dropout(h: Tensor, rate: float, drop_key: tuple | None, tag: str) -> Tensor:

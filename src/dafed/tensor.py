@@ -7,7 +7,9 @@ topological order. Each primitive has one path, taped or not: what only the
 backward pass reads (a mask, an argmax) is computed in the VJP, from inputs
 that nothing writes to before `backward`. `no_grad()` suspends recording for
 evaluation-only passes: there a Tensor drops its parents, and batch norm
-writes its output over its normalized input, which no VJP will read.
+writes its output over its normalized input, which no VJP will read. No
+forward writes the tensors it reads: only `fold_batch_stats` moves batch
+norm's running estimates, with the statistics `hold_batch_stats` collects.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 _RECORDING = True
-_HELD = None  # a list while training-mode batch norms hold their statistics back
+_HELD = None  # the innermost `hold_batch_stats` list, if any
 BN_EPS, BN_MOMENTUM = 1e-5, 0.9  # batch norm's variance floor and running-estimate decay
 
 
@@ -43,10 +45,10 @@ def no_grad():
 
 @contextlib.contextmanager
 def hold_batch_stats():
-    """Inside the context, a training-mode batch norm that would fold its
-    batch statistics into the running estimates appends (running mean,
-    running variance, batch mean, batch variance) to the yielded list
-    instead, for `fold_batch_stats` to fold later, in call order."""
+    """Inside the context, every training-mode batch norm appends (running
+    mean, running variance, batch mean, batch variance) to the yielded list,
+    for `fold_batch_stats` to fold later; a nested context collects its own,
+    and outside any they are dropped."""
     global _HELD
     prev = _HELD
     _HELD = held = []
@@ -56,10 +58,12 @@ def hold_batch_stats():
         _HELD = prev
 
 
-def fold_batch_stats(running_mean, running_var, mu: np.ndarray, var: np.ndarray):
-    """Fold one batch's mean and variance into the running estimates, in place."""
-    running_mean.data[...] = BN_MOMENTUM * running_mean.data + (1.0 - BN_MOMENTUM) * mu
-    running_var.data[...] = BN_MOMENTUM * running_var.data + (1.0 - BN_MOMENTUM) * var
+def fold_batch_stats(held: list):
+    """Fold each held batch's mean and variance into its running estimates,
+    in place, in list order."""
+    for running_mean, running_var, mu, var in held:
+        running_mean.data[...] = BN_MOMENTUM * running_mean.data + (1.0 - BN_MOMENTUM) * mu
+        running_var.data[...] = BN_MOMENTUM * running_var.data + (1.0 - BN_MOMENTUM) * var
 
 
 class Tensor:
@@ -182,10 +186,8 @@ def matmul(a, b) -> Tensor:
     raise ShapeError(f"matmul: unsupported operand ranks {a.shape} @ {b.shape}")
 
 
-def transpose(a, axes=None) -> Tensor:
+def transpose(a, axes) -> Tensor:
     a = _wrap(a)
-    if axes is None:
-        axes = tuple(reversed(range(a.ndim)))
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
     return Tensor(np.transpose(a.data, axes), [(a, lambda g: np.transpose(g, inv))], "transpose")
@@ -382,13 +384,12 @@ def dropout(a, rate: float, mask: np.ndarray) -> Tensor:
     return Tensor(a.data * factor, [(a, lambda g: g * factor)], "dropout")
 
 
-def batch_norm(x, gamma, beta, running_mean, running_var, *, train: bool,
-               update_running: bool = True) -> Tensor:
+def batch_norm(x, gamma, beta, running_mean, running_var, *, train: bool) -> Tensor:
     """Normalize over all leading axes, per feature on the last axis.
 
-    Train mode uses biased batch statistics and (optionally) folds them into
-    the running estimates in place, or holds them back inside
-    `hold_batch_stats`; eval mode normalizes with the running statistics.
+    Train mode uses biased batch statistics and appends them to the
+    innermost `hold_batch_stats` list, if any; eval mode normalizes with the
+    running statistics. Neither mode writes the running estimates.
     """
     x, gamma, beta = _wrap(x), _wrap(gamma), _wrap(beta)
     c = x.shape[-1]
@@ -403,10 +404,8 @@ def batch_norm(x, gamma, beta, running_mean, running_var, *, train: bool,
         xhat = x.data - mu
         var = np.square(xhat).sum(axis=axes)
         var /= x.size // c
-        if update_running and _HELD is not None:
+        if _HELD is not None:
             _HELD.append((running_mean, running_var, mu, var))
-        elif update_running:
-            fold_batch_stats(running_mean, running_var, mu, var)
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
         xhat *= inv_std
 

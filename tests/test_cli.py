@@ -305,6 +305,8 @@ def test_manifest_config_errors_exit_2_naming_key_and_file(tmp_path, capsys, old
     ("blank path", r"manifest\.csv:11: empty path"),
     ("blank ids", r"manifest\.csv:11: empty subject_id"),
     ("nul path", r"manifest\.csv:2: NUL byte in path"),
+    ("missing path", r"manifest\.csv:11: cannot read \S*missing\.csv: No such file or directory"),
+    ("directory path", r"manifest\.csv:11: cannot read \S*series: Is a directory"),
     ("unnamed site", r"manifest\.csv has sites without a configured site\.N\.id: \['other'\]"),
     ("mixed labels", r"manifest\.csv: site edge: mixes labeled and unlabeled subjects"),
 ])
@@ -328,6 +330,9 @@ def test_bad_manifest_data_exits_2_naming_where(tmp_path, capsys, case, where):
         manifest.write_text(manifest.read_text() + "\na2,a,0,\n")
     if case == "blank ids":
         manifest.write_text(manifest.read_text() + "\n,,0,x.csv\n")
+    if case in ("missing path", "directory path"):
+        path = "series/missing.csv" if case == "missing path" else "series"
+        manifest.write_text(manifest.read_text() + f"\na2,a,0,{path}\n")
     if case == "nul path":  # in line 2's path
         manifest.write_text(manifest.read_text().replace("series/", "ser\0ies/", 1))
     if case in ("unnamed site", "mixed labels"):  # line 2's labeled subject again, at another site

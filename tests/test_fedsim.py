@@ -22,7 +22,7 @@ from dafed.fedsim import (NoiseSpec, SiteState, TrainSettings, add_noise, aggreg
                           build_states, contrastive_loss, dataset_accuracy,
                           multi_site_round, run_training, select_batch, site_objective,
                           train_source_only, two_site_round, update_queue)
-from dafed.network import init_theta, param_groups
+from dafed.network import init_theta, model_forward, param_groups
 from dafed.optim import Adam, LrProfile, ParamStore, is_running_stat
 from dafed.tensor import Tensor
 from dafed.workers import Workers
@@ -695,6 +695,25 @@ def test_select_batch_is_deterministic_and_sized():
     assert b1.size == max(2, n // settings.batch_denom)
     b3 = select_batch(source, 4, settings)
     assert b1.uids != b3.uids
+
+
+@pytest.mark.parametrize("switch, n_held", [({}, 11), ({"use_dat": False}, 10),
+                                             ({"use_rd": False}, 10)])
+def test_a_training_forward_leaves_the_model_byte_identical(switch, n_held):
+    # only the round code folds batch statistics: a site step hands back one
+    # entry per training-mode batch norm, the marginal pass's excepted
+    theta = init_theta(10, 0)
+    before = {name: t.data.tobytes() for name, t in theta.items()}
+    source, _ = build_states(_tiny_datasets(), _roles(), theta)
+    source.prev_global = init_theta(10, 1)  # the contrastive positive's evaluation pass runs too
+    _, _, held = fedsim._site_step(source, theta, 1, 4, _settings(**switch))
+    names = {id(t): name for name, t in theta.items()}
+    held_names = [names[id(stats[0])] for stats in held]
+    assert len(held) == n_held == len(set(held_names))
+    assert all(name.endswith(".bn.running_mean") for name in held_names)
+    batch = select_batch(source, 2, _settings())
+    model_forward(theta, batch, train=True, drop_key=(batch.uids, 0, "drop", "central", 2))
+    assert {name: t.data.tobytes() for name, t in theta.items()} == before
 
 
 def test_build_states_validates_roles():

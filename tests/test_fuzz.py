@@ -149,10 +149,12 @@ def test_unusable_checkpoint_paths_fail_naming_the_path(tmp_path, capsys, comman
     other.write_text(CFG.replace("rois = 8", "rois = 10"))
     assert cli.main(["train", "--config", str(other), "--out", str(tmp_path / "other")]) == 0
     (tmp_path / "empty.ckpt").write_bytes(b"")
-    for path in (tmp_path / "other", tmp_path / "empty.ckpt",
-                 tmp_path / "other" / "checkpoint_final.ckpt"):
+    # a directory is a bad path argument, as a missing file is; an empty file
+    # is not a checkpoint; another model's checkpoint does not fit the config
+    for path, expected in ((tmp_path / "other", 2), (tmp_path / "empty.ckpt", 1),
+                           (tmp_path / "other" / "checkpoint_final.ckpt", 2)):
         capsys.readouterr()
         code = _check([command, "--config", str(cfg), str(path), "--out", str(tmp_path / "x")],
                       capsys, ([str(path)], []))
-        assert code in (1, 2)
+        assert code == expected, (path, code)
 

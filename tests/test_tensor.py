@@ -275,7 +275,7 @@ def test_batch_norm_train_gradients():
     rv = tt.Tensor(np.ones(6))
 
     def build(x, g, b):
-        return tt.batch_norm(x, g, b, rm, rv, train=True, update_running=False)
+        return tt.batch_norm(x, g, b, rm, rv, train=True)
 
     _check_grad(build, [RNG.standard_normal((4, 6)), gamma, beta], tol=1e-4)
 
@@ -294,7 +294,11 @@ def test_batch_norm_updates_running_stats_with_momentum():
     rm = tt.Tensor(np.zeros(1))
     rv = tt.Tensor(np.ones(1))
     x = tt.Tensor([[1.0], [3.0]])
+    with tt.hold_batch_stats() as held:
+        tt.batch_norm(x, tt.Tensor(np.ones(1)), tt.Tensor(np.zeros(1)), rm, rv, train=True)
     tt.batch_norm(x, tt.Tensor(np.ones(1)), tt.Tensor(np.zeros(1)), rm, rv, train=True)
+    assert rm.data.tolist() == [0.0] and rv.data.tolist() == [1.0]  # the forward writes nothing
+    tt.fold_batch_stats(held)
     assert np.allclose(rm.data, [0.1 * 2.0])
     assert np.allclose(rv.data, [0.9 * 1.0 + 0.1 * 1.0])  # biased var of [1,3] is 1
 
@@ -446,9 +450,12 @@ def test_batch_norm_train_is_bitwise(shape, seed):
     cases[1][4] = np.abs(cases[1][4])
     for x, gamma, beta, rmean, rvar, g in cases:
         rm, rv = tt.Tensor(rmean.copy()), tt.Tensor(rvar.copy())
-        out = tt.batch_norm(tt.Tensor(x), tt.Tensor(gamma), tt.Tensor(beta), rm, rv, train=True)
+        with tt.hold_batch_stats() as held:
+            out = tt.batch_norm(tt.Tensor(x), tt.Tensor(gamma), tt.Tensor(beta), rm, rv, train=True)
         want, want_rm, want_rv, vjps = _old_bn_train(x, gamma, beta, rmean, rvar)
         assert out.data.tobytes() == want.tobytes()
+        assert rm.data.tobytes() == rmean.tobytes() and rv.data.tobytes() == rvar.tobytes()
+        tt.fold_batch_stats(held)
         assert rm.data.tobytes() == want_rm.tobytes()
         assert rv.data.tobytes() == want_rv.tobytes()
         for (_, vjp), expected in zip(out.parents, vjps(g)):
@@ -465,8 +472,9 @@ def test_batch_norm_train_is_bitwise_with_and_without_the_tape(seed):
     outs = []
     for recording in (True, False):
         rm, rv = tt.Tensor(rmean.copy()), tt.Tensor(rvar.copy())
-        with contextlib.nullcontext() if recording else tt.no_grad():
+        with contextlib.nullcontext() if recording else tt.no_grad(), tt.hold_batch_stats() as held:
             out = tt.batch_norm(tt.Tensor(x), tt.Tensor(gamma), tt.Tensor(beta), rm, rv, train=True)
+        tt.fold_batch_stats(held)
         assert out.data.tobytes() == want.tobytes()
         assert rm.data.tobytes() == want_rm.tobytes()
         assert rv.data.tobytes() == want_rv.tobytes()
@@ -528,7 +536,8 @@ def test_op_is_bitwise_with_and_without_the_tape(build, old, shapes, seed):
 @pytest.mark.parametrize("seed", range(3))
 def test_held_batch_stats_fold_later_to_the_bits_of_an_in_place_fold(seed):
     # a target site trains on one model's running statistics and folds its
-    # batch statistics into the central site's later
+    # batch statistics into the central site's later; a nested hold (the
+    # statistics network's marginal pass) drops its own
     rng = np.random.default_rng(seed)
     x, gamma, beta = rng.standard_normal((9, 7)), rng.standard_normal(7), rng.standard_normal(7)
     (mean0, var0), (mean1, var1) = [(rng.standard_normal(7), np.abs(rng.standard_normal(7)))
@@ -537,17 +546,17 @@ def test_held_batch_stats_fold_later_to_the_bits_of_an_in_place_fold(seed):
     args = (tt.Tensor(x), tt.Tensor(gamma), tt.Tensor(beta))
     with tt.hold_batch_stats() as held:
         out = tt.batch_norm(*args, rm, rv, train=True)
-        tt.batch_norm(*args, rm, rv, train=True, update_running=False)
-    assert len(held) == 1 and held[0][:2] == (rm, rv)
+        with tt.hold_batch_stats() as inner:
+            tt.batch_norm(*args, rm, rv, train=True)
+    assert len(held) == 1 and held[0][:2] == (rm, rv) and len(inner) == 1
     assert rm.data.tobytes() == mean0.tobytes() and rv.data.tobytes() == var0.tobytes()
     rm.data[...], rv.data[...] = mean1, var1
-    tt.fold_batch_stats(*held[0])
-    want_rm, want_rv = tt.Tensor(mean1.copy()), tt.Tensor(var1.copy())
-    want = tt.batch_norm(*args, want_rm, want_rv, train=True)  # outside the context: folds
-    assert out.data.tobytes() == want.data.tobytes()
-    assert rm.data.tobytes() == want_rm.data.tobytes()
-    assert rv.data.tobytes() == want_rv.data.tobytes()
-    assert not np.array_equal(want_rm.data, mean1)
+    tt.fold_batch_stats(held)
+    want, want_rm, want_rv, _ = _old_bn_train(x, gamma, beta, mean1, var1)
+    assert out.data.tobytes() == want.tobytes()
+    assert rm.data.tobytes() == want_rm.tobytes()
+    assert rv.data.tobytes() == want_rv.tobytes()
+    assert not np.array_equal(want_rm, mean1)
 
 
 def test_only_the_tape_switches_read_the_recording_flag():
@@ -567,3 +576,17 @@ def test_only_the_tape_switches_read_the_recording_flag():
     readers = {name for name, node in defs.items() if reads(node)}
     assert readers <= {"Tensor.__init__", "no_grad", "batch_norm"}
     assert reads(tree) == sum(reads(defs[name]) for name in readers)  # none outside a function
+
+
+def test_only_the_round_code_folds_batch_statistics():
+    """A forward never writes the model: in the package only `fedsim` names
+    `fold_batch_stats`, and only `tensor` names `_HELD`, the list a
+    training-mode batch norm appends its statistics to."""
+    namers = {"fold_batch_stats": set(), "_HELD": set()}
+    fields = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}  # x, m.x, import x
+    for path in sorted(Path(tt.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            field = fields.get(type(node))
+            if field and getattr(node, field) in namers:
+                namers[getattr(node, field)].add(path.name)
+    assert namers == {"fold_batch_stats": {"fedsim.py"}, "_HELD": {"tensor.py"}}
