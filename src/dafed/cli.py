@@ -20,7 +20,7 @@ from . import fedsim, network, rng, wire
 from .config import KEYS, ConfigError, RunConfig, parse_config
 from .data import IngestError, SynthConfig, SynthSite, synth_multisite, synth_series
 from .fedsim import TrainingDiverged, site_objective
-from .fusion import LABELED_ROLES, ROLE_SOURCE
+from .fusion import ROLE_SOURCE
 from .optim import ParamStore, grad_check
 
 METRICS_HEADER = ["round", "site", "role", "L_C", "L_MI", "L_CL", "L_DI",
@@ -48,32 +48,18 @@ def _write_csv(path, header: list[str], rows):
 
 
 def _load_datasets(cfg: RunConfig) -> list[data_mod.SiteDataset]:
-    """The configured sites in config order. With `use_stfg` off every
-    window's propagation is the identity, so no layer aggregates neighbors.
-    A labeled role on a site the manifest leaves unlabeled is a ConfigError."""
+    """The configured sites in config order, generated or read from the
+    manifest. With `use_stfg` off every window's propagation is the
+    identity, so no layer aggregates neighbors."""
     if cfg.data == "synth":
         datasets = synth_multisite(cfg.synth_config(), cfg.seed)
     else:
-        datasets = data_mod.ingest_csv(cfg.manifest_path(), cfg.window, cfg.stride, cfg.top_k)
-    roles = cfg.roles()
-    known = {ds.site_id for ds in datasets}
-    missing = set(roles) - known
-    if missing:
-        raise ConfigError(f"config names sites absent from {cfg.manifest_path()}: "
-                          f"{sorted(missing)}")
-    extra = known - set(roles)
-    if extra:
-        raise ConfigError(f"{cfg.manifest_path()} has sites without a configured "
-                          f"site.N.id: {sorted(extra)}")
+        datasets = data_mod.ingest_csv(cfg.manifest_path(), cfg.roles(), cfg.window,
+                                       cfg.stride, cfg.top_k)
     if not cfg.use_stfg:
         datasets = [replace(ds, propagation=np.broadcast_to(np.eye(ds.n_rois), ds.propagation.shape))
                     for ds in datasets]
-    by_id = {ds.site_id: ds for ds in datasets}
-    for i, spec in enumerate(cfg.site_specs):
-        if spec.role in LABELED_ROLES and not by_id[spec.site_id].labeled:
-            raise ConfigError(f"site.{i}.role = {spec.role} needs labels, "
-                              f"but site {spec.site_id} has none in the manifest")
-    return [by_id[spec.site_id] for spec in cfg.site_specs]
+    return datasets
 
 
 def _load_fitting_checkpoint(path, datasets) -> ParamStore:
@@ -315,7 +301,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, IngestError, FileNotFoundError, IsADirectoryError) as err:
+    except (ConfigError, IngestError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            FileExistsError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (TrainingDiverged, ValueError, wire.WireError, OSError) as err:

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rng
+from .fusion import LABELED_ROLES
 from .stfg import normalize_adjacency
 
 logger = logging.getLogger(__name__)
@@ -372,13 +373,24 @@ def _read_series_csv(path: Path) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
-def read_manifest(manifest_path) -> list[tuple[Path, TimeSeries]]:
-    """Load every series referenced by a manifest CSV with columns
-    subject_id, site_id, label, path (label may be empty), each with the
-    path it was read from."""
+def ingest_csv(manifest_path, roles: dict[str, str], window: int, stride: int,
+               k: int) -> list[SiteDataset]:
+    """The sites of a manifest CSV (columns subject_id, site_id, label, path;
+    label may be empty) in the order of `roles`, the run's site id -> role
+    map (`RunConfig.roles()`); pipeline identical to the synthetic path.
+
+    One pass over the rows checks each row and its series, and every check
+    runs before the first graph is built. A row at a site `roles` lacks
+    (naming the line), a window longer than a series or a `k` at or above
+    its ROI count (naming the key and the file), a site of `roles` with no
+    row, and a labeled role at an unlabeled site (naming `site.N.role`) are
+    ConfigErrors; data that cannot be used is an IngestError.
+    """
+    from .config import ConfigError  # config imports this module
+
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
-    series = []
+    by_site: dict[str, list[TimeSeries]] = {site_id: [] for site_id in roles}
     first_line = {}  # (site_id, subject_id) -> manifest line
     with io.StringIO(read_utf8(manifest_path), newline="") as fh:
         reader = csv.DictReader(fh)
@@ -407,6 +419,9 @@ def read_manifest(manifest_path) -> list[tuple[Path, TimeSeries]]:
                 raise IngestError(f"{manifest_path}:{lineno}: subject {where[1]!r} of site "
                                   f"{where[0]!r} repeats line {first_line[where]}")
             first_line[where] = lineno
+            if where[0] not in by_site:
+                raise ConfigError(f"{manifest_path}:{lineno}: site {where[0]!r} has no "
+                                  "configured site.N.id")
             path = Path(row["path"])
             if not path.is_absolute():
                 path = base / path
@@ -414,31 +429,17 @@ def read_manifest(manifest_path) -> list[tuple[Path, TimeSeries]]:
                 values = _read_series_csv(path)
             except OSError as err:
                 raise IngestError(f"{manifest_path}:{lineno}: cannot read {path}: {err.strerror}") from None
-            series.append((path, TimeSeries(subject_id=row["subject_id"], site_id=row["site_id"],
-                                            label=label, values=values, truth=label)))
-    return series
-
-
-def ingest_csv(manifest_path, window: int, stride: int, k: int) -> list[SiteDataset]:
-    """Datasets grouped by site; pipeline identical to the synthetic path.
-
-    A window longer than a series or a `k` at or above its ROI count is a
-    configuration error naming the config key and the series file; a site
-    left with no window that is free of flat ROIs is an IngestError.
-    """
-    from .config import ConfigError  # config imports this module
-
-    by_site: dict[str, list[TimeSeries]] = {}
-    for path, ts in read_manifest(manifest_path):
-        points, rois = ts.values.shape
-        if window > points:
-            raise ConfigError(f"window = {window} is longer than the {points} points of {path}")
-        if k >= rois:
-            raise ConfigError(f"top_k = {k} must be below the {rois} ROIs of {path}")
-        by_site.setdefault(ts.site_id, []).append(ts)
-    datasets = []
-    for site_id in sorted(by_site):
-        group = by_site[site_id]
+            points, rois = values.shape
+            if window > points:
+                raise ConfigError(f"window = {window} is longer than the {points} points of {path}")
+            if k >= rois:
+                raise ConfigError(f"top_k = {k} must be below the {rois} ROIs of {path}")
+            by_site[where[0]].append(TimeSeries(subject_id=where[1], site_id=where[0],
+                                                label=label, values=values, truth=label))
+    absent = [site_id for site_id, group in by_site.items() if not group]
+    if absent:
+        raise ConfigError(f"config names sites absent from {manifest_path}: {sorted(absent)}")
+    for i, (site_id, group) in enumerate(by_site.items()):
         widths = {ts.values.shape[1] for ts in group}
         if len(widths) > 1:
             raise IngestError(f"{manifest_path}: site {site_id}: inconsistent ROI counts "
@@ -447,6 +448,11 @@ def ingest_csv(manifest_path, window: int, stride: int, k: int) -> list[SiteData
         if len(labeled_flags) > 1:
             raise IngestError(f"{manifest_path}: site {site_id}: mixes labeled and "
                               "unlabeled subjects")
+        if roles[site_id] in LABELED_ROLES and labeled_flags == {False}:
+            raise ConfigError(f"site.{i}.role = {roles[site_id]} needs labels, "
+                              f"but site {site_id} has none in the manifest")
+    datasets = []
+    for site_id, group in by_site.items():
         dataset = series_to_graphs(group, window, stride, k)
         if not len(dataset):
             raise IngestError(f"{manifest_path}: site {site_id}: no usable window, "

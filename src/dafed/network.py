@@ -116,7 +116,8 @@ def model_forward(theta: ParamStore, batch: Batch, *, train: bool,
     """
     if train != (drop_key is not None):
         raise ValueError(f"model_forward: train={train} needs {'a' if train else 'no'} drop_key")
-    z = stfg_forward(theta, Tensor(batch.x), Tensor(batch.adj_norm), drop_key=drop_key)
+    # [0]: no name holds the node features past the embedding
+    z = stfg_forward(theta, Tensor(batch.x), Tensor(batch.adj_norm), drop_key=drop_key)[0]
     f_di, f_ds = disentangle_forward(theta, z, drop_key=drop_key)
     probs = classifier_probs(theta, fuse(theta, f_di, f_ds), drop_key=drop_key)
     return ForwardResult(f_di=f_di, f_ds=f_ds, class_probs=probs)
@@ -144,5 +145,5 @@ def eval_hidden(theta: ParamStore, graph: FCGraph) -> list[np.ndarray]:
     """Per-layer (N, C) node activations of one graph in evaluation mode."""
     with tt.no_grad():
         _, hidden = stfg_forward(theta, Tensor(graph.features[None]),
-                                 Tensor(graph.propagation[None]), want_hidden=True)
+                                 Tensor(graph.propagation[None]))
     return [h.data[0] for h in hidden]

@@ -74,15 +74,14 @@ def jk_concat(pools: list[Tensor]) -> Tensor:
     return tt.concat(pools, axis=1)
 
 
-def stfg_forward(theta, x: Tensor, adj_norm: Tensor, *,
-                 drop_key: tuple | None = None, want_hidden: bool = False):
-    """Embed a batch of graphs: x (B, N, R), adj_norm (B, N, N) -> (B, 480).
+def stfg_forward(theta, x: Tensor, adj_norm: Tensor, *, drop_key: tuple | None = None):
+    """Embed a batch of graphs: x (B, N, R), adj_norm (B, N, N) -> the
+    embedding (B, 480) and the post-activation node features of every layer,
+    which attribution reads.
 
     Each layer is input dropout, propagation, batch norm and ReLU.
     `drop_key` is (uids, *key) in training and None in evaluation; each layer
-    draws its dropout masks with it, tagged with the layer's prefix. With
-    `want_hidden`, also returns the post-activation node features of every
-    layer for attribution.
+    draws its dropout masks with it, tagged with the layer's prefix.
     """
     train = drop_key is not None
     h = x
@@ -96,7 +95,4 @@ def stfg_forward(theta, x: Tensor, adj_norm: Tensor, *,
         h = tt.relu(h)
         hidden.append(h)
         pools.append(jk_pool(h))
-    z = jk_concat(pools)
-    if want_hidden:
-        return z, hidden
-    return z
+    return jk_concat(pools), hidden

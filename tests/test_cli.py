@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from dafed import cli, explain, fedsim, network, wire
+from dafed import data as data_mod
 from dafed import tensor as tt
 from dafed.explain import subject_folds
 from dafed.config import ConfigError, parse_config
@@ -307,7 +308,7 @@ def test_manifest_config_errors_exit_2_naming_key_and_file(tmp_path, capsys, old
     ("nul path", r"manifest\.csv:2: NUL byte in path"),
     ("missing path", r"manifest\.csv:11: cannot read \S*missing\.csv: No such file or directory"),
     ("directory path", r"manifest\.csv:11: cannot read \S*series: Is a directory"),
-    ("unnamed site", r"manifest\.csv has sites without a configured site\.N\.id: \['other'\]"),
+    ("unnamed site", r"manifest\.csv:10: site 'other' has no configured site\.N\.id"),
     ("mixed labels", r"manifest\.csv: site edge: mixes labeled and unlabeled subjects"),
 ])
 def test_bad_manifest_data_exits_2_naming_where(tmp_path, capsys, case, where):
@@ -332,7 +333,7 @@ def test_bad_manifest_data_exits_2_naming_where(tmp_path, capsys, case, where):
         manifest.write_text(manifest.read_text() + "\n,,0,x.csv\n")
     if case in ("missing path", "directory path"):
         path = "series/missing.csv" if case == "missing path" else "series"
-        manifest.write_text(manifest.read_text() + f"\na2,a,0,{path}\n")
+        manifest.write_text(manifest.read_text() + f"\na2,central,0,{path}\n")
     if case == "nul path":  # in line 2's path
         manifest.write_text(manifest.read_text().replace("series/", "ser\0ies/", 1))
     if case in ("unnamed site", "mixed labels"):  # line 2's labeled subject again, at another site
@@ -351,6 +352,51 @@ def test_bad_manifest_data_exits_2_naming_where(tmp_path, capsys, case, where):
     err = capsys.readouterr().err
     assert code == 2
     assert re.search(where, err) and "Traceback" not in err
+
+
+def _manifest_run(tmp_path, synth_extra="", **train_cfg):
+    """A manifest written by `synth` from the base config plus `synth_extra`,
+    and a config for training on it."""
+    data_dir = tmp_path / "d"
+    assert cli.main(["synth", "--config", str(write_cfg(tmp_path / "run.cfg", extra=synth_extra)),
+                     "--out", str(data_dir)]) == 0
+    cfg = write_cfg(tmp_path / "mrun.cfg", **train_cfg)
+    cfg.write_text(cfg.read_text().replace(
+        "data = synth", f"data = manifest\nmanifest = {data_dir / 'manifest.csv'}"))
+    return data_dir / "manifest.csv", cfg
+
+
+@pytest.mark.parametrize("case, where", [
+    ("unconfigured site", r"manifest\.csv:10: site 'edge2' has no configured site\.N\.id"),
+    ("unlabeled role", r"site\.1\.role = target_labeled needs labels, but site edge has none"),
+    ("absent site", r"config names sites absent from \S*manifest\.csv: \['edge2', 'edge3'\]"),
+])
+def test_a_config_that_does_not_fit_its_manifest_exits_2_before_any_graph(
+        tmp_path, capsys, monkeypatch, case, where):
+    synth_extra, train_cfg = {
+        "unconfigured site": (MORE_TARGETS, {}),
+        "unlabeled role": ("", {"mode": "dafed_l", "target_role": "target_labeled"}),
+        "absent site": ("", {"extra": MORE_TARGETS}),
+    }[case]
+    _, cfg = _manifest_run(tmp_path, synth_extra, **train_cfg)
+    built = []
+    monkeypatch.setattr(data_mod, "series_to_graphs", lambda *args: built.append(args))
+    code = cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "t")])
+    err = capsys.readouterr().err
+    assert code == 2 and not built
+    assert re.search(where, err) and "Traceback" not in err
+
+
+def test_a_row_is_checked_against_the_config_before_the_next_row_is_read(tmp_path, capsys):
+    manifest, cfg = _manifest_run(tmp_path)
+    series = manifest.parent / "series" / "central_s000.csv"  # line 2's series
+    series.write_text("".join(series.read_text().splitlines(keepends=True)[:10]))
+    manifest.write_text(manifest.read_text() + "a2,central,0,series/missing.csv\n")
+    code = cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "t")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert re.search(r"^error: window = 20 is longer than the 10 points of \S*central_s000\.csv$",
+                     err, re.M) and "Traceback" not in err
 
 
 @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])

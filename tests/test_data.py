@@ -463,7 +463,8 @@ def test_ingest_single_subject(tmp_path):
     arr = np.random.default_rng(0).standard_normal((20, 3))
     _write_series(tmp_path / "s1.csv", arr)
     _write_manifest(tmp_path / "manifest.csv", [("s1", "site_a", "1", "s1.csv")])
-    dsets = data.ingest_csv(tmp_path / "manifest.csv", window=20, stride=1, k=2)
+    dsets = data.ingest_csv(tmp_path / "manifest.csv", {"site_a": "source"},
+                            window=20, stride=1, k=2)
     assert len(dsets) == 1
     assert len(dsets[0].samples) == 1
     assert dsets[0].labeled and dsets[0].labels[0] == 1
@@ -473,7 +474,8 @@ def test_ingest_cohort_shape_window_count(tmp_path):
     arr = np.random.default_rng(1).standard_normal((176, 111))
     _write_series(tmp_path / "s1.csv", arr)
     _write_manifest(tmp_path / "manifest.csv", [("s1", "site_a", "0", "s1.csv")])
-    dsets = data.ingest_csv(tmp_path / "manifest.csv", window=20, stride=1, k=10)
+    dsets = data.ingest_csv(tmp_path / "manifest.csv", {"site_a": "source"},
+                            window=20, stride=1, k=10)
     assert len(dsets[0].samples) == 157
 
 
@@ -481,7 +483,8 @@ def test_ingest_empty_label_means_unlabeled(tmp_path):
     arr = np.random.default_rng(2).standard_normal((22, 4))
     _write_series(tmp_path / "s1.csv", arr)
     _write_manifest(tmp_path / "manifest.csv", [("s1", "site_u", "", "s1.csv")])
-    ds = data.ingest_csv(tmp_path / "manifest.csv", window=20, stride=1, k=2)[0]
+    ds = data.ingest_csv(tmp_path / "manifest.csv", {"site_u": "target_unlabeled"},
+                         window=20, stride=1, k=2)[0]
     assert not ds.labeled
     assert ds.labels is None
 
@@ -491,7 +494,7 @@ def test_ingest_ragged_rows_rejected_with_location(tmp_path):
         fh.write("1.0,2.0,3.0\n1.0,2.0\n")
     _write_manifest(tmp_path / "manifest.csv", [("s1", "a", "0", "bad.csv")])
     with pytest.raises(data.IngestError, match=r"bad\.csv:2"):
-        data.ingest_csv(tmp_path / "manifest.csv", window=2, stride=1, k=1)
+        data.ingest_csv(tmp_path / "manifest.csv", {"a": "source"}, window=2, stride=1, k=1)
 
 
 def test_ingest_non_numeric_rejected(tmp_path):
@@ -499,7 +502,7 @@ def test_ingest_non_numeric_rejected(tmp_path):
         fh.write("1.0,2.0\n1.0,oops\n")
     _write_manifest(tmp_path / "manifest.csv", [("s1", "a", "0", "bad.csv")])
     with pytest.raises(data.IngestError, match=r"bad\.csv:2"):
-        data.ingest_csv(tmp_path / "manifest.csv", window=2, stride=1, k=1)
+        data.ingest_csv(tmp_path / "manifest.csv", {"a": "source"}, window=2, stride=1, k=1)
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
@@ -508,7 +511,7 @@ def test_ingest_non_finite_rejected(tmp_path, cell):
         fh.write(f"1.0,2.0\n1.0,{cell}\n")
     _write_manifest(tmp_path / "manifest.csv", [("s1", "a", "0", "bad.csv")])
     with pytest.raises(data.IngestError, match=r"bad\.csv:2: non-finite"):
-        data.ingest_csv(tmp_path / "manifest.csv", window=2, stride=1, k=1)
+        data.ingest_csv(tmp_path / "manifest.csv", {"a": "source"}, window=2, stride=1, k=1)
 
 
 @pytest.mark.parametrize("label", ["2", "-1", "1.0", "yes"])
@@ -518,7 +521,7 @@ def test_ingest_label_outside_0_1_rejected(tmp_path, label):
     _write_manifest(tmp_path / "manifest.csv",
                     [("s1", "site", "0", "s1.csv"), ("s2", "site", label, "s2.csv")])
     with pytest.raises(data.IngestError, match=r"manifest\.csv:3: label must be 0, 1 or empty"):
-        data.ingest_csv(tmp_path / "manifest.csv", window=20, stride=1, k=2)
+        data.ingest_csv(tmp_path / "manifest.csv", {"site": "source"}, window=20, stride=1, k=2)
 
 
 def test_ingest_inconsistent_rois_rejected(tmp_path):
@@ -527,7 +530,7 @@ def test_ingest_inconsistent_rois_rejected(tmp_path):
     _write_manifest(tmp_path / "manifest.csv",
                     [("s1", "site", "0", "a.csv"), ("s2", "site", "1", "b.csv")])
     with pytest.raises(data.IngestError, match="inconsistent"):
-        data.ingest_csv(tmp_path / "manifest.csv", window=20, stride=1, k=2)
+        data.ingest_csv(tmp_path / "manifest.csv", {"site": "source"}, window=20, stride=1, k=2)
 
 
 def test_ingest_mixed_labeling_rejected(tmp_path):
@@ -536,4 +539,4 @@ def test_ingest_mixed_labeling_rejected(tmp_path):
     _write_manifest(tmp_path / "manifest.csv",
                     [("s1", "site", "0", "a.csv"), ("s2", "site", "", "b.csv")])
     with pytest.raises(data.IngestError, match="mixes"):
-        data.ingest_csv(tmp_path / "manifest.csv", window=20, stride=1, k=2)
+        data.ingest_csv(tmp_path / "manifest.csv", {"site": "source"}, window=20, stride=1, k=2)

@@ -149,12 +149,30 @@ def test_unusable_checkpoint_paths_fail_naming_the_path(tmp_path, capsys, comman
     other.write_text(CFG.replace("rois = 8", "rois = 10"))
     assert cli.main(["train", "--config", str(other), "--out", str(tmp_path / "other")]) == 0
     (tmp_path / "empty.ckpt").write_bytes(b"")
-    # a directory is a bad path argument, as a missing file is; an empty file
-    # is not a checkpoint; another model's checkpoint does not fit the config
-    for path, expected in ((tmp_path / "other", 2), (tmp_path / "empty.ckpt", 1),
+    # a directory, or a path under a file, is a bad path argument, as a missing
+    # file is; an empty file is not a checkpoint; another model's checkpoint
+    # does not fit the config
+    for path, expected in ((tmp_path / "other", 2), (tmp_path / "empty.ckpt" / "x.ckpt", 2),
+                           (tmp_path / "empty.ckpt", 1),
                            (tmp_path / "other" / "checkpoint_final.ckpt", 2)):
         capsys.readouterr()
         code = _check([command, "--config", str(cfg), str(path), "--out", str(tmp_path / "x")],
                       capsys, ([str(path)], []))
         assert code == expected, (path, code)
 
+
+@pytest.mark.parametrize("command", ["synth", "train", "eval", "explain"])
+def test_an_out_that_cannot_be_a_directory_exits_2_naming_it(tmp_path, capsys, command):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CFG)
+    argv = [command, "--config", str(cfg)]
+    if command in ("eval", "explain"):
+        assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 0
+        argv.append(str(tmp_path / "t" / "checkpoint_final.ckpt"))
+    (tmp_path / "afile").write_text("")
+    for out in (tmp_path / "afile", tmp_path / "afile" / "sub"):
+        capsys.readouterr()
+        code = cli.main([*argv, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2, (out, err)
+        assert err.startswith("error: ") and str(out) in err and "Traceback" not in err, err
